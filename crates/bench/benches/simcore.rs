@@ -1,12 +1,13 @@
 //! Criterion bench for the pattern-parallel simulation core: one
 //! golden-vs-DUT divergence sweep over 4096 patterns on 9sym
 //! (combinational, so the packed side fills all 64 lanes), scalar
-//! oracle versus `sim::emulate::po_divergence_words`. The committed
-//! cross-PR numbers live in `BENCH_sim.json` (the `simbench` bin);
-//! this bench is for quick local A/B runs while touching the core.
+//! oracle versus a recorded `GoldenTrace` plus
+//! `sim::emulate::po_divergence_words`. The committed cross-PR numbers
+//! live in `BENCH_sim.json` (the `simbench` bin); this bench is for
+//! quick local A/B runs while touching the core.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sim::{PatternGen, Simulator};
+use sim::{GoldenTrace, PatternGen, Simulator};
 
 fn bench_divergence_sweep(c: &mut Criterion) {
     let golden = synth::PaperDesign::NineSym
@@ -41,8 +42,9 @@ fn bench_divergence_sweep(c: &mut Criterion) {
 
     group.bench_function("packed_64_lane_4096_patterns", |b| {
         b.iter(|| {
-            let (words, _) = sim::emulate::po_divergence_words(&golden, &dut, &pairs, pats.clone())
-                .expect("sweep");
+            let trace = GoldenTrace::record(&golden, pats.clone()).expect("trace");
+            let (words, _) =
+                sim::emulate::po_divergence_words(&trace, &dut, &pairs).expect("sweep");
             black_box(words)
         });
     });

@@ -4,8 +4,9 @@
 //!
 //! * **detect** — golden-vs-DUT output-divergence sweep (the
 //!   evidence-collection pass behind `collect_responses`). The packed
-//!   side runs the production `sim::emulate::po_divergence_words`
-//!   path; the scalar side replays the pre-packing per-pattern loop.
+//!   side runs the production path: record a `GoldenTrace`, then one
+//!   DUT-only `sim::emulate::po_divergence_words` sweep against it;
+//!   the scalar side replays the pre-packing per-pattern loop.
 //!   Combinational designs get 64 patterns per topo pass; sequential
 //!   designs run stream-mode (chunk width 1, see `sim::packed`), so
 //!   their rows are marked `parallel: false` and are exempt from the
@@ -46,7 +47,7 @@ use std::time::Instant;
 use netlist::{CellId, Netlist};
 use obs::{MetricsRegistry, Tracer};
 use sim::inject::{inject, random_error, DesignErrorKind};
-use sim::{PackedSimulator, PatternGen, Simulator, LANES};
+use sim::{Chunk, GoldenTrace, PackedSimulator, PatternGen, Simulator, LANES};
 use synth::PaperDesign;
 
 /// One (design, workload) comparison row.
@@ -239,9 +240,11 @@ fn detect_row(
     let scalar_pps = pats.len() as f64 / t.elapsed().as_secs_f64();
     let scalar_fp = fold_words(&words);
 
-    // Packed: the production evidence-collection path.
+    // Packed: the production evidence-collection path — both sides
+    // simulated once each, like the scalar loop.
     let t = Instant::now();
-    let (pwords, count) = sim::emulate::po_divergence_words(golden, dut, &pairs, pats.to_vec())?;
+    let trace = GoldenTrace::record(golden, pats.iter().cloned())?;
+    let (pwords, count) = sim::emulate::po_divergence_words(&trace, dut, &pairs)?;
     let packed_pps = count as f64 / t.elapsed().as_secs_f64();
     // `po_divergence_words` trims nothing but may leave short vectors
     // for clean tails; pad to the scalar layout before comparing.
@@ -371,36 +374,28 @@ fn faultsim_row(
 
 /// Combinational candidate scoring: for each candidate, sweep the
 /// pattern set 64 lanes at a time with the complement fault active in
-/// every lane, diffing against the fault-free packed pass.
+/// every lane, diffing against the fault-free golden trace.
 fn packed_faultsim_comb(
     golden: &Netlist,
     cands: &[CellId],
     pats: &[Vec<bool>],
     n_po: usize,
 ) -> Result<Vec<Footprint>, Box<dyn std::error::Error>> {
+    let trace = GoldenTrace::record(golden, pats.iter().cloned())?;
     let mut sim = PackedSimulator::new(golden)?;
-    let chunks: Vec<&[Vec<bool>]> = pats.chunks(LANES).collect();
-    let mut gwords: Vec<Vec<u64>> = vec![Vec::with_capacity(chunks.len()); n_po];
-    for chunk in &chunks {
-        sim.load_patterns(chunk);
-        sim.comb_eval();
-        for (k, w) in gwords.iter_mut().enumerate() {
-            w.push(sim.output_word(k));
-        }
-    }
     let mut out = Vec::with_capacity(cands.len());
     for &cand in cands {
         sim.set_fault_lanes(cand, u64::MAX)?;
         let mut onset = None;
         let mut hit = vec![false; n_po];
-        for (c, chunk) in chunks.iter().enumerate() {
-            let lanes = sim.load_patterns(chunk);
+        for chunk in Chunk::cover(trace.patterns(), LANES) {
+            trace.load_chunk(&mut sim, chunk);
             sim.comb_eval();
             for (k, h) in hit.iter_mut().enumerate() {
-                let diff = (sim.output_word(k) ^ gwords[k][c]) & lanes;
+                let diff = (sim.output_word(k) ^ trace.output_chunk(k, chunk)) & chunk.lanes();
                 if diff != 0 {
                     *h = true;
-                    let p = c * LANES + diff.trailing_zeros() as usize;
+                    let p = chunk.base + diff.trailing_zeros() as usize;
                     if onset.is_none_or(|o| p < o) {
                         onset = Some(p);
                     }
@@ -423,20 +418,9 @@ fn packed_faultsim_seq(
     pats: &[Vec<bool>],
     n_po: usize,
 ) -> Result<Vec<Footprint>, Box<dyn std::error::Error>> {
-    // Fault-free stream first: one broadcast pass records each
-    // output's golden bit per cycle, pre-broadcast to a full word.
+    // Fault-free stream first, recorded once.
+    let trace = GoldenTrace::record(golden, pats.iter().cloned())?;
     let mut sim = PackedSimulator::new(golden)?;
-    let mut gtrace: Vec<Vec<u64>> = Vec::with_capacity(pats.len());
-    for pat in pats {
-        sim.broadcast_inputs(pat);
-        sim.comb_eval();
-        gtrace.push(
-            (0..n_po)
-                .map(|k| 0u64.wrapping_sub(sim.output_word(k) & 1))
-                .collect(),
-        );
-        sim.step();
-    }
     let mut out = Vec::new();
     for batch in cands.chunks(LANES) {
         sim.reset();
@@ -447,12 +431,15 @@ fn packed_faultsim_seq(
         let mut onsets: Vec<Option<usize>> = vec![None; batch.len()];
         let mut hits: Vec<u64> = vec![0; n_po];
         let mut seen: u64 = 0;
-        for (p, pat) in pats.iter().enumerate() {
-            sim.broadcast_inputs(pat);
+        for p in 0..pats.len() {
+            trace.broadcast_pattern(&mut sim, p);
             sim.comb_eval();
+            let chunk = Chunk { base: p, len: 1 };
             let mut any = 0u64;
             for (k, h) in hits.iter_mut().enumerate() {
-                let diff = sim.output_word(k) ^ gtrace[p][k];
+                // The golden bit, broadcast to every candidate's lane.
+                let golden_word = 0u64.wrapping_sub(trace.output_chunk(k, chunk));
+                let diff = sim.output_word(k) ^ golden_word;
                 *h |= diff;
                 any |= diff;
             }
@@ -465,7 +452,7 @@ fn packed_faultsim_seq(
                     onsets[i] = Some(p);
                 }
             }
-            sim.step();
+            sim.latch();
         }
         for (i, onset) in onsets.into_iter().enumerate() {
             out.push((onset, hits.iter().map(|h| h >> i & 1 == 1).collect()));

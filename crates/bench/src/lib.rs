@@ -147,7 +147,15 @@ mod tests {
         let before: Vec<_> = td.placement.iter().collect();
         for mut flow in tiling::standard_flows() {
             let effort = tiling::flow_effort(&td, flow.as_mut(), &[victim]).unwrap();
-            assert!(effort.total() > 0, "{}", flow.name());
+            // The canonical change is function-only: the tiled flow
+            // prices it at zero work, every rival flow at some.
+            match flow.name() {
+                "tiled" => assert_eq!(effort.total(), 0, "tiled priced work"),
+                "full" | "incremental" | "quick_eco" => {
+                    assert!(effort.total() > 0, "{} priced no work", flow.name());
+                }
+                other => panic!("unexpected flow {other}"),
+            }
         }
         let after: Vec<_> = td.placement.iter().collect();
         assert_eq!(before, after, "measurement mutated the design");

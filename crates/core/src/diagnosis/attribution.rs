@@ -26,6 +26,7 @@
 use std::collections::HashMap;
 
 use netlist::{CellId, Netlist, NetlistError};
+use sim::emulate::{Chunk, GoldenTrace};
 use sim::patterns::PatternGen;
 use sim::{PackedSimulator, LANES};
 
@@ -130,12 +131,40 @@ impl ResponseMatrix {
             .filter(|&k| !self.signatures[k].is_clean())
             .collect()
     }
+
+    /// Whether every golden output in `outputs` matched on every
+    /// pattern — how one sweep of a corrected DUT judges each error
+    /// cluster separately.
+    pub fn clean_on(&self, outputs: &[CellId]) -> bool {
+        self.outputs
+            .iter()
+            .zip(&self.signatures)
+            .all(|(po, sig)| sig.is_clean() || !outputs.contains(po))
+    }
 }
 
 /// Sweeps `patterns` through both netlists and records, per primary
-/// output, the set of patterns it fails on. Outputs are paired by
-/// cell name, so a DUT carrying leftover debug instrumentation (extra
-/// observation outputs) is compared only on the original outputs.
+/// output, the set of patterns it fails on: [`traced_responses`] over
+/// a [`GoldenTrace`] recorded for this one call. A caller sweeping
+/// several DUTs against the same golden model and patterns (a debug
+/// session) records the trace once and calls [`traced_responses`].
+///
+/// # Errors
+///
+/// Propagates simulator construction failures (combinational loops).
+pub fn collect_responses(
+    golden: &Netlist,
+    dut: &Netlist,
+    patterns: PatternGen,
+) -> Result<ResponseMatrix, NetlistError> {
+    traced_responses(&GoldenTrace::record(golden, patterns)?, golden, dut)
+}
+
+/// Sweeps only the DUT over `trace`'s patterns and records, per golden
+/// primary output, the set of patterns it fails on. Outputs are paired
+/// by cell name, so a DUT carrying leftover debug instrumentation
+/// (extra observation outputs) is compared only on the original
+/// outputs.
 ///
 /// The sweep runs packed ([`sim::emulate::po_divergence_words`]):
 /// combinational designs evaluate 64 patterns per topo pass and the
@@ -148,14 +177,14 @@ impl ResponseMatrix {
 /// # Errors
 ///
 /// Propagates simulator construction failures (combinational loops).
-pub fn collect_responses(
+pub fn traced_responses(
+    trace: &GoldenTrace,
     golden: &Netlist,
     dut: &Netlist,
-    patterns: PatternGen,
 ) -> Result<ResponseMatrix, NetlistError> {
     let outputs = golden.primary_outputs();
     let pairs = po_pairs(golden, dut)?;
-    let (words, count) = sim::emulate::po_divergence_words(golden, dut, &pairs, patterns)?;
+    let (words, count) = sim::emulate::po_divergence_words(trace, dut, &pairs)?;
     let mut signatures = vec![ResponseSignature::default(); outputs.len()];
     for (&(gk, _), w) in pairs.iter().zip(words) {
         signatures[gk] = ResponseSignature::from_words(w);
@@ -271,57 +300,36 @@ pub fn cluster_failures(golden: &Netlist, matrix: &ResponseMatrix) -> Vec<Failur
 /// pass, one lane-complement fault each (classic parallel-fault
 /// simulation). [`prime`](Self::prime) fills the cache batch-wise;
 /// per-candidate queries fall back to batches of one.
+///
+/// Both the stimulus and the fault-free response come from the
+/// session's [`GoldenTrace`], so the engine never simulates the golden
+/// model itself.
 pub struct FaultAttribution<'a> {
     golden: &'a Netlist,
-    patterns: Vec<Vec<bool>>,
+    /// The fault-free response every candidate machine is diffed
+    /// against, and the stimulus that drives it.
+    trace: &'a GoldenTrace,
     /// Persistent packed engine over the golden model; faults are
     /// planted and cleared around each candidate sweep.
     psim: PackedSimulator<'a>,
-    /// Golden PO words, indexed `[po][pattern / 64]` with bit
-    /// `pattern % 64` = the golden output value.
-    golden_po_words: Vec<Vec<u64>>,
     sequential: bool,
     /// Cache: candidate cell → predicted failing-PO mask.
     cache: HashMap<CellId, Vec<bool>>,
 }
 
 impl<'a> FaultAttribution<'a> {
-    /// Prepares the engine by tracing the golden model once over
-    /// `patterns`.
+    /// Prepares the engine over `golden`, scoring candidates against
+    /// `trace`, the golden model's recorded response.
     ///
     /// # Errors
     ///
     /// Propagates simulator construction failures.
-    pub fn new(golden: &'a Netlist, patterns: &[Vec<bool>]) -> Result<Self, NetlistError> {
-        let mut psim = PackedSimulator::new(golden)?;
-        let sequential = golden.is_sequential();
-        let num_pos = golden.primary_outputs().len();
-        let chunks = patterns.len().div_ceil(LANES);
-        let mut golden_po_words = vec![vec![0u64; chunks]; num_pos];
-        if sequential {
-            for (idx, pat) in patterns.iter().enumerate() {
-                psim.broadcast_inputs(pat);
-                psim.comb_eval();
-                for (j, w) in golden_po_words.iter_mut().enumerate() {
-                    w[idx / LANES] |= (psim.output_word(j) & 1) << (idx % LANES);
-                }
-                psim.step();
-            }
-        } else {
-            for (c, chunk) in patterns.chunks(LANES).enumerate() {
-                let lanes = psim.load_patterns(chunk);
-                psim.comb_eval();
-                for (j, w) in golden_po_words.iter_mut().enumerate() {
-                    w[c] = psim.output_word(j) & lanes;
-                }
-            }
-        }
+    pub fn new(golden: &'a Netlist, trace: &'a GoldenTrace) -> Result<Self, NetlistError> {
         Ok(Self {
             golden,
-            patterns: patterns.to_vec(),
-            psim,
-            golden_po_words,
-            sequential,
+            trace,
+            psim: PackedSimulator::new(golden)?,
+            sequential: golden.is_sequential(),
             cache: HashMap::new(),
         })
     }
@@ -370,8 +378,7 @@ impl<'a> FaultAttribution<'a> {
                 luts.push(c);
             } else {
                 // Non-LUT candidates predict nothing.
-                self.cache
-                    .insert(c, vec![false; self.golden_po_words.len()]);
+                self.cache.insert(c, vec![false; self.trace.num_outputs()]);
             }
         }
         // One sweep unit = one packed pass: a 64-machine batch on
@@ -385,14 +392,13 @@ impl<'a> FaultAttribution<'a> {
         if workers > 1 && units.len() > 1 {
             let golden = self.golden;
             let sequential = self.sequential;
-            let patterns = &self.patterns;
-            let po_words = &self.golden_po_words;
+            let trace = self.trace;
             let swept = parallel::map(workers.min(units.len()), units, |unit| {
                 let mut psim = PackedSimulator::new(golden)?;
                 if sequential {
-                    sweep_candidate_batch(&mut psim, patterns, po_words, &unit)
+                    sweep_candidate_batch(&mut psim, trace, &unit)
                 } else {
-                    sweep_candidate_patterns(&mut psim, patterns, po_words, unit[0])
+                    sweep_candidate_patterns(&mut psim, trace, unit[0])
                         .map(|mask| vec![(unit[0], mask)])
                 }
             });
@@ -404,21 +410,11 @@ impl<'a> FaultAttribution<'a> {
         } else {
             for unit in units {
                 if self.sequential {
-                    for (c, mask) in sweep_candidate_batch(
-                        &mut self.psim,
-                        &self.patterns,
-                        &self.golden_po_words,
-                        &unit,
-                    )? {
+                    for (c, mask) in sweep_candidate_batch(&mut self.psim, self.trace, &unit)? {
                         self.cache.insert(c, mask);
                     }
                 } else {
-                    let mask = sweep_candidate_patterns(
-                        &mut self.psim,
-                        &self.patterns,
-                        &self.golden_po_words,
-                        unit[0],
-                    )?;
+                    let mask = sweep_candidate_patterns(&mut self.psim, self.trace, unit[0])?;
                     self.cache.insert(unit[0], mask);
                 }
             }
@@ -502,17 +498,16 @@ impl<'a> FaultAttribution<'a> {
 /// [`prime_with_workers`]: FaultAttribution::prime_with_workers
 fn sweep_candidate_patterns(
     psim: &mut PackedSimulator<'_>,
-    patterns: &[Vec<bool>],
-    golden_po_words: &[Vec<u64>],
+    trace: &GoldenTrace,
     cell: CellId,
 ) -> Result<Vec<bool>, NetlistError> {
-    let mut acc = vec![0u64; golden_po_words.len()];
+    let mut acc = vec![0u64; trace.num_outputs()];
     psim.set_fault_lanes(cell, u64::MAX)?;
-    for (c, chunk) in patterns.chunks(LANES).enumerate() {
-        let lanes = psim.load_patterns(chunk);
+    for chunk in Chunk::cover(trace.patterns(), LANES) {
+        trace.load_chunk(psim, chunk);
         psim.comb_eval();
         for (j, a) in acc.iter_mut().enumerate() {
-            *a |= (psim.output_word(j) ^ golden_po_words[j][c]) & lanes;
+            *a |= (psim.output_word(j) ^ trace.output_chunk(j, chunk)) & chunk.lanes();
         }
     }
     psim.clear_faults();
@@ -525,25 +520,24 @@ fn sweep_candidate_patterns(
 /// mask)` pairs in batch order.
 fn sweep_candidate_batch(
     psim: &mut PackedSimulator<'_>,
-    patterns: &[Vec<bool>],
-    golden_po_words: &[Vec<u64>],
+    trace: &GoldenTrace,
     batch: &[CellId],
 ) -> Result<Vec<(CellId, Vec<bool>)>, NetlistError> {
     debug_assert!(batch.len() <= LANES);
-    let mut acc = vec![0u64; golden_po_words.len()];
+    let mut acc = vec![0u64; trace.num_outputs()];
     psim.clear_faults();
     psim.reset();
     for (i, &c) in batch.iter().enumerate() {
         psim.set_fault_lanes(c, 1u64 << i)?;
     }
-    for (idx, pat) in patterns.iter().enumerate() {
-        psim.broadcast_inputs(pat);
+    for p in 0..trace.patterns() {
+        trace.broadcast_pattern(psim, p);
         psim.comb_eval();
+        let chunk = Chunk { base: p, len: 1 };
         for (j, a) in acc.iter_mut().enumerate() {
-            let golden_bit = golden_po_words[j][idx / LANES] >> (idx % LANES) & 1;
-            *a |= psim.output_word(j) ^ 0u64.wrapping_sub(golden_bit);
+            *a |= psim.output_word(j) ^ 0u64.wrapping_sub(trace.output_chunk(j, chunk));
         }
-        psim.step();
+        psim.latch();
     }
     psim.clear_faults();
     Ok(batch
@@ -627,6 +621,22 @@ mod tests {
     }
 
     #[test]
+    fn clean_on_judges_only_the_named_outputs() {
+        // One live error behind y1: a cluster of y0 alone reads
+        // repaired, any cluster holding y1 does not.
+        let golden = two_cone_design();
+        let mut dut = golden.clone();
+        let u1 = dut.find_cell("u1").unwrap();
+        inject(&mut dut, u1, DesignErrorKind::Complement).unwrap();
+        let m = collect_responses(&golden, &dut, PatternGen::exhaustive(3)).unwrap();
+        let (y0, y1) = (m.outputs[0], m.outputs[1]);
+        assert!(m.clean_on(&[y0]));
+        assert!(!m.clean_on(&[y1]));
+        assert!(!m.clean_on(&[y0, y1]));
+        assert!(m.clean_on(&[]));
+    }
+
+    #[test]
     fn clean_design_yields_no_clusters() {
         let golden = two_cone_design();
         let m = collect_responses(&golden, &golden.clone(), PatternGen::exhaustive(3)).unwrap();
@@ -637,8 +647,8 @@ mod tests {
     #[test]
     fn fault_simulation_blames_the_right_cone() {
         let golden = two_cone_design();
-        let pats: Vec<Vec<bool>> = PatternGen::exhaustive(3).collect();
-        let mut att = FaultAttribution::new(&golden, &pats).unwrap();
+        let trace = GoldenTrace::record(&golden, PatternGen::exhaustive(3)).unwrap();
+        let mut att = FaultAttribution::new(&golden, &trace).unwrap();
         let u0 = golden.find_cell("u0").unwrap();
         let u1 = golden.find_cell("u1").unwrap();
         // Observed: only y1 failing (an error somewhere in u1's cone).

@@ -70,8 +70,8 @@ pub mod partition;
 pub mod scheduler;
 
 pub use attribution::{
-    cluster_failures, collect_responses, FailureCluster, FaultAttribution, ResponseMatrix,
-    ResponseSignature,
+    cluster_failures, collect_responses, traced_responses, FailureCluster, FaultAttribution,
+    ResponseMatrix, ResponseSignature,
 };
 pub use cone::SuspectCone;
 pub use evidence::{EvidenceBase, EvidenceStats, ObservationWindow};

@@ -529,7 +529,16 @@ mod tests {
                 .complement();
             td.netlist.set_lut_function(victim, tt).unwrap();
             let out = flow.reimplement(&mut td, &[victim], &[]).unwrap();
-            assert!(out.effort.total() > 0, "{} did no work", flow.name());
+            // A function-only change moves no cell and no net: the tiled
+            // flow rewrites the LUT in place, while every rival flow
+            // re-implements at least part of the design regardless.
+            match flow.name() {
+                "tiled" => assert_eq!(out.effort.total(), 0, "tiled did work"),
+                "full" | "incremental" | "quick_eco" => {
+                    assert!(out.effort.total() > 0, "{} did no work", flow.name());
+                }
+                other => panic!("unexpected flow {other}"),
+            }
             assert!(
                 td.routing.is_feasible(),
                 "{} left infeasible routing",

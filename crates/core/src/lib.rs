@@ -56,9 +56,9 @@ pub use affected::AffectedSet;
 pub use baselines::{flow_effort, full_replace_effort, incremental_effort, quick_eco_effort};
 pub use debug::run_debug_iteration;
 pub use diagnosis::{
-    cluster_failures, collect_responses, fsm_merge_witnesses, merge_fsm_clusters, ConePartition,
-    EvidenceBase, EvidenceStats, FailureCluster, FaultAttribution, MultiErrorScheduler,
-    ObservationWindow, ResponseSignature, SuspectCone,
+    cluster_failures, collect_responses, fsm_merge_witnesses, merge_fsm_clusters, traced_responses,
+    ConePartition, EvidenceBase, EvidenceStats, FailureCluster, FaultAttribution,
+    MultiErrorScheduler, ObservationWindow, ResponseSignature, SuspectCone,
 };
 pub use eco_flow::{replace_and_route, EcoPhysicalOutcome};
 pub use effort::{CadEffort, EffortLedger, Phase};

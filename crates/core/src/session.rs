@@ -16,15 +16,21 @@
 //!   [`crate::diagnosis::evidence::EvidenceBase`] shared by the
 //!   serial and concurrent paths, fed by a single observation entry
 //!   point ([`sim::emulate::net_first_divergences`]);
+//! * the golden model is simulated once per session: its response to
+//!   the session's stimulus is recorded into a [`GoldenTrace`] on the
+//!   first sweep, and detection, every tap observation, every §4.1
+//!   forced confirmation, the post-correction verification and fault
+//!   attribution re-simulate only the DUT against it;
 //! * progress is emitted as a typed [`DebugEvent`] stream;
 //! * effort is recorded per phase in an [`EffortLedger`] that
 //!   [`crate::report::DebugReport`] and the bench bins consume.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use netlist::{CellId, NetId, Netlist};
 use obs::{MetricsRegistry, Tracer, TrackId};
-use sim::emulate::Mismatch;
+use sim::emulate::{GoldenTrace, Mismatch};
 use sim::inject::InjectedError;
 use sim::patterns::PatternGen;
 use sim::testlogic::{insert_control_point, insert_observation_tap};
@@ -32,7 +38,7 @@ use sim::testlogic::{insert_control_point, insert_observation_tap};
 use crate::diagnosis::attribution::po_pairs;
 use crate::diagnosis::scheduler::Ambiguity;
 use crate::diagnosis::{
-    cluster_failures, collect_responses, fsm_merge_witnesses, merge_fsm_clusters, EvidenceBase,
+    cluster_failures, fsm_merge_witnesses, merge_fsm_clusters, traced_responses, EvidenceBase,
     FailureCluster, FaultAttribution, MultiErrorScheduler, ResponseMatrix, ResponseSignature,
     SuspectCone,
 };
@@ -344,6 +350,9 @@ pub struct DebugSession<'a> {
     metrics: Option<&'a MetricsRegistry>,
     trace: Option<(&'a Tracer, TrackId)>,
     preflighted: bool,
+    /// The golden model's response to the session's stimulus, recorded
+    /// by the first sweep (see [`golden_trace`](Self::golden_trace)).
+    golden_trace: Option<Arc<GoldenTrace>>,
 }
 
 impl<'a> DebugSession<'a> {
@@ -363,6 +372,7 @@ impl<'a> DebugSession<'a> {
             metrics: None,
             trace: None,
             preflighted: false,
+            golden_trace: None,
         }
     }
 
@@ -400,6 +410,7 @@ impl<'a> DebugSession<'a> {
     #[must_use]
     pub fn patterns(mut self, patterns: PatternSpec) -> Self {
         self.patterns = patterns;
+        self.golden_trace = None;
         self
     }
 
@@ -407,6 +418,7 @@ impl<'a> DebugSession<'a> {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self.golden_trace = None;
         self
     }
 
@@ -514,8 +526,26 @@ impl<'a> DebugSession<'a> {
         }
     }
 
-    fn patterns_for(&self, nl: &Netlist) -> PatternGen {
-        self.patterns.generate(nl, self.seed)
+    /// The golden model's response to the session's stimulus. The
+    /// golden netlist and its patterns never change during a session,
+    /// so the first sweep records the trace and every later one shares
+    /// it; it is dropped with the session.
+    fn golden_trace(&mut self) -> Result<Arc<GoldenTrace>, TilingError> {
+        if let Some(trace) = &self.golden_trace {
+            return Ok(Arc::clone(trace));
+        }
+        let patterns = self.patterns.generate(self.golden, self.seed);
+        let trace = Arc::new(GoldenTrace::record(self.golden, patterns)?);
+        self.golden_trace = Some(Arc::clone(&trace));
+        Ok(trace)
+    }
+
+    /// One full response sweep of the current DUT against the golden
+    /// trace: detection before diagnosis, verification after the
+    /// corrective ECO.
+    fn sweep_responses(&mut self) -> Result<ResponseMatrix, TilingError> {
+        let trace = self.golden_trace()?;
+        Ok(traced_responses(&trace, self.golden, &self.td.netlist)?)
     }
 
     /// The DRC pre-flight, run once per session before any entry
@@ -582,11 +612,7 @@ impl<'a> DebugSession<'a> {
         // ---- Detection (steps 10, 21): one full response sweep --------
         let t_detect = self.span_begin();
         let detect_before = outcome.ledger;
-        let matrix = collect_responses(
-            self.golden,
-            &self.td.netlist,
-            self.patterns_for(self.golden),
-        )?;
+        let matrix = self.sweep_responses()?;
         let mismatch = matrix_mismatch(self.golden, &matrix)?;
         self.phase_mark(Phase::Detect, t_detect, detect_before, &outcome.ledger);
         let Some(mismatch) = mismatch else {
@@ -611,11 +637,10 @@ impl<'a> DebugSession<'a> {
         // stop at the first site the §4.1 control point confirms —
         // evidence accumulated by one attempt (every measured onset)
         // carries over to the next for free.
-        let pats: Vec<Vec<bool>> = self.patterns_for(self.golden).collect();
         let t_localize = self.span_begin();
         let localize_before = outcome.ledger;
         let (mut evidence, clusters, witness_taps, _) =
-            self.screened_clusters(&matrix, &pats, &mut outcome.ledger)?;
+            self.screened_clusters(&matrix, &mut outcome.ledger)?;
         outcome.taps_inserted = witness_taps;
         let order = self.golden.topo_order()?;
         let rank: HashMap<CellId, usize> = order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
@@ -670,13 +695,8 @@ impl<'a> DebugSession<'a> {
             attempts += 1;
             let mut scheduler = MultiErrorScheduler::new(LinearBatches::DEFAULT_BATCH);
             scheduler.add_error(self.golden, &suspects, window, self.strategy.fresh());
-            let stats = self.run_tap_rounds(
-                &mut scheduler,
-                &mut evidence,
-                &pats,
-                &mut outcome.ledger,
-                &mut [],
-            )?;
+            let stats =
+                self.run_tap_rounds(&mut scheduler, &mut evidence, &mut outcome.ledger, &mut [])?;
             outcome.taps_inserted += stats.taps_inserted;
             let Some(site) = scheduler.localized()[0] else {
                 continue;
@@ -735,12 +755,11 @@ impl<'a> DebugSession<'a> {
             .ledger
             .charge(Phase::Correct, phys.effort, phys.affected.tiles.len());
 
-        // Confirmation emulation: observation taps were already
-        // retired per batch, but the DUT may still carry extra PIs
-        // (the §4.1 control point's force inputs and mux), so compare
-        // by pairing the golden primary outputs with their same-named
-        // DUT cells.
-        outcome.repaired = self.outputs_match(None)?;
+        // Confirmation emulation: one response sweep of the corrected
+        // DUT, which pairs the golden primary outputs with their
+        // same-named DUT cells — debug instrumentation may have left
+        // extra pins behind.
+        outcome.repaired = self.sweep_responses()?.failing().is_empty();
         self.emit(DebugEvent::Corrected {
             repaired: outcome.repaired,
         });
@@ -945,11 +964,7 @@ impl<'a> DebugSession<'a> {
         // ---- Detection: one full response sweep -----------------------
         let t_detect = self.span_begin();
         let detect_before = outcome.ledger;
-        let matrix = collect_responses(
-            self.golden,
-            &self.td.netlist,
-            self.patterns_for(self.golden),
-        )?;
+        let matrix = self.sweep_responses()?;
         let raw_clusters = cluster_failures(self.golden, &matrix);
         self.phase_mark(Phase::Detect, t_detect, detect_before, &outcome.ledger);
         if raw_clusters.is_empty() {
@@ -967,11 +982,10 @@ impl<'a> DebugSession<'a> {
         }
 
         // ---- Shared diagnosis pipeline --------------------------------
-        let pats: Vec<Vec<bool>> = self.patterns_for(self.golden).collect();
         let t_localize = self.span_begin();
         let localize_before = outcome.ledger;
         let mut ledger = std::mem::take(&mut outcome.ledger);
-        let mut diagnosis = self.diagnose(&matrix, &pats, &mut ledger)?;
+        let mut diagnosis = self.diagnose(&matrix, &mut ledger)?;
         outcome.ledger = ledger;
         outcome.rounds = diagnosis.rounds;
         outcome.taps_inserted = diagnosis.taps_inserted;
@@ -987,7 +1001,8 @@ impl<'a> DebugSession<'a> {
         // implicated cluster's observed footprint; report the best
         // match.
         if !diagnosis.ambiguities.is_empty() {
-            let mut attribution = FaultAttribution::new(self.golden, &pats)?;
+            let trace = self.golden_trace()?;
+            let mut attribution = FaultAttribution::new(self.golden, &trace)?;
             // Prime the whole ambiguity set up front: sequential
             // designs fault-simulate 64 candidate machines per packed
             // stream pass instead of one hypothesis netlist each.
@@ -1067,7 +1082,10 @@ impl<'a> DebugSession<'a> {
             tiles,
             &even,
         );
-        outcome.repaired = self.outputs_match(None)?;
+        // One sweep of the corrected DUT judges the whole design and
+        // every cluster's own outputs.
+        let verified = self.sweep_responses()?;
+        outcome.repaired = verified.failing().is_empty();
         self.emit(DebugEvent::Corrected {
             repaired: outcome.repaired,
         });
@@ -1098,7 +1116,7 @@ impl<'a> DebugSession<'a> {
         }
 
         for (k, cl) in clusters.into_iter().enumerate() {
-            let repaired = self.outputs_match(Some(&cl.outputs))?;
+            let repaired = verified.clean_on(&cl.outputs);
             outcome.clusters.push(ClusterOutcome {
                 outputs: cl.outputs,
                 signature: cl.signature,
@@ -1134,11 +1152,10 @@ impl<'a> DebugSession<'a> {
     fn diagnose(
         &mut self,
         matrix: &ResponseMatrix,
-        pats: &[Vec<bool>],
         ledger: &mut EffortLedger,
     ) -> Result<Diagnosis, TilingError> {
         let (mut evidence, clusters, taps_inserted, merge_screen) =
-            self.screened_clusters(matrix, pats, ledger)?;
+            self.screened_clusters(matrix, ledger)?;
 
         let order = self.golden.topo_order()?;
         let rank: HashMap<CellId, usize> = order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
@@ -1171,13 +1188,8 @@ impl<'a> DebugSession<'a> {
                 &vec![1usize; n],
             );
         }
-        let stats = self.run_tap_rounds(
-            &mut scheduler,
-            &mut evidence,
-            pats,
-            ledger,
-            &mut cluster_ledgers,
-        )?;
+        let stats =
+            self.run_tap_rounds(&mut scheduler, &mut evidence, ledger, &mut cluster_ledgers)?;
         self.record_evidence(&evidence);
         Ok(Diagnosis {
             clusters,
@@ -1213,7 +1225,6 @@ impl<'a> DebugSession<'a> {
     fn screened_clusters(
         &mut self,
         matrix: &ResponseMatrix,
-        pats: &[Vec<bool>],
         ledger: &mut EffortLedger,
     ) -> Result<
         (
@@ -1237,7 +1248,7 @@ impl<'a> DebugSession<'a> {
         let mut merge_screen: Vec<(CadEffort, usize)> = Vec::new();
         let mut taps_inserted = 0usize;
         for (eco_no, batch) in witnesses.chunks(LinearBatches::DEFAULT_BATCH).enumerate() {
-            let (onsets, effort, tiles) = self.measure_batch(batch, pats, eco_no)?;
+            let (onsets, effort, tiles) = self.measure_batch(batch, eco_no)?;
             taps_inserted += batch.len();
             ledger.charge(Phase::Localize, effort, tiles);
             merge_screen.push((effort, tiles));
@@ -1314,17 +1325,17 @@ impl<'a> DebugSession<'a> {
     /// Inserts observation taps on every cell of `batch` (one real
     /// ECO through the session flow), measures each tapped net's
     /// exact divergence onset over the whole sweep —
-    /// [`sim::emulate::net_first_divergences`], the single
-    /// observation entry point for serial and concurrent localization
-    /// alike — then retires the taps again (visibility instruments
-    /// are temporary, and pads are scarce; the physical cleanup folds
-    /// into the next ECO's re-implementation). Emits the
+    /// [`sim::emulate::net_first_divergences`] of the DUT against the
+    /// golden trace, the single observation entry point for serial
+    /// and concurrent localization alike — then retires the taps
+    /// again (visibility instruments are temporary, and pads are
+    /// scarce; the physical cleanup folds into the next ECO's
+    /// re-implementation). Emits the
     /// [`DebugEvent::TapEco`] / [`DebugEvent::Observed`] pair and
     /// returns `(onsets, effort, tiles cleared)`.
     fn measure_batch(
         &mut self,
         batch: &[CellId],
-        pats: &[Vec<bool>],
         eco_no: usize,
     ) -> Result<(Vec<Option<usize>>, CadEffort, usize), TilingError> {
         let mut added = Vec::new();
@@ -1354,8 +1365,8 @@ impl<'a> DebugSession<'a> {
             cells: batch.to_vec(),
             effort: phys.effort,
         });
-        let onsets =
-            sim::emulate::net_first_divergences(self.golden, &self.td.netlist, &nets, pats)?;
+        let trace = self.golden_trace()?;
+        let onsets = sim::emulate::net_first_divergences(&trace, &self.td.netlist, &nets)?;
         self.emit(DebugEvent::Observed {
             diverging: batch
                 .iter()
@@ -1378,7 +1389,6 @@ impl<'a> DebugSession<'a> {
         &mut self,
         scheduler: &mut MultiErrorScheduler,
         evidence: &mut EvidenceBase,
-        pats: &[Vec<bool>],
         ledger: &mut EffortLedger,
         per_track: &mut [EffortLedger],
     ) -> Result<RoundStats, TilingError> {
@@ -1407,7 +1417,7 @@ impl<'a> DebugSession<'a> {
                         })
                         .collect()
                 };
-                let (onsets, effort, tiles) = self.measure_batch(batch, pats, eco_no)?;
+                let (onsets, effort, tiles) = self.measure_batch(batch, eco_no)?;
                 eco_no += 1;
                 stats.taps_inserted += batch.len();
                 ledger.charge(Phase::Localize, effort, tiles);
@@ -1462,13 +1472,14 @@ impl<'a> DebugSession<'a> {
 
         // DUT inputs: golden pattern, then [force_val, force_en] (the
         // two new PIs append to the input order); the packed sweep
-        // drives force_val with the golden model's word for `net`.
+        // drives force_val with the golden trace's values for `net`.
+        let trace = self.golden_trace()?;
         let confirmed = sim::emulate::forced_outputs_equivalent(
-            self.golden,
+            &trace,
             &self.td.netlist,
             net,
             &self.po_pairs_for(outputs)?,
-            self.patterns_for(self.golden).take(256),
+            CONFIRM_PATTERNS,
         )?;
 
         self.retire_control_point(&cp, net)?;
@@ -1505,22 +1516,6 @@ impl<'a> DebugSession<'a> {
         netlist::eco::apply_all(&mut self.td.netlist, &removals)?;
         Ok(())
     }
-
-    /// Re-emulates and checks that the *original* primary outputs now
-    /// match (the DUT has extra PIs/POs from debug instrumentation,
-    /// so a plain output-vector compare would be misaligned). With
-    /// `Some(subset)` only those golden PO cells are compared — how a
-    /// multi-error session judges one cluster while others stay live.
-    fn outputs_match(&self, outputs: Option<&[CellId]>) -> Result<bool, TilingError> {
-        // The DUT may have grown extra PIs (control points); the
-        // packed sweep drives them inactive.
-        Ok(sim::emulate::outputs_equivalent(
-            self.golden,
-            &self.td.netlist,
-            &self.po_pairs_for(outputs)?,
-            self.patterns_for(self.golden),
-        )?)
-    }
 }
 
 // Compile-time `Send` regression gate (static_assertions-style): the
@@ -1547,6 +1542,10 @@ const _: () = {
     assert_send::<crate::report::DebugReport>();
     assert_send::<TilingError>();
 };
+
+/// How many leading patterns of the session's stimulus the §4.1 forced
+/// re-emulation compares.
+const CONFIRM_PATTERNS: usize = 256;
 
 /// Everything the shared diagnosis pipeline
 /// ([`DebugSession::diagnose`]) produced.

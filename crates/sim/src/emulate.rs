@@ -1,19 +1,43 @@
 //! Golden-vs-DUT emulation with primary-output-only observability.
 //!
-//! Every golden-vs-DUT comparison in the repo — first-mismatch
+//! During a debug session the golden model and its stimulus never
+//! change; only the DUT does, one ECO at a time. So the golden side is
+//! simulated **once**: a [`GoldenTrace`] records every golden net's
+//! value on every pattern. Every comparison after that — first-mismatch
 //! detection, full response sweeps, per-net divergence onsets, §4.1
-//! control-point confirmation — funnels through the one packed
-//! lockstep walker in this module (`sweep_pair`): combinational
-//! designs evaluate 64 patterns per topo pass
-//! ([`PackedSimulator`] lanes = patterns), sequential designs run the
-//! stimulus stream in one-pattern chunks (lanes can never be time
-//! steps — pattern `i`'s flip-flop state depends on pattern `i-1`),
-//! which keeps every onset and verdict bit-exact with the scalar
-//! [`Simulator`](crate::Simulator) oracle.
+//! control-point confirmation — simulates only the DUT, through the one
+//! packed walker in this module (`sweep_dut`), and reads the golden
+//! side out of the trace.
+//!
+//! # Trace layout and cost
+//!
+//! Each net owns `⌈patterns / 64⌉` words, and bit `p % 64` of word
+//! `p / 64` is the net's value on pattern `p` — the same layout
+//! `ResponseSignature` and `FaultAttribution` use for pattern sets. A
+//! trace therefore costs `net capacity × ⌈patterns / 64⌉ × 8` bytes —
+//! 64 kB for a 1,000-net design under 512 patterns — held for as long
+//! as the session lives. The golden primary inputs' nets carry the
+//! stimulus itself, so the trace is also what drives the DUT: no
+//! pattern vectors are kept beside it.
+//!
+//! # DUT-only sweeps
+//!
+//! The walker picks its chunk width from the DUT's own sequentiality.
+//! Combinational DUTs evaluate 64 patterns per topo pass
+//! ([`PackedSimulator`] lanes = patterns). Sequential DUTs run the
+//! stimulus stream in one-pattern chunks, clocked between chunks
+//! without reset: lanes can never be time steps, because pattern `i`'s
+//! flip-flop state depends on pattern `i-1`. Either way a chunk never
+//! straddles a trace word, so the golden word of a chunk is one shift
+//! and one mask away ([`GoldenTrace::output_chunk`]), and every pattern
+//! costs the DUT exactly one topo pass: the walker evaluates, compares,
+//! then only latches ([`PackedSimulator::latch`]). Every onset and
+//! verdict stays bit-exact with the scalar [`Simulator`](crate::Simulator)
+//! oracle.
 
 use netlist::{NetId, Netlist, NetlistError};
 
-use crate::packed::{PackedSimulator, LANES};
+use crate::packed::{lane_mask, PackedSimulator, LANES};
 use crate::patterns::PatternGen;
 
 /// A detected divergence between golden model and device under test.
@@ -32,54 +56,234 @@ pub struct Mismatch {
     pub output_ok: Vec<bool>,
 }
 
-/// The one packed pattern loop behind every paired sweep.
+/// A run of consecutive patterns evaluated in one packed pass: pattern
+/// `base + l` sits in lane `l`, for `l < len`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Chunk {
+    /// Index of the chunk's first pattern.
+    pub base: usize,
+    /// Number of patterns in the chunk (`1..=64`).
+    pub len: usize,
+}
+
+impl Chunk {
+    /// The chunks covering patterns `0..patterns`, `width` at a time.
+    /// `width` must divide 64 (in practice 1 or [`LANES`]), so no chunk
+    /// straddles a trace word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0 or does not divide 64.
+    pub fn cover(patterns: usize, width: usize) -> impl Iterator<Item = Chunk> {
+        assert!(
+            LANES.is_multiple_of(width),
+            "chunk width {width} must divide {LANES}"
+        );
+        (0..patterns).step_by(width).map(move |base| Chunk {
+            base,
+            len: width.min(patterns - base),
+        })
+    }
+
+    /// The valid-lane mask (`len` low bits set).
+    pub fn lanes(self) -> u64 {
+        lane_mask(self.len)
+    }
+}
+
+/// Every golden net's value on every stimulus pattern, recorded once.
 ///
-/// Walks `golden` and `dut` in lockstep chunks — [`LANES`] patterns
-/// per chunk for combinational designs, one per chunk for sequential
-/// streams (clocking both sims between chunks, no reset) — and hands
-/// each evaluated chunk to `visit(base, lane_mask, golden_sim,
-/// dut_sim)`. `visit` returns `false` to stop the sweep early (the
-/// clock does *not* advance past a stopped chunk, so
+/// See the [module docs](self) for the layout and its memory cost.
+/// Net ids are shared between the golden model and a DUT derived from
+/// it by ECOs, so a DUT net is compared with the golden net of the same
+/// id; nets the golden model does not have read as 0.
+#[derive(Debug, Clone)]
+pub struct GoldenTrace {
+    /// `words[n * stride + w]`: bit `b` is net `n` on pattern `64w + b`.
+    words: Vec<u64>,
+    /// Words per net: `⌈patterns / 64⌉`.
+    stride: usize,
+    patterns: usize,
+    /// The net each golden primary input drives (PI order).
+    inputs: Vec<NetId>,
+    /// The net each golden primary output reads (PO order; `None` for
+    /// a dangling output, which reads as 0).
+    outputs: Vec<Option<NetId>>,
+}
+
+impl GoldenTrace {
+    /// Simulates `golden` over `patterns` and records every net.
+    /// Sequential designs are clocked once per pattern without reset
+    /// (the patterns form one stimulus stream); combinational designs
+    /// are evaluated 64 patterns per pass.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator construction failures (combinational loops).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern's width differs from the golden model's
+    /// primary-input count.
+    pub fn record(
+        golden: &Netlist,
+        patterns: impl IntoIterator<Item = Vec<bool>>,
+    ) -> Result<Self, NetlistError> {
+        let mut sim = PackedSimulator::new(golden)?;
+        let patterns: Vec<Vec<bool>> = patterns.into_iter().collect();
+        let stride = patterns.len().div_ceil(LANES);
+        let mut words = vec![0u64; golden.net_capacity() * stride];
+        if golden.is_sequential() {
+            for (p, pat) in patterns.iter().enumerate() {
+                sim.load_patterns(std::slice::from_ref(pat));
+                sim.comb_eval();
+                let (w, b) = (p / LANES, p % LANES);
+                for (n, &v) in sim.net_words().iter().enumerate() {
+                    words[n * stride + w] |= (v & 1) << b;
+                }
+                sim.latch();
+            }
+        } else {
+            for (w, chunk) in patterns.chunks(LANES).enumerate() {
+                let lanes = sim.load_patterns(chunk);
+                sim.comb_eval();
+                for (n, &v) in sim.net_words().iter().enumerate() {
+                    words[n * stride + w] = v & lanes;
+                }
+            }
+        }
+        let net_of = |c| golden.cell(c).ok().and_then(|cell| cell.output);
+        let inputs = golden
+            .primary_inputs()
+            .into_iter()
+            .map(|pi| net_of(pi).expect("a primary input drives its net"))
+            .collect();
+        let outputs = golden
+            .primary_outputs()
+            .into_iter()
+            .map(|po| {
+                golden
+                    .cell(po)
+                    .ok()
+                    .and_then(|cell| cell.inputs.first().copied())
+            })
+            .collect();
+        Ok(Self {
+            words,
+            stride,
+            patterns: patterns.len(),
+            inputs,
+            outputs,
+        })
+    }
+
+    /// Number of patterns recorded.
+    pub fn patterns(&self) -> usize {
+        self.patterns
+    }
+
+    /// Number of golden primary inputs (the stimulus width).
+    pub fn num_inputs(&self) -> usize {
+        self.inputs.len()
+    }
+
+    /// Number of golden primary outputs.
+    pub fn num_outputs(&self) -> usize {
+        self.outputs.len()
+    }
+
+    /// Net `net`'s values, bit `p % 64` of word `p / 64` for pattern
+    /// `p`; empty for a net the golden model does not have.
+    fn net_words(&self, net: NetId) -> &[u64] {
+        let start = net.index() * self.stride;
+        self.words.get(start..start + self.stride).unwrap_or(&[])
+    }
+
+    /// Net `net`'s values on `chunk`, pattern `chunk.base + l` in lane
+    /// `l` and invalid lanes 0.
+    fn net_chunk(&self, net: NetId, chunk: Chunk) -> u64 {
+        self.net_words(net)
+            .get(chunk.base / LANES)
+            .map_or(0, |&w| (w >> (chunk.base % LANES)) & chunk.lanes())
+    }
+
+    /// Golden primary output `index`'s values on `chunk`, pattern
+    /// `chunk.base + l` in lane `l` and invalid lanes 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range index.
+    pub fn output_chunk(&self, index: usize, chunk: Chunk) -> u64 {
+        self.outputs[index].map_or(0, |net| self.net_chunk(net, chunk))
+    }
+
+    /// Drives `sim`'s primary inputs with `chunk`'s stimulus, pattern
+    /// `chunk.base + l` in lane `l`: input `k` gets golden input `k`'s
+    /// values. Inputs beyond the golden model's — a DUT's debug
+    /// instrumentation — are driven inactive.
+    pub fn load_chunk(&self, sim: &mut PackedSimulator<'_>, chunk: Chunk) {
+        crate::counters::record_lanes(chunk.len as u64);
+        for k in 0..sim.num_inputs() {
+            let word = self.inputs.get(k).map_or(0, |&n| self.net_chunk(n, chunk));
+            sim.set_input_word(k, word);
+        }
+    }
+
+    /// Drives pattern `p` on every lane of `sim` (machines-as-lanes
+    /// mode); inputs beyond the golden model's are driven inactive.
+    pub fn broadcast_pattern(&self, sim: &mut PackedSimulator<'_>, p: usize) {
+        crate::counters::record_lanes(1);
+        let chunk = Chunk { base: p, len: 1 };
+        for k in 0..sim.num_inputs() {
+            let bit = self.inputs.get(k).map_or(0, |&n| self.net_chunk(n, chunk));
+            sim.set_input_word(k, 0u64.wrapping_sub(bit));
+        }
+    }
+}
+
+/// The one packed walker behind every sweep: simulates `dut` over the
+/// first `patterns` patterns of `trace` (all of them, at most) and
+/// hands each evaluated chunk to `visit(chunk, dut_sim)`, which reads
+/// the golden side from `trace`. `visit` returns `false` to stop the
+/// sweep early; the clock does *not* advance past a stopped chunk, so
 /// [`PackedSimulator::cycles`] reads like the scalar oracle's at the
-/// moment of detection). Golden patterns are width-checked strictly;
-/// the DUT may carry extra primary inputs (debug instrumentation),
-/// driven inactive. Returns the number of patterns consumed.
-fn sweep_pair<I, F>(
-    golden: &Netlist,
+/// moment of detection.
+///
+/// With `force = Some(net)` the DUT's inputs past the golden model's
+/// are a control point's `[force_val, force_en]` pair: `force_val`
+/// carries golden `net`'s values and `force_en` is held active. Returns
+/// the number of patterns consumed.
+fn sweep_dut<F>(
+    trace: &GoldenTrace,
     dut: &Netlist,
-    patterns: I,
+    force: Option<NetId>,
+    patterns: usize,
     mut visit: F,
 ) -> Result<usize, NetlistError>
 where
-    I: IntoIterator<Item = Vec<bool>>,
-    F: FnMut(usize, u64, &PackedSimulator, &PackedSimulator) -> bool,
+    F: FnMut(Chunk, &PackedSimulator<'_>) -> bool,
 {
-    let mut gsim = PackedSimulator::new(golden)?;
     let mut dsim = PackedSimulator::new(dut)?;
-    let sequential = golden.is_sequential() || dut.is_sequential();
+    let sequential = dut.is_sequential();
     let width = if sequential { 1 } else { LANES };
-    let mut chunk: Vec<Vec<bool>> = Vec::with_capacity(width);
-    let mut base = 0usize;
-    let mut patterns = patterns.into_iter();
-    loop {
-        chunk.clear();
-        chunk.extend(patterns.by_ref().take(width));
-        if chunk.is_empty() {
-            return Ok(base);
+    let mut swept = 0usize;
+    for chunk in Chunk::cover(patterns.min(trace.patterns()), width) {
+        trace.load_chunk(&mut dsim, chunk);
+        if let Some(net) = force {
+            let force_val = trace.num_inputs();
+            dsim.set_input_word(force_val, trace.net_chunk(net, chunk));
+            dsim.set_input_word(force_val + 1, u64::MAX);
         }
-        let lanes = gsim.load_patterns(&chunk);
-        dsim.load_patterns_padded(&chunk);
-        gsim.comb_eval();
         dsim.comb_eval();
-        base += chunk.len();
-        if !visit(base - chunk.len(), lanes, &gsim, &dsim) {
-            return Ok(base);
+        swept += chunk.len;
+        if !visit(chunk, &dsim) {
+            break;
         }
         if sequential {
-            gsim.step();
-            dsim.step();
+            dsim.latch();
         }
     }
+    Ok(swept)
 }
 
 /// Runs `patterns` through both netlists and returns the first
@@ -89,6 +293,9 @@ where
 /// between (patterns form a stimulus stream); combinational designs
 /// are evaluated 64 patterns per packed pass. Only primary outputs
 /// are compared — internal nets are invisible, as on a real emulator.
+/// The golden side is recorded into a [`GoldenTrace`] first; a caller
+/// comparing several DUTs against one golden model should record the
+/// trace once and sweep with [`po_divergence_words`] instead.
 ///
 /// # Errors
 ///
@@ -119,12 +326,13 @@ pub fn first_mismatch(
         golden.primary_inputs().len(),
         "pattern width mismatch"
     );
+    let trace = GoldenTrace::record(golden, patterns)?;
     let mut diffs = vec![0u64; pos.len()];
     let mut hit: Option<(usize, u64, usize, Vec<bool>)> = None;
-    sweep_pair(golden, dut, patterns, |base, lanes, gsim, dsim| {
+    sweep_dut(&trace, dut, None, usize::MAX, |chunk, dsim| {
         let mut any = 0u64;
         for (j, diff) in diffs.iter_mut().enumerate() {
-            *diff = (gsim.output_word(j) ^ dsim.output_word(j)) & lanes;
+            *diff = (trace.output_chunk(j, chunk) ^ dsim.output_word(j)) & chunk.lanes();
             any |= *diff;
         }
         if any == 0 {
@@ -134,7 +342,12 @@ pub fn first_mismatch(
         let lane = any.trailing_zeros();
         let output_ok: Vec<bool> = diffs.iter().map(|&d| d >> lane & 1 == 0).collect();
         let first_bad = output_ok.iter().position(|&ok| !ok).expect("some diff");
-        hit = Some((base + lane as usize, gsim.cycles(), first_bad, output_ok));
+        hit = Some((
+            chunk.base + lane as usize,
+            dsim.cycles(),
+            first_bad,
+            output_ok,
+        ));
         false
     })?;
     let Some((pattern_index, cycle, first_bad, output_ok)) = hit else {
@@ -149,9 +362,9 @@ pub fn first_mismatch(
     }))
 }
 
-/// Windowed response capture: sweeps `patterns` through both netlists
-/// and records, per watched net, the index of the **first** pattern
-/// on which its value diverges from golden (`None` = clean across the
+/// Windowed response capture: sweeps the DUT over the trace's patterns
+/// and records, per watched net, the index of the **first** pattern on
+/// which its value diverges from golden (`None` = clean across the
 /// whole sweep).
 ///
 /// This is the observation primitive behind windowed multi-error
@@ -161,43 +374,35 @@ pub fn first_mismatch(
 /// (diverged within the window iff the onset is `<= window`).
 ///
 /// Onsets fall out of the packed words as
-/// `(golden ^ dut).trailing_zeros()` scans: on combinational designs
-/// a 64-pattern chunk is one topo pass, on sequential designs the
-/// stream runs one-pattern chunks exactly like [`first_mismatch`] and
-/// the full-sweep detection in `tiling::diagnosis` — pattern indices
-/// are therefore directly comparable across detection and
-/// observation. The DUT may carry extra primary inputs (debug
-/// instrumentation); they are driven inactive. The sweep stops early
-/// once every watched net has diverged.
+/// `(golden ^ dut).trailing_zeros()` scans, chunked exactly like
+/// [`po_divergence_words`] and [`first_mismatch`], so pattern indices
+/// are directly comparable across detection and observation. The DUT
+/// may carry extra primary inputs (debug instrumentation); they are
+/// driven inactive. The sweep stops early once every watched net has
+/// diverged.
 ///
 /// # Errors
 ///
 /// Propagates simulator construction failures (combinational loops).
 pub fn net_first_divergences(
-    golden: &Netlist,
+    trace: &GoldenTrace,
     dut: &Netlist,
     nets: &[NetId],
-    patterns: &[Vec<bool>],
 ) -> Result<Vec<Option<usize>>, NetlistError> {
     let mut onsets: Vec<Option<usize>> = vec![None; nets.len()];
     let mut undecided = nets.len();
-    sweep_pair(
-        golden,
-        dut,
-        patterns.iter().cloned(),
-        |base, lanes, gsim, dsim| {
-            for (onset, &net) in onsets.iter_mut().zip(nets) {
-                if onset.is_none() {
-                    let diff = (gsim.net_word(net) ^ dsim.net_word(net)) & lanes;
-                    if diff != 0 {
-                        *onset = Some(base + diff.trailing_zeros() as usize);
-                        undecided -= 1;
-                    }
+    sweep_dut(trace, dut, None, usize::MAX, |chunk, dsim| {
+        for (onset, &net) in onsets.iter_mut().zip(nets) {
+            if onset.is_none() {
+                let diff = (trace.net_chunk(net, chunk) ^ dsim.net_word(net)) & chunk.lanes();
+                if diff != 0 {
+                    *onset = Some(chunk.base + diff.trailing_zeros() as usize);
+                    undecided -= 1;
                 }
             }
-            undecided != 0
-        },
-    )?;
+        }
+        undecided != 0
+    })?;
     Ok(onsets)
 }
 
@@ -208,25 +413,23 @@ pub fn net_first_divergences(
 /// the word-level feed for `ResponseMatrix` signatures (which store
 /// exactly this layout); unlike [`first_mismatch`] the sweep never
 /// stops early, because multi-error diagnosis needs the whole
-/// footprint.
+/// footprint. The DUT may carry extra primary inputs; they are driven
+/// inactive.
 ///
 /// # Errors
 ///
 /// Propagates simulator construction failures (combinational loops).
 #[allow(clippy::type_complexity)]
 pub fn po_divergence_words(
-    golden: &Netlist,
+    trace: &GoldenTrace,
     dut: &Netlist,
     pairs: &[(usize, usize)],
-    patterns: impl IntoIterator<Item = Vec<bool>>,
 ) -> Result<(Vec<Vec<u64>>, usize), NetlistError> {
     let mut words: Vec<Vec<u64>> = vec![Vec::new(); pairs.len()];
-    let count = sweep_pair(golden, dut, patterns, |base, lanes, gsim, dsim| {
-        // Chunks never straddle a word boundary: combinational chunks
-        // are 64-aligned, sequential chunks are single patterns.
-        let (wi, shift) = (base / 64, base % 64);
+    let count = sweep_dut(trace, dut, None, usize::MAX, |chunk, dsim| {
+        let (wi, shift) = (chunk.base / LANES, chunk.base % LANES);
         for (w, &(gk, dk)) in words.iter_mut().zip(pairs) {
-            let diff = (gsim.output_word(gk) ^ dsim.output_word(dk)) & lanes;
+            let diff = (trace.output_chunk(gk, chunk) ^ dsim.output_word(dk)) & chunk.lanes();
             if diff != 0 {
                 if w.len() <= wi {
                     w.resize(wi + 1, 0);
@@ -239,36 +442,13 @@ pub fn po_divergence_words(
     Ok((words, count))
 }
 
-/// Whether the paired primary outputs agree on every pattern
-/// (early-exits on the first diverging chunk). The DUT may carry
-/// extra primary inputs; they are driven inactive.
-///
-/// # Errors
-///
-/// Propagates simulator construction failures (combinational loops).
-pub fn outputs_equivalent(
-    golden: &Netlist,
-    dut: &Netlist,
-    pairs: &[(usize, usize)],
-    patterns: impl IntoIterator<Item = Vec<bool>>,
-) -> Result<bool, NetlistError> {
-    let mut matched = true;
-    sweep_pair(golden, dut, patterns, |_, lanes, gsim, dsim| {
-        matched = pairs
-            .iter()
-            .all(|&(gk, dk)| (gsim.output_word(gk) ^ dsim.output_word(dk)) & lanes == 0);
-        matched
-    })?;
-    Ok(matched)
-}
-
-/// §4.1 control-point confirmation sweep: the DUT's last two primary
-/// inputs are a control point's `[force_val, force_en]` pair; each
-/// chunk drives `force_val` with the golden model's word for
-/// `forced_net` (per lane) and holds `force_en` active, then compares
-/// the paired primary outputs. Returns whether every pattern matched
-/// (early-exits on the first diverging chunk). Sequential designs
-/// stream one-pattern chunks with both machines clocked in lockstep.
+/// §4.1 control-point confirmation sweep over the first `patterns`
+/// patterns of the trace: the DUT's last two primary inputs are a
+/// control point's `[force_val, force_en]` pair; every chunk drives
+/// `force_val` with the golden model's values for `forced_net` and
+/// holds `force_en` active, then compares the paired primary outputs.
+/// Returns whether every pattern matched (early-exits on the first
+/// diverging chunk).
 ///
 /// # Errors
 ///
@@ -279,47 +459,25 @@ pub fn outputs_equivalent(
 /// Panics unless the DUT has exactly two more primary inputs than the
 /// golden model (the control point's force pair).
 pub fn forced_outputs_equivalent(
-    golden: &Netlist,
+    trace: &GoldenTrace,
     dut: &Netlist,
     forced_net: NetId,
     pairs: &[(usize, usize)],
-    patterns: impl IntoIterator<Item = Vec<bool>>,
+    patterns: usize,
 ) -> Result<bool, NetlistError> {
-    let mut gsim = PackedSimulator::new(golden)?;
-    let mut dsim = PackedSimulator::new(dut)?;
     assert_eq!(
-        dsim.num_inputs(),
-        gsim.num_inputs() + 2,
+        dut.primary_inputs().len(),
+        trace.num_inputs() + 2,
         "control point adds two PIs"
     );
-    let force_val = gsim.num_inputs();
-    let sequential = golden.is_sequential() || dut.is_sequential();
-    let width = if sequential { 1 } else { LANES };
-    let mut chunk: Vec<Vec<bool>> = Vec::with_capacity(width);
-    let mut patterns = patterns.into_iter();
-    loop {
-        chunk.clear();
-        chunk.extend(patterns.by_ref().take(width));
-        if chunk.is_empty() {
-            return Ok(true);
-        }
-        let lanes = gsim.load_patterns(&chunk);
-        gsim.comb_eval();
-        dsim.load_patterns_padded(&chunk);
-        dsim.set_input_word(force_val, gsim.net_word(forced_net));
-        dsim.set_input_word(force_val + 1, u64::MAX);
-        dsim.comb_eval();
-        if pairs
-            .iter()
-            .any(|&(gk, dk)| (gsim.output_word(gk) ^ dsim.output_word(dk)) & lanes != 0)
-        {
-            return Ok(false);
-        }
-        if sequential {
-            gsim.step();
-            dsim.step();
-        }
-    }
+    let mut matched = true;
+    sweep_dut(trace, dut, Some(forced_net), patterns, |chunk, dsim| {
+        matched = pairs.iter().all(|&(gk, dk)| {
+            (trace.output_chunk(gk, chunk) ^ dsim.output_word(dk)) & chunk.lanes() == 0
+        });
+        matched
+    })?;
+    Ok(matched)
 }
 
 #[cfg(test)]
@@ -391,8 +549,11 @@ mod tests {
         };
         let golden = build(true); // q ^= en
         let dut = build(false); // q stays q
-        let m = first_mismatch(&golden, &dut, PatternGen::random(1, 20, 3)).unwrap();
-        assert!(m.is_some());
+        let m = first_mismatch(&golden, &dut, PatternGen::random(1, 20, 3))
+            .unwrap()
+            .expect("the stuck register diverges");
+        // Stream mode: the cycle count at detection is the pattern index.
+        assert_eq!(m.cycle, m.pattern_index as u64);
     }
 
     #[test]
@@ -405,8 +566,8 @@ mod tests {
         inject(&mut dut, u0, DesignErrorKind::FlipRow { row: 3 }).unwrap();
         let n0 = golden.cell_output(golden.find_cell("u0").unwrap()).unwrap();
         let n1 = golden.cell_output(golden.find_cell("u1").unwrap()).unwrap();
-        let pats: Vec<Vec<bool>> = PatternGen::exhaustive(3).collect();
-        let onsets = net_first_divergences(&golden, &dut, &[n0, n1], &pats).unwrap();
+        let trace = GoldenTrace::record(&golden, PatternGen::exhaustive(3)).unwrap();
+        let onsets = net_first_divergences(&trace, &dut, &[n0, n1]).unwrap();
         assert_eq!(onsets, vec![Some(3), None]);
     }
 
@@ -432,8 +593,8 @@ mod tests {
         let u0 = dut.find_cell("u0").unwrap();
         inject(&mut dut, u0, DesignErrorKind::FlipRow { row: 3 }).unwrap();
         let pairs = [(0, 0), (1, 1)];
-        let (words, count) =
-            po_divergence_words(&golden, &dut, &pairs, PatternGen::exhaustive(3)).unwrap();
+        let trace = GoldenTrace::record(&golden, PatternGen::exhaustive(3)).unwrap();
+        let (words, count) = po_divergence_words(&trace, &dut, &pairs).unwrap();
         assert_eq!(count, 8);
         // y0 fails exactly on the a=b=1 patterns (indices 3 and 7).
         assert_eq!(words[0], vec![(1 << 3) | (1 << 7)]);
@@ -441,16 +602,35 @@ mod tests {
     }
 
     #[test]
-    fn outputs_equivalent_detects_and_clears() {
+    fn trace_holds_every_net_per_pattern() {
         let golden = two_cone_design();
-        let mut dut = golden.clone();
-        let pairs = [(0, 0), (1, 1)];
-        let pats = || PatternGen::exhaustive(3);
-        assert!(outputs_equivalent(&golden, &dut, &pairs, pats()).unwrap());
-        let u1 = dut.find_cell("u1").unwrap();
-        inject(&mut dut, u1, DesignErrorKind::Complement).unwrap();
-        assert!(!outputs_equivalent(&golden, &dut, &pairs, pats()).unwrap());
-        // Comparing only the clean output's pair still matches.
-        assert!(outputs_equivalent(&golden, &dut, &pairs[..1], pats()).unwrap());
+        let pats: Vec<Vec<bool>> = PatternGen::random(3, 130, 1).collect();
+        let trace = GoldenTrace::record(&golden, pats.clone()).unwrap();
+        assert_eq!(trace.patterns(), 130);
+        let y1 = golden.cell_output(golden.find_cell("u1").unwrap()).unwrap();
+        let words = trace.net_words(y1);
+        assert_eq!(words.len(), 3);
+        for (p, pat) in pats.iter().enumerate() {
+            assert_eq!(words[p / 64] >> (p % 64) & 1 == 1, pat[0] ^ pat[2]);
+        }
+        // Chunk reads shift and mask the same words: a one-pattern chunk
+        // is lane 0, a 64-pattern chunk is the whole word.
+        let tail = Chunk { base: 129, len: 1 };
+        assert_eq!(trace.net_chunk(y1, tail), words[2] >> 1 & 1);
+        let mid = Chunk { base: 64, len: 64 };
+        assert_eq!(trace.net_chunk(y1, mid), words[1]);
+        assert_eq!(trace.net_words(NetId::new(10_000)), &[] as &[u64]);
+    }
+
+    #[test]
+    fn chunks_cover_the_patterns_without_straddling_words() {
+        let chunks: Vec<Chunk> = Chunk::cover(130, LANES).collect();
+        assert_eq!(
+            chunks.iter().map(|c| (c.base, c.len)).collect::<Vec<_>>(),
+            vec![(0, 64), (64, 64), (128, 2)]
+        );
+        assert_eq!(chunks[2].lanes(), 0b11);
+        assert_eq!(Chunk::cover(3, 1).count(), 3);
+        assert_eq!(Chunk::cover(0, LANES).count(), 0);
     }
 }

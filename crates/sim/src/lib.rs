@@ -18,7 +18,8 @@
 //!   cost out;
 //! * [`emulate`] — golden-vs-DUT comparison with *primary-output-only*
 //!   observability, which is exactly why observation logic must be
-//!   inserted at all.
+//!   inserted at all. The golden side is simulated once into a
+//!   [`GoldenTrace`]; every sweep after that runs only the DUT.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +33,7 @@ pub mod simulator;
 pub mod testlogic;
 
 pub use counters::SimCounters;
-pub use emulate::{first_mismatch, Mismatch};
+pub use emulate::{first_mismatch, Chunk, GoldenTrace, Mismatch};
 pub use inject::{
     inject, random_distinct_errors, random_error, repair_op, DesignErrorKind, InjectedError,
 };

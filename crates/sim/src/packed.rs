@@ -21,9 +21,18 @@
 //! stimulus stream is a temporal sequence: pattern `i`'s flip-flop
 //! state depends on pattern `i-1`, and lanes can never be time steps.
 //! Stream sweeps over sequential designs therefore run this engine
-//! with one-pattern chunks (bit-exact with the scalar oracle, same
-//! per-pass cost), and the 64× parallelism comes from the machine
-//! axis instead.
+//! with one-pattern chunks: bit-exact with the scalar oracle, but a
+//! whole topo pass per pattern for one useful lane, so the 64×
+//! parallelism has to come from the machine axis instead. What keeps
+//! stream sweeps affordable is running as few passes as possible:
+//!
+//! * a loop that evaluates a pattern (to read it) and then clocks
+//!   calls [`PackedSimulator::latch`], one pass per pattern, rather
+//!   than [`PackedSimulator::step`], which would evaluate the same
+//!   inputs again before latching;
+//! * a debug session simulates its golden model once, into a
+//!   [`GoldenTrace`](crate::emulate::GoldenTrace), and every sweep
+//!   after that runs only the DUT (see [`crate::emulate`]).
 //!
 //! LUT evaluation is word-wise truth-table selection: the `2^arity`
 //! rows of the [`TruthTable`](netlist::TruthTable) are broadcast to
@@ -199,24 +208,15 @@ impl<'a> PackedSimulator<'a> {
     /// width differs from the PI count (same contract as
     /// [`Simulator::set_inputs`](crate::Simulator::set_inputs)).
     pub fn load_patterns(&mut self, chunk: &[Vec<bool>]) -> u64 {
+        assert!(chunk.len() <= LANES, "at most {LANES} patterns per chunk");
         for pat in chunk {
             assert_eq!(pat.len(), self.num_inputs, "input width mismatch");
         }
-        self.load_patterns_padded(chunk)
-    }
-
-    /// Like [`load_patterns`](Self::load_patterns) but tolerates
-    /// pattern widths that differ from the PI count: missing inputs
-    /// are driven false, excess bits are ignored. This is the DUT-side
-    /// convention — a DUT carrying extra debug-instrumentation PIs is
-    /// driven inactive on them.
-    pub fn load_patterns_padded(&mut self, chunk: &[Vec<bool>]) -> u64 {
-        assert!(chunk.len() <= LANES, "at most {LANES} patterns per chunk");
         crate::counters::record_lanes(chunk.len() as u64);
         for (k, word) in self.inputs.iter_mut().enumerate() {
             let mut w = 0u64;
             for (l, pat) in chunk.iter().enumerate() {
-                w |= u64::from(pat.get(k).copied().unwrap_or(false)) << l;
+                w |= u64::from(pat[k]) << l;
             }
             *word = w;
         }
@@ -231,17 +231,11 @@ impl<'a> PackedSimulator<'a> {
     /// Panics if the width differs from the PI count.
     pub fn broadcast_inputs(&mut self, pat: &[bool]) {
         assert_eq!(pat.len(), self.num_inputs, "input width mismatch");
-        self.broadcast_inputs_padded(pat);
-    }
-
-    /// Like [`broadcast_inputs`](Self::broadcast_inputs) but missing
-    /// inputs are driven false and excess bits ignored.
-    pub fn broadcast_inputs_padded(&mut self, pat: &[bool]) {
         // Machines-as-lanes mode: one stimulus pattern drives all 64
         // lanes, so this counts as a single loaded lane.
         crate::counters::record_lanes(1);
-        for (k, word) in self.inputs.iter_mut().enumerate() {
-            *word = broadcast(pat.get(k).copied().unwrap_or(false));
+        for (word, &bit) in self.inputs.iter_mut().zip(pat) {
+            *word = broadcast(bit);
         }
     }
 
@@ -339,6 +333,16 @@ impl<'a> PackedSimulator<'a> {
     /// latch all FFs.
     pub fn step(&mut self) {
         self.comb_eval();
+        self.latch();
+    }
+
+    /// The latching half of [`step`](Self::step): every flip-flop
+    /// takes its D net's current word and the clock advances, with no
+    /// topo pass. A stream loop that has just run
+    /// [`comb_eval`](Self::comb_eval) on a pattern (to read its
+    /// outputs) calls this instead of `step`, which would re-evaluate
+    /// the same inputs before latching.
+    pub fn latch(&mut self) {
         for &(cell, d) in &self.latches {
             self.state[cell as usize] = self.values[d as usize];
         }
@@ -349,6 +353,12 @@ impl<'a> PackedSimulator<'a> {
     /// of unknown nets read as 0.
     pub fn net_word(&self, net: NetId) -> u64 {
         self.values.get(net.index()).copied().unwrap_or(0)
+    }
+
+    /// Every net's current word, indexed by `NetId::index` (dead net
+    /// slots read 0) — the bulk form of [`net_word`](Self::net_word).
+    pub(crate) fn net_words(&self) -> &[u64] {
+        &self.values
     }
 
     /// Current word of primary output `index` (PO order).
@@ -472,6 +482,41 @@ mod tests {
     }
 
     #[test]
+    fn eval_then_latch_is_a_step() {
+        // Two FFs in a ring through an XOR with the input: `step()` on
+        // one engine and `comb_eval(); latch()` on the other must keep
+        // every state word and the cycle count in lockstep.
+        let mut nl = Netlist::new("ring");
+        let en = nl.add_input("en").unwrap();
+        let seed = nl.add_net("seed").unwrap();
+        let f0 = nl.add_ff("q0", true, seed).unwrap();
+        let q0 = nl.cell_output(f0).unwrap();
+        let f1 = nl.add_ff("q1", false, q0).unwrap();
+        let q1 = nl.cell_output(f1).unwrap();
+        let x = nl
+            .add_lut("x", TruthTable::xor(2), &[nl.cell_output(en).unwrap(), q1])
+            .unwrap();
+        nl.set_pin(f0, 0, nl.cell_output(x).unwrap()).unwrap();
+        nl.add_output("y", q1).unwrap();
+
+        let mut stepped = PackedSimulator::new(&nl).unwrap();
+        let mut latched = PackedSimulator::new(&nl).unwrap();
+        let pats: Vec<Vec<bool>> = PatternGen::random(1, 64 * 3, 5).collect();
+        for chunk in pats.chunks(LANES) {
+            stepped.load_patterns(chunk);
+            latched.load_patterns(chunk);
+            stepped.step();
+            latched.comb_eval();
+            latched.latch();
+            for ff in [f0, f1] {
+                assert_eq!(stepped.ff_word(ff), latched.ff_word(ff));
+            }
+            assert_eq!(stepped.cycles(), latched.cycles());
+        }
+        assert_eq!(latched.cycles(), 3);
+    }
+
+    #[test]
     fn lane_faults_complement_exactly_those_lanes() {
         // One AND gate; complement it in lane 1 only and check lanes
         // 0 and 2 stay faithful while lane 1 inverts.
@@ -495,26 +540,6 @@ mod tests {
         sim.clear_faults();
         sim.comb_eval();
         assert_eq!(sim.output_word(0) & 0b111, 0b111);
-    }
-
-    #[test]
-    fn padded_loads_drive_missing_inputs_false() {
-        let mut nl = Netlist::new("t");
-        let a = nl.add_input("a").unwrap();
-        let b = nl.add_input("b").unwrap();
-        let u = nl
-            .add_lut(
-                "u",
-                TruthTable::or(2),
-                &[nl.cell_output(a).unwrap(), nl.cell_output(b).unwrap()],
-            )
-            .unwrap();
-        nl.add_output("y", nl.cell_output(u).unwrap()).unwrap();
-        let mut sim = PackedSimulator::new(&nl).unwrap();
-        // One-wide patterns: b falls off the end and reads false.
-        sim.load_patterns_padded(&[vec![false], vec![true]]);
-        sim.comb_eval();
-        assert_eq!(sim.output_word(0) & 0b11, 0b10);
     }
 
     #[test]

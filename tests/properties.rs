@@ -575,7 +575,7 @@ proptest! {
 // stimulus is biased (`prop::bool::weighted`) so divergence words are
 // sparse and onsets land away from lane 0.
 
-use fpga_debug_tiling::sim::{inject, PackedSimulator, LANES};
+use fpga_debug_tiling::sim::{inject, GoldenTrace, PackedSimulator, LANES};
 
 /// Number of primary inputs every random combinational DAG uses.
 const RAND_PIS: usize = 5;
@@ -733,9 +733,9 @@ proptest! {
             .map(|(id, _)| golden.cell_output(id).unwrap())
             .collect();
 
-        let got =
-            fpga_debug_tiling::sim::emulate::net_first_divergences(&golden, &dut, &nets, &pats)
-                .unwrap();
+        let trace = GoldenTrace::record(&golden, pats.clone()).unwrap();
+        let got = fpga_debug_tiling::sim::emulate::net_first_divergences(&trace, &dut, &nets)
+            .unwrap();
 
         let mut g = Simulator::new(&golden).unwrap();
         let mut d = Simulator::new(&dut).unwrap();
@@ -779,9 +779,9 @@ proptest! {
             .map(|(id, _)| golden.cell_output(id).unwrap())
             .collect();
 
-        let got =
-            fpga_debug_tiling::sim::emulate::net_first_divergences(&golden, &dut, &nets, &pats)
-                .unwrap();
+        let trace = GoldenTrace::record(&golden, pats.clone()).unwrap();
+        let got = fpga_debug_tiling::sim::emulate::net_first_divergences(&trace, &dut, &nets)
+            .unwrap();
 
         let mut g = Simulator::new(&golden).unwrap();
         let mut d = Simulator::new(&dut).unwrap();
@@ -800,6 +800,219 @@ proptest! {
             d.step();
         }
         prop_assert_eq!(got, want);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Golden traces vs the scalar oracle
+// ---------------------------------------------------------------------
+//
+// A debug session records its golden model once and sweeps every DUT
+// generation against that one trace. These properties replay that
+// shape: one trace, several DUTs, instrumented DUTs (an observation
+// tap adds an output, a control point adds two inputs), and every
+// result pinned to the scalar oracle re-simulating both sides.
+
+use fpga_debug_tiling::sim::emulate::{
+    forced_outputs_equivalent, net_first_divergences, po_divergence_words,
+};
+use fpga_debug_tiling::sim::testlogic::{insert_control_point, insert_observation_tap};
+use fpga_debug_tiling::tiling::diagnosis::attribution::po_pairs;
+
+/// What the scalar oracle sees sweeping `dut` against `golden` over
+/// `pats` (clocked once per pattern, so sequential designs stream):
+/// each watched net's first diverging pattern, and each
+/// `(golden PO, DUT PO)` pair's failing patterns as packed words. DUT
+/// inputs past the golden model's are driven inactive or, with
+/// `force = Some(net)`, as a control point's `[force_val, force_en]`
+/// pair carrying golden `net`'s value.
+fn oracle_sweep(
+    golden: &Netlist,
+    dut: &Netlist,
+    pats: &[Vec<bool>],
+    nets: &[NetId],
+    pairs: &[(usize, usize)],
+    force: Option<NetId>,
+) -> (Vec<Option<usize>>, Vec<Vec<u64>>) {
+    let mut g = Simulator::new(golden).unwrap();
+    let mut d = Simulator::new(dut).unwrap();
+    let width = dut.primary_inputs().len();
+    let mut onsets: Vec<Option<usize>> = vec![None; nets.len()];
+    let mut words = vec![vec![0u64; pats.len().div_ceil(LANES)]; pairs.len()];
+    for (p, pat) in pats.iter().enumerate() {
+        g.set_inputs(pat);
+        g.comb_eval();
+        let mut dpat = pat.clone();
+        dpat.resize(width, false);
+        if let Some(net) = force {
+            dpat[pat.len()] = g.net_value(net);
+            dpat[pat.len() + 1] = true;
+        }
+        d.set_inputs(&dpat);
+        d.comb_eval();
+        for (onset, &net) in onsets.iter_mut().zip(nets) {
+            if onset.is_none() && g.net_value(net) != d.net_value(net) {
+                *onset = Some(p);
+            }
+        }
+        let (gout, dout) = (g.outputs(), d.outputs());
+        for (w, &(gk, dk)) in words.iter_mut().zip(pairs) {
+            if gout[gk] != dout[dk] {
+                w[p / LANES] |= 1 << (p % LANES);
+            }
+        }
+        g.step();
+        d.step();
+    }
+    (onsets, words)
+}
+
+/// `words` padded to the oracle's full length (packed sweeps only grow
+/// a pair's vector as far as its last failing word).
+fn padded(mut words: Vec<Vec<u64>>, patterns: usize) -> Vec<Vec<u64>> {
+    for w in &mut words {
+        w.resize(patterns.div_ceil(LANES), 0);
+    }
+    words
+}
+
+/// Sweeps three DUTs — the golden model itself, then one and two
+/// planted errors — against a single trace, and checks every net's
+/// onset and every output's failing patterns against the oracle.
+fn one_trace_many_duts(
+    golden: &Netlist,
+    pats: &[Vec<bool>],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let trace = GoldenTrace::record(golden, pats.to_vec()).unwrap();
+    let nets: Vec<NetId> = golden.nets().map(|(id, _)| id).collect();
+    let pairs: Vec<(usize, usize)> = (0..golden.primary_outputs().len())
+        .map(|k| (k, k))
+        .collect();
+    for errors in 0..3u64 {
+        let mut dut = golden.clone();
+        let seeds: Vec<u64> = (0..errors).map(|i| seed.wrapping_add(i)).collect();
+        inject::random_distinct_errors(&mut dut, &seeds).unwrap();
+        let (want_onsets, want_words) = oracle_sweep(golden, &dut, pats, &nets, &pairs, None);
+        let onsets = net_first_divergences(&trace, &dut, &nets).unwrap();
+        prop_assert_eq!(&onsets, &want_onsets, "onsets with {} errors", errors);
+        let (words, count) = po_divergence_words(&trace, &dut, &pairs).unwrap();
+        prop_assert_eq!(count, pats.len());
+        prop_assert_eq!(
+            padded(words, pats.len()),
+            want_words,
+            "signatures with {} errors",
+            errors
+        );
+    }
+    Ok(())
+}
+
+/// Plants one error, taps one LUT's net and puts a control point on
+/// another — or on the planted cell itself, where forcing golden
+/// values must repair every output — then checks the tapped DUT's
+/// divergence words (force pair inactive) and a forced sweep over a
+/// prefix of the patterns against the oracle.
+fn instrumented_dut_matches_oracle(
+    golden: &Netlist,
+    pats: &[Vec<bool>],
+    seed: u64,
+    pick: usize,
+) -> Result<(), TestCaseError> {
+    let trace = GoldenTrace::record(golden, pats.to_vec()).unwrap();
+    let mut dut = golden.clone();
+    let planted = inject::random_distinct_errors(&mut dut, &[seed]).unwrap()[0].cell;
+    let lut_nets: Vec<NetId> = golden
+        .cells()
+        .filter(|(_, c)| c.lut_function().is_some())
+        .map(|(id, _)| golden.cell_output(id).unwrap())
+        .collect();
+    let tapped = lut_nets[pick % lut_nets.len()];
+    let forced = if pick.is_multiple_of(2) {
+        golden.cell_output(planted).unwrap()
+    } else {
+        lut_nets[(pick / 2) % lut_nets.len()]
+    };
+    insert_observation_tap(&mut dut, tapped, "dbg_tap", false).unwrap();
+    insert_control_point(&mut dut, forced, "cp").unwrap();
+    let pairs = po_pairs(golden, &dut).unwrap();
+    prop_assert_eq!(pairs.len(), golden.primary_outputs().len());
+
+    let (_, want) = oracle_sweep(golden, &dut, pats, &[], &pairs, None);
+    let (words, count) = po_divergence_words(&trace, &dut, &pairs).unwrap();
+    prop_assert_eq!(count, pats.len());
+    prop_assert_eq!(padded(words, pats.len()), want);
+
+    let prefix = 1 + pick % pats.len();
+    let (_, forced_words) = oracle_sweep(golden, &dut, &pats[..prefix], &[], &pairs, Some(forced));
+    let want_forced = forced_words.iter().flatten().all(|&w| w == 0);
+    let got_forced = forced_outputs_equivalent(&trace, &dut, forced, &pairs, prefix).unwrap();
+    prop_assert_eq!(
+        got_forced,
+        want_forced,
+        "forced sweep over {} patterns",
+        prefix
+    );
+    if forced == golden.cell_output(planted).unwrap() {
+        prop_assert!(got_forced, "forcing the planted cell to golden must repair");
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    #[test]
+    fn one_golden_trace_serves_many_comb_duts(
+        tts in prop::collection::vec(prop::bits::u64::masked(u64::MAX), 2usize..8),
+        seed: u64,
+        pats in prop::collection::vec(
+            prop::collection::vec(prop::bool::weighted(0.4), RAND_PIS..=RAND_PIS),
+            65usize..200,
+        ),
+    ) {
+        one_trace_many_duts(&random_comb_netlist(&tts), &pats, seed)?;
+    }
+
+    #[test]
+    fn one_golden_trace_serves_many_stream_duts(
+        bb in 1usize..5,
+        branches in 1usize..3,
+        blen in 1usize..4,
+        seed: u64,
+        pats in prop::collection::vec(
+            prop::collection::vec(prop::bool::weighted(0.5), 1usize..=1),
+            1usize..150,
+        ),
+    ) {
+        one_trace_many_duts(&seq_backbone_netlist(bb, branches, blen), &pats, seed)?;
+    }
+
+    #[test]
+    fn traced_sweeps_of_an_instrumented_comb_dut_match_the_oracle(
+        tts in prop::collection::vec(prop::bits::u64::masked(u64::MAX), 2usize..8),
+        seed: u64,
+        pick: usize,
+        pats in prop::collection::vec(
+            prop::collection::vec(prop::bool::weighted(0.4), RAND_PIS..=RAND_PIS),
+            1usize..150,
+        ),
+    ) {
+        instrumented_dut_matches_oracle(&random_comb_netlist(&tts), &pats, seed, pick)?;
+    }
+
+    #[test]
+    fn traced_sweeps_of_an_instrumented_stream_dut_match_the_oracle(
+        bb in 1usize..5,
+        branches in 1usize..3,
+        blen in 1usize..4,
+        seed: u64,
+        pick: usize,
+        pats in prop::collection::vec(
+            prop::collection::vec(prop::bool::weighted(0.5), 1usize..=1),
+            1usize..100,
+        ),
+    ) {
+        instrumented_dut_matches_oracle(&seq_backbone_netlist(bb, branches, blen), &pats, seed, pick)?;
     }
 }
 
