@@ -44,8 +44,10 @@
 //! `<base>.trace.json` (Chrome trace-event JSON, one track per grid
 //! cell plus one per pool worker — loadable at ui.perfetto.dev),
 //! `<base>.trace.jsonl` (raw span rows), and `<base>.metrics.prom`
-//! (Prometheus text exposition of the session/sim counters). A bare
-//! stem collects under the gitignored `artifacts/` directory.
+//! (Prometheus text exposition of the counters every session records:
+//! per-phase effort, evidence, simulation, placement and routing
+//! work). A bare stem collects under the gitignored `artifacts/`
+//! directory.
 
 // CLI/example output goes to stdout by design.
 #![allow(clippy::print_stdout)]
@@ -203,39 +205,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (Some(t), Some(r)) => Some((t, r)),
         _ => None,
     };
-    let sim_before = sim::counters::snapshot();
-    let place_before = place::counters::snapshot();
-    let route_before = route::counters::snapshot();
     let rows = sweep(designs, max_k, workers, observe)?;
-    if let Some(reg) = &registry {
-        let sim_delta = sim::counters::snapshot().delta_since(&sim_before);
-        reg.counter_add("sim_sweeps_total", &[], sim_delta.sweeps);
-        reg.counter_add("sim_net_words_total", &[], sim_delta.net_words);
-        reg.counter_add("sim_lanes_loaded_total", &[], sim_delta.lanes_loaded);
-        let place_delta = place::counters::snapshot().delta_since(&place_before);
-        reg.counter_add(
-            "place_moves_evaluated_total",
-            &[("engine", "annealing")],
-            place_delta.moves_annealing,
-        );
-        reg.counter_add(
-            "place_moves_evaluated_total",
-            &[("engine", "analytical")],
-            place_delta.moves_analytical,
-        );
-        reg.counter_add("place_cg_iterations_total", &[], place_delta.cg_iterations);
-        let route_delta = route::counters::snapshot().delta_since(&route_before);
-        reg.counter_add(
-            "route_nets_ripped_total",
-            &[("mode", "incremental")],
-            route_delta.nets_ripped_incremental,
-        );
-        reg.counter_add(
-            "route_nets_ripped_total",
-            &[("mode", "full")],
-            route_delta.nets_ripped_full,
-        );
-    }
     if check_serial {
         // The pooled sweep must be a pure reordering of the serial
         // one: same rows, same bytes out. (The serial reference runs

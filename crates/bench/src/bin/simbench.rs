@@ -34,9 +34,9 @@
 //! `<base>.trace.json` (Chrome trace-event JSON with one span per
 //! (design, workload) row — loadable at ui.perfetto.dev),
 //! `<base>.trace.jsonl` (raw span rows), and `<base>.metrics.prom`
-//! (the packed core's sweep/word/lane counters plus per-row pattern
-//! totals). A bare stem collects under the gitignored `artifacts/`
-//! directory.
+//! (the sweep/word/lane work of every packed engine the rows ran,
+//! plus per-row pattern totals). A bare stem collects under the
+//! gitignored `artifacts/` directory.
 
 // CLI/example output goes to stdout by design.
 #![allow(clippy::print_stdout)]
@@ -47,7 +47,7 @@ use std::time::Instant;
 use netlist::{CellId, Netlist};
 use obs::{MetricsRegistry, Tracer};
 use sim::inject::{inject, random_error, DesignErrorKind};
-use sim::{Chunk, GoldenTrace, PackedSimulator, PatternGen, Simulator, LANES};
+use sim::{Chunk, GoldenTrace, PackedSimulator, PatternGen, SimWork, Simulator, LANES};
 use synth::PaperDesign;
 
 /// One (design, workload) comparison row.
@@ -65,6 +65,8 @@ struct Row {
     fingerprint: u64,
     scalar_pps: f64,
     packed_pps: f64,
+    /// Simulation work of the packed side.
+    work: SimWork,
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -97,7 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .as_deref()
         .map(|_| (Tracer::new(), MetricsRegistry::new()));
     let track = observe.as_ref().map(|(tracer, _)| tracer.track("simbench"));
-    let sim_before = sim::counters::snapshot();
 
     let mut rows: Vec<Row> = Vec::new();
     for &design in designs {
@@ -162,10 +163,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("machine-readable results written to {path}");
 
     if let (Some(base), Some((tracer, registry))) = (&trace_base, &observe) {
-        let sim_delta = sim::counters::snapshot().delta_since(&sim_before);
-        registry.counter_add("sim_sweeps_total", &[], sim_delta.sweeps);
-        registry.counter_add("sim_net_words_total", &[], sim_delta.net_words);
-        registry.counter_add("sim_lanes_loaded_total", &[], sim_delta.lanes_loaded);
+        let mut work = SimWork::default();
+        for r in &rows {
+            work += r.work;
+        }
+        registry.counter_add("sim_sweeps_total", &[], work.sweeps);
+        registry.counter_add("sim_net_words_total", &[], work.net_words);
+        registry.counter_add("sim_lanes_loaded_total", &[], work.lanes_loaded);
         let base = obs::artifact_base(base)?;
         let base = base.display();
         std::fs::write(format!("{base}.trace.json"), tracer.to_chrome_trace())?;
@@ -246,6 +250,7 @@ fn detect_row(
     let trace = GoldenTrace::record(golden, pats.iter().cloned())?;
     let (pwords, count) = sim::emulate::po_divergence_words(&trace, dut, &pairs)?;
     let packed_pps = count as f64 / t.elapsed().as_secs_f64();
+    let work = trace.take_work();
     // `po_divergence_words` trims nothing but may leave short vectors
     // for clean tails; pad to the scalar layout before comparing.
     let mut pwords = pwords;
@@ -270,6 +275,7 @@ fn detect_row(
         fingerprint: scalar_fp,
         scalar_pps,
         packed_pps,
+        work,
     })
 }
 
@@ -346,7 +352,7 @@ fn faultsim_row(
     // Packed: pattern-parallel per candidate (combinational) or 64
     // candidate fault machines per stream pass (sequential).
     let t = Instant::now();
-    let packed_fps = if seq {
+    let (packed_fps, work) = if seq {
         packed_faultsim_seq(golden, &cands, pats, n_po)?
     } else {
         packed_faultsim_comb(golden, &cands, pats, n_po)?
@@ -369,18 +375,20 @@ fn faultsim_row(
         fingerprint: fold_footprints(&scalar_fps),
         scalar_pps,
         packed_pps,
+        work,
     })
 }
 
 /// Combinational candidate scoring: for each candidate, sweep the
 /// pattern set 64 lanes at a time with the complement fault active in
-/// every lane, diffing against the fault-free golden trace.
+/// every lane, diffing against the fault-free golden trace. Returns
+/// the footprints and the simulation work, trace recording included.
 fn packed_faultsim_comb(
     golden: &Netlist,
     cands: &[CellId],
     pats: &[Vec<bool>],
     n_po: usize,
-) -> Result<Vec<Footprint>, Box<dyn std::error::Error>> {
+) -> Result<(Vec<Footprint>, SimWork), Box<dyn std::error::Error>> {
     let trace = GoldenTrace::record(golden, pats.iter().cloned())?;
     let mut sim = PackedSimulator::new(golden)?;
     let mut out = Vec::with_capacity(cands.len());
@@ -405,19 +413,21 @@ fn packed_faultsim_comb(
         sim.clear_faults();
         out.push((onset, hit));
     }
-    Ok(out)
+    trace.add_work(sim.take_work());
+    Ok((out, trace.take_work()))
 }
 
 /// Sequential candidate scoring: classic parallel-fault simulation —
 /// lane `i` of one stream pass carries candidate `i`'s complement
 /// fault, so each pass scores up to 64 machines against the
-/// broadcast fault-free trace.
+/// broadcast fault-free trace. Returns the footprints and the
+/// simulation work, trace recording included.
 fn packed_faultsim_seq(
     golden: &Netlist,
     cands: &[CellId],
     pats: &[Vec<bool>],
     n_po: usize,
-) -> Result<Vec<Footprint>, Box<dyn std::error::Error>> {
+) -> Result<(Vec<Footprint>, SimWork), Box<dyn std::error::Error>> {
     // Fault-free stream first, recorded once.
     let trace = GoldenTrace::record(golden, pats.iter().cloned())?;
     let mut sim = PackedSimulator::new(golden)?;
@@ -458,7 +468,8 @@ fn packed_faultsim_seq(
             out.push((onset, hits.iter().map(|h| h >> i & 1 == 1).collect()));
         }
     }
-    Ok(out)
+    trace.add_work(sim.take_work());
+    Ok((out, trace.take_work()))
 }
 
 // ---------------------------------------------------------------------

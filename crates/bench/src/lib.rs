@@ -1,10 +1,11 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
 //! Each table/figure has a binary (`table1`, `fig3`, `fig4`, `fig5`)
-//! that prints the same rows/series the paper reports; the Criterion
-//! benches under `benches/` time the underlying flows. Absolute
-//! numbers differ from the 1996 testbed by construction — the *shape*
-//! (who wins, by what factor, where curves cross) is the claim.
+//! that prints the same rows/series the paper reports; `flowbench`,
+//! `simbench` and `multi` measure the underlying flows into the
+//! committed `BENCH_*.json` snapshots. Absolute numbers differ from
+//! the 1996 testbed by construction — the *shape* (who wins, by what
+//! factor, where curves cross) is the claim.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,17 +1,17 @@
-//! The comparison flows of Figure 5, as effort probes.
+//! The comparison flows of Figure 5, as an effort probe.
 //!
 //! The flows themselves live in [`crate::flows`] behind the
-//! [`ReimplFlow`] trait; these helpers price a flow on a *clone* of
-//! the tiled design so the caller's state is untouched — each returns
-//! the CAD effort the flow spends on the same change the tiled flow
-//! handled.
+//! [`ReimplFlow`] trait; [`flow_effort`] prices any of them on a
+//! *clone* of the tiled design so the caller's state is untouched — it
+//! returns the CAD effort the flow spends on the same change the tiled
+//! flow handled.
 
 use netlist::CellId;
 
 use crate::effort::CadEffort;
 use crate::error::TilingError;
 use crate::flow::TiledDesign;
-use crate::flows::{FullReplaceFlow, IncrementalFlow, QuickEcoFlow, ReimplFlow};
+use crate::flows::ReimplFlow;
 
 /// Prices `flow` on a clone of the design: the clone is
 /// re-implemented, the caller's design is untouched, and only the
@@ -27,60 +27,6 @@ pub fn flow_effort(
 ) -> Result<CadEffort, TilingError> {
     let mut trial = td.clone();
     Ok(flow.reimplement(&mut trial, seeds, &[])?.effort)
-}
-
-/// Full re-place-and-route of the entire design from scratch — what a
-/// flow without any change tracking must do every iteration.
-///
-/// # Errors
-///
-/// Propagates placement/routing failures.
-pub fn full_replace_effort(td: &TiledDesign) -> Result<CadEffort, TilingError> {
-    flow_effort(td, &mut FullReplaceFlow, &[])
-}
-
-/// Incremental place-and-route: no locked interfaces, so the tool
-/// re-places everything inside an *inflated* window around the change
-/// (it needs room to shuffle surrounding logic) and fully re-routes
-/// every net that touches the window.
-///
-/// `margin` is the inflation in CLBs on each side (2 by default in the
-/// benches; bigger changes disturb more of their surroundings).
-///
-/// # Errors
-///
-/// Propagates placement/routing failures.
-pub fn incremental_effort(
-    td: &TiledDesign,
-    seeds: &[CellId],
-    extra_clbs: usize,
-    margin: u16,
-) -> Result<CadEffort, TilingError> {
-    flow_effort(td, &mut IncrementalFlow { margin, extra_clbs }, seeds)
-}
-
-/// Quick_ECO: change tracking stops at the netlist level, so the
-/// re-implemented unit is the *functional block* — the hierarchy
-/// children of the root. For the paper's experiments "each design
-/// will be considered the size of one functional block" (§6), which
-/// `whole_design_as_block` reproduces; with `false` the real hierarchy
-/// blocks of our generators are used instead.
-///
-/// # Errors
-///
-/// Propagates placement/routing failures.
-pub fn quick_eco_effort(
-    td: &TiledDesign,
-    seeds: &[CellId],
-    whole_design_as_block: bool,
-) -> Result<CadEffort, TilingError> {
-    flow_effort(
-        td,
-        &mut QuickEcoFlow {
-            whole_design_as_block,
-        },
-        seeds,
-    )
 }
 
 #[cfg(test)]
@@ -153,38 +99,5 @@ mod tests {
         );
         // And the orderings the paper reports: full >= quick(whole) >= incremental.
         assert!(full.total() >= incr.total());
-    }
-
-    #[test]
-    fn quick_eco_with_real_blocks_is_cheaper_than_whole_design() {
-        let b = PaperDesign::NineSym.generate().unwrap();
-        let td = implement(b.netlist, b.hierarchy, TilingOptions::fast(22)).unwrap();
-        let victim = td
-            .netlist
-            .cells()
-            .find(|(_, c)| c.lut_function().is_some())
-            .map(|(id, _)| id)
-            .unwrap();
-        let whole = quick_eco_effort(&td, &[victim], true).unwrap();
-        let blocks = quick_eco_effort(&td, &[victim], false).unwrap();
-        assert!(blocks.total() <= whole.total());
-    }
-
-    #[test]
-    fn legacy_probes_leave_the_design_untouched() {
-        let b = PaperDesign::NineSym.generate().unwrap();
-        let td = implement(b.netlist, b.hierarchy, TilingOptions::fast(23)).unwrap();
-        let victim = td
-            .netlist
-            .cells()
-            .find(|(_, c)| c.lut_function().is_some())
-            .map(|(id, _)| id)
-            .unwrap();
-        let placement_before: Vec<_> = td.placement.iter().collect();
-        let _ = full_replace_effort(&td).unwrap();
-        let _ = incremental_effort(&td, &[victim], 0, 2).unwrap();
-        let _ = quick_eco_effort(&td, &[victim], true).unwrap();
-        let placement_after: Vec<_> = td.placement.iter().collect();
-        assert_eq!(placement_before, placement_after);
     }
 }

@@ -303,7 +303,8 @@ pub fn cluster_failures(golden: &Netlist, matrix: &ResponseMatrix) -> Vec<Failur
 ///
 /// Both the stimulus and the fault-free response come from the
 /// session's [`GoldenTrace`], so the engine never simulates the golden
-/// model itself.
+/// model itself; every candidate sweep's simulation work is added to
+/// that trace.
 pub struct FaultAttribution<'a> {
     golden: &'a Netlist,
     /// The fault-free response every candidate machine is diffed
@@ -489,7 +490,7 @@ impl<'a> FaultAttribution<'a> {
 /// One pattern-parallel sweep of a single combinational candidate:
 /// all 64 lanes carry the complemented machine, patterns chunk
 /// through the lanes. Returns the predicted failing-PO mask in PO
-/// order.
+/// order; the sweep's work is added to `trace`.
 ///
 /// A free function (rather than a method) so [`prime_with_workers`]
 /// can run it against worker-local engines without borrowing the
@@ -511,13 +512,14 @@ fn sweep_candidate_patterns(
         }
     }
     psim.clear_faults();
+    trace.add_work(psim.take_work());
     Ok(acc.iter().map(|&a| a != 0).collect())
 }
 
 /// One packed stream pass over up to 64 sequential candidates: lane
 /// `i` carries the machine with `batch[i]` complemented, all lanes
 /// fed the same stimulus stream. Returns `(candidate, failing-PO
-/// mask)` pairs in batch order.
+/// mask)` pairs in batch order; the pass's work is added to `trace`.
 fn sweep_candidate_batch(
     psim: &mut PackedSimulator<'_>,
     trace: &GoldenTrace,
@@ -540,6 +542,7 @@ fn sweep_candidate_batch(
         psim.latch();
     }
     psim.clear_faults();
+    trace.add_work(psim.take_work());
     Ok(batch
         .iter()
         .enumerate()

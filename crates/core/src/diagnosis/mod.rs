@@ -44,10 +44,11 @@
 //!
 //! The session-level entry points are
 //! [`crate::session::DebugSession::run`] (one error, same evidence
-//! layer), [`crate::session::DebugSession::run_concurrent`] (planted
-//! errors) and [`crate::session::DebugSession::run_concurrent_campaign`]
-//! (random distinct errors); `run_campaign` routes through the same
-//! scheduler whenever it is asked for more than one error.
+//! layer) and [`crate::session::DebugSession::run_concurrent`]
+//! (planted errors);
+//! [`crate::session::DebugSession::run_campaign`] plants random
+//! distinct errors and routes through the same scheduler whenever it
+//! is asked for more than one.
 //!
 //! # Protocol assumptions
 //!

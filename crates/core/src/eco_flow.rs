@@ -15,6 +15,7 @@
 //! ones.
 
 use std::collections::BTreeSet;
+use std::ops::AddAssign;
 
 use fpga::{NodeId, RouteTree};
 use netlist::{CellId, CellKind, NetId};
@@ -32,18 +33,48 @@ use crate::interface::{split_tree, RegionSet};
 pub struct EcoPhysicalOutcome {
     /// CAD effort spent (Figure 5's numerator for the tiled flow).
     pub effort: CadEffort,
+    /// Conjugate-gradient iterations the analytical placer spent
+    /// (already folded into `effort.place_moves`).
+    pub cg_iterations: u64,
     /// Which tiles were cleared.
     pub affected: AffectedSet,
     /// Logic cells re-placed.
     pub replaced_cells: usize,
     /// Nets re-routed (fully or partially).
     pub rerouted_nets: usize,
+    /// Whether every surviving route stayed installed, so only the
+    /// `rerouted_nets` whose terminals changed were ripped (the tiled
+    /// flow's incremental path). `false` when routes were cleared and
+    /// re-routed from scratch.
+    pub kept_routes: bool,
     /// Whether the re-route stayed confined to the affected tiles, so
     /// the locked-interface / frozen-route contract holds outside them.
     /// The coarse-granularity and full-reroute fallback paths (and the
     /// non-tiled flows) legitimately clear routes everywhere and
     /// report `false`; the post-ECO audit only applies when `true`.
     pub confined: bool,
+}
+
+/// CAD work an attempt paid for, charged to the ECO whether or not
+/// the attempt succeeded.
+#[derive(Debug, Clone, Copy, Default)]
+struct Spent {
+    effort: CadEffort,
+    cg_iterations: u64,
+}
+
+impl Spent {
+    fn place(&mut self, out: &place::PlaceOutcome) {
+        self.effort.place_moves += out.moves_evaluated;
+        self.cg_iterations += out.cg_iterations;
+    }
+}
+
+impl AddAssign for Spent {
+    fn add_assign(&mut self, rhs: Spent) {
+        self.effort += rhs.effort;
+        self.cg_iterations += rhs.cg_iterations;
+    }
 }
 
 /// Clears the tiles affected by a change and re-implements them.
@@ -94,7 +125,7 @@ pub fn replace_and_route(
     let placement_snapshot = td.placement.clone();
     let routing_snapshot = td.routing.clone();
     let mut tiles = affected.tiles.clone();
-    let mut wasted = CadEffort::default();
+    let mut wasted = Spent::default();
     let mut retries = 0usize;
     // The truly incremental path goes first: nothing is cleared, only
     // missing connections are routed. One shot — if the surviving
@@ -109,7 +140,8 @@ pub fn replace_and_route(
         };
         match result {
             Ok(mut outcome) => {
-                outcome.effort += wasted;
+                outcome.effort += wasted.effort;
+                outcome.cg_iterations += wasted.cg_iterations;
                 // Debug builds re-prove the paper's contract after
                 // every confined ECO: everything outside the cleared
                 // tiles — placements and cross-boundary routes — is
@@ -186,14 +218,14 @@ pub fn replace_and_route(
                     td.routing = routing_snapshot.clone();
                     TilingError::Route(e)
                 })?;
-                wasted.route_expansions += stats.expansions;
-                route::counters::record_full_rips(td.routing.num_routed() as u64);
+                wasted.effort.route_expansions += stats.expansions;
                 let mut free_clbs = 0;
                 for &t in &tiles {
                     free_clbs += td.plan.usage(t, &td.placement)?.free_clbs();
                 }
                 return Ok(EcoPhysicalOutcome {
-                    effort: wasted,
+                    effort: wasted.effort,
+                    cg_iterations: wasted.cg_iterations,
                     affected: AffectedSet {
                         tiles,
                         needed_clbs: extra_clbs,
@@ -202,6 +234,7 @@ pub fn replace_and_route(
                     },
                     replaced_cells: td.netlist.cells().filter(|(_, c)| c.is_logic()).count(),
                     rerouted_nets: td.routing.num_routed(),
+                    kept_routes: false,
                     confined: false,
                 });
             }
@@ -287,14 +320,14 @@ pub fn replace_and_route(
 /// the router grows the missing connections from that seed tree.
 ///
 /// On error the caller restores the snapshots and retries with the
-/// tile-clearing path; the effort spent is returned so it is charged.
+/// tile-clearing path; the work spent is returned so it is charged.
 fn attempt_incremental(
     td: &mut TiledDesign,
     tiles: &[crate::tile::TileId],
     added: &[CellId],
     extra_clbs: usize,
-) -> Result<EcoPhysicalOutcome, (TilingError, CadEffort)> {
-    let mut spent = CadEffort::default();
+) -> Result<EcoPhysicalOutcome, (TilingError, Spent)> {
+    let mut spent = Spent::default();
     attempt_incremental_inner(td, tiles, added, extra_clbs, &mut spent).map_err(|e| (e, spent))
 }
 
@@ -303,7 +336,7 @@ fn attempt_incremental_inner(
     tiles: &[crate::tile::TileId],
     added: &[CellId],
     extra_clbs: usize,
-    spent: &mut CadEffort,
+    spent: &mut Spent,
 ) -> Result<EcoPhysicalOutcome, TilingError> {
     let mut free_clbs = 0;
     for &t in tiles {
@@ -324,8 +357,6 @@ fn attempt_incremental_inner(
     // Retired instruments lose their placements/routes first, so their
     // resources are genuinely free for the new connections.
     crate::flow::drop_stale_physical_state(td);
-
-    let mut effort = CadEffort::default();
 
     // ----- Place only the added logic ------------------------------
     let added_logic: Vec<CellId> = added
@@ -353,9 +384,8 @@ fn attempt_incremental_inner(
             Some(std::mem::take(&mut td.placement)),
             &td.options.placer,
         )?;
+        spent.place(&out);
         td.placement = out.placement;
-        spent.place_moves += out.moves_evaluated;
-        effort.place_moves += out.moves_evaluated;
     }
 
     // ----- Minimal routing work list --------------------------------
@@ -457,10 +487,8 @@ fn attempt_incremental_inner(
     // negotiate only among themselves on genuinely free resources.
     if !requests.is_empty() {
         let stats = route::route(&td.rrg, &requests, &mut td.routing, &td.options.router)?;
-        effort.route_expansions += stats.expansions;
-        spent.route_expansions += stats.expansions;
+        spent.effort.route_expansions += stats.expansions;
     }
-    route::counters::record_incremental_rips(touched.len() as u64);
 
     route::normalize_routes(
         &td.netlist,
@@ -471,10 +499,12 @@ fn attempt_incremental_inner(
     );
 
     Ok(EcoPhysicalOutcome {
-        effort,
+        effort: spent.effort,
+        cg_iterations: spent.cg_iterations,
         affected,
         replaced_cells: added_logic.len(),
         rerouted_nets: touched.len(),
+        kept_routes: true,
         confined: true,
     })
 }
@@ -482,14 +512,14 @@ fn attempt_incremental_inner(
 /// One clear/re-place/re-route attempt on an explicit tile set.
 ///
 /// On error the caller restores the design from its snapshots; the
-/// effort spent is returned alongside so it can be charged.
+/// work spent is returned alongside so it can be charged.
 fn attempt(
     td: &mut TiledDesign,
     tiles: &[crate::tile::TileId],
     added: &[CellId],
     extra_clbs: usize,
-) -> Result<EcoPhysicalOutcome, (TilingError, CadEffort)> {
-    let mut spent = CadEffort::default();
+) -> Result<EcoPhysicalOutcome, (TilingError, Spent)> {
+    let mut spent = Spent::default();
     attempt_inner(td, tiles, added, extra_clbs, &mut spent).map_err(|e| (e, spent))
 }
 
@@ -498,7 +528,7 @@ fn attempt_inner(
     tiles: &[crate::tile::TileId],
     added: &[CellId],
     extra_clbs: usize,
-    spent: &mut CadEffort,
+    spent: &mut Spent,
 ) -> Result<EcoPhysicalOutcome, TilingError> {
     let mut free_clbs = 0;
     for &t in tiles {
@@ -564,12 +594,8 @@ fn attempt_inner(
         Some(std::mem::take(&mut td.placement)),
         &td.options.placer,
     )?;
+    spent.place(&out);
     td.placement = out.placement;
-    spent.place_moves += out.moves_evaluated;
-    let mut effort = CadEffort {
-        place_moves: out.moves_evaluated,
-        route_expansions: 0,
-    };
     let _ = added_io;
 
     // Coarse-granularity path: when the cleared region covers a large
@@ -592,17 +618,17 @@ fn attempt_inner(
             &mut td.routing,
             &td.options.router,
         )?;
-        effort.route_expansions += stats.expansions;
-        spent.route_expansions += stats.expansions;
+        spent.effort.route_expansions += stats.expansions;
         let all: Vec<NetId> = td.netlist.nets().map(|(id, _)| id).collect();
         let n_rerouted = all.len();
-        route::counters::record_full_rips(n_rerouted as u64);
         route::normalize_routes(&td.netlist, &td.placement, &td.rrg, &mut td.routing, all);
         return Ok(EcoPhysicalOutcome {
-            effort,
+            effort: spent.effort,
+            cg_iterations: spent.cg_iterations,
             affected,
             replaced_cells: to_replace.len(),
             rerouted_nets: n_rerouted,
+            kept_routes: false,
             confined: false,
         });
     }
@@ -794,17 +820,13 @@ fn attempt_inner(
             ..td.options.router.clone()
         };
         let stats = route::route(&td.rrg, &masked_requests, &mut td.routing, &opts)?;
-        effort.route_expansions += stats.expansions;
-        spent.route_expansions += stats.expansions;
+        spent.effort.route_expansions += stats.expansions;
     }
     // ----- Free pass: region-escaping connections --------------------
     if !free_requests.is_empty() {
         let stats = route::route(&td.rrg, &free_requests, &mut td.routing, &td.options.router)?;
-        effort.route_expansions += stats.expansions;
-        spent.route_expansions += stats.expansions;
+        spent.effort.route_expansions += stats.expansions;
     }
-
-    route::counters::record_full_rips(rerouted.len() as u64);
 
     // Normalize the rerouted nets' trees: one contiguous source→sink
     // path per netlist sink, in sink order, so downstream timing
@@ -818,10 +840,12 @@ fn attempt_inner(
     );
 
     Ok(EcoPhysicalOutcome {
-        effort,
+        effort: spent.effort,
+        cg_iterations: spent.cg_iterations,
         affected,
         replaced_cells: to_replace.len(),
         rerouted_nets: rerouted.len(),
+        kept_routes: false,
         confined: true,
     })
 }

@@ -161,9 +161,11 @@ impl ReimplFlow for FullReplaceFlow {
                 place_moves: out.moves_evaluated,
                 route_expansions: stats.expansions,
             },
+            cg_iterations: out.cg_iterations,
             affected: whole_design_affected(td)?,
             replaced_cells: replaced,
             rerouted_nets: td.routing.num_routed(),
+            kept_routes: false,
             confined: false,
         })
     }
@@ -395,6 +397,7 @@ fn reimplement_subset_inner(
         place_moves: out.moves_evaluated,
         route_expansions: 0,
     };
+    let cg_iterations = out.cg_iterations;
 
     // Re-route, from scratch, every net incident to a moved cell plus
     // any net whose tree became stale (a terminal no longer matches a
@@ -487,6 +490,7 @@ fn reimplement_subset_inner(
     }
     Ok(EcoPhysicalOutcome {
         effort,
+        cg_iterations,
         affected: AffectedSet {
             tiles,
             needed_clbs: 0,
@@ -495,6 +499,7 @@ fn reimplement_subset_inner(
         },
         replaced_cells: moved.len(),
         rerouted_nets: work.len(),
+        kept_routes: false,
         confined: false,
     })
 }

@@ -32,7 +32,6 @@
 
 pub mod affected;
 pub mod baselines;
-pub mod debug;
 pub mod diagnosis;
 pub mod eco_flow;
 pub mod effort;
@@ -53,8 +52,7 @@ pub mod tile;
 pub use drc;
 
 pub use affected::AffectedSet;
-pub use baselines::{flow_effort, full_replace_effort, incremental_effort, quick_eco_effort};
-pub use debug::run_debug_iteration;
+pub use baselines::flow_effort;
 pub use diagnosis::{
     cluster_failures, collect_responses, fsm_merge_witnesses, merge_fsm_clusters, traced_responses,
     ConePartition, EvidenceBase, EvidenceStats, FailureCluster, FaultAttribution,

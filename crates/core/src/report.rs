@@ -242,7 +242,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "s9234-scale P&R; run with --ignored --release (see EXPERIMENTS.md)"]
+    #[ignore = "s9234-scale P&R; run with `cargo test --release -p tiling -- --ignored`"]
     fn s9234_worked_example_matches_paper_scale() {
         // Paper §6.1: ten tiles averaging 23.5 CLBs leave ~4.7 CLBs
         // each at 20% overhead.

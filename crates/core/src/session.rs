@@ -2,9 +2,7 @@
 //! localize → confirm → correct through a pluggable physical flow and
 //! localization strategy (paper §3.1 steps 9–22).
 //!
-//! [`DebugSession`] generalizes the old monolithic
-//! `run_debug_iteration` (which survives as a thin wrapper in
-//! [`crate::debug`]):
+//! [`DebugSession`] is the one way to run a debugging iteration:
 //!
 //! * the physical re-implementation behind every ECO is a
 //!   [`ReimplFlow`], so the same campaign can be priced through the
@@ -23,7 +21,11 @@
 //!   attribution re-simulate only the DUT against it;
 //! * progress is emitted as a typed [`DebugEvent`] stream;
 //! * effort is recorded per phase in an [`EffortLedger`] that
-//!   [`crate::report::DebugReport`] and the bench bins consume.
+//!   [`crate::report::DebugReport`] and the bench bins consume;
+//! * with a metrics registry attached, the session records the work
+//!   its own calls returned — place/route counts from every ECO, the
+//!   simulation work accumulated in its golden trace — so a campaign's
+//!   counters stay its own when campaigns share a process.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -42,6 +44,7 @@ use crate::diagnosis::{
     FailureCluster, FaultAttribution, MultiErrorScheduler, ResponseMatrix, ResponseSignature,
     SuspectCone,
 };
+use crate::eco_flow::EcoPhysicalOutcome;
 use crate::effort::{CadEffort, EffortLedger, Phase};
 use crate::error::TilingError;
 use crate::flow::TiledDesign;
@@ -438,8 +441,13 @@ impl<'a> DebugSession<'a> {
 
     /// Attaches a metrics registry: the session records its
     /// deterministic per-phase effort counters
-    /// (`session_phase_*_total{phase=…}`) and evidence-layer counters
-    /// (`evidence_*_total`) into it as it runs.
+    /// (`session_phase_*_total{phase=…}`), evidence-layer counters
+    /// (`evidence_*_total`), the placer/router work of every ECO
+    /// (`place_moves_evaluated_total{engine=…}`,
+    /// `place_cg_iterations_total`, `route_nets_ripped_total{mode=…}`)
+    /// and its simulation work (`sim_sweeps_total`,
+    /// `sim_net_words_total`, `sim_lanes_loaded_total`) into it as it
+    /// runs.
     #[must_use]
     pub fn metrics(mut self, registry: &'a MetricsRegistry) -> Self {
         self.metrics = Some(registry);
@@ -473,6 +481,10 @@ impl<'a> DebugSession<'a> {
     /// deterministic per-phase counters by the same delta. Every
     /// charge to a phase happens inside exactly one region of that
     /// phase's name, so per-phase span sums equal the ledger exactly.
+    /// Every sweep runs inside some region too, so closing one also
+    /// records the simulation work done so far ([`record_sim`]).
+    ///
+    /// [`record_sim`]: Self::record_sim
     fn phase_mark(
         &mut self,
         phase: Phase,
@@ -510,6 +522,7 @@ impl<'a> DebugSession<'a> {
                 (a.tiles_cleared - b.tiles_cleared) as u64,
             );
         }
+        self.record_sim();
     }
 
     /// Scrapes one finished [`EvidenceBase`]'s counters into the
@@ -524,6 +537,48 @@ impl<'a> DebugSession<'a> {
             reg.counter_add("evidence_exonerations_total", &[], s.exonerations);
             reg.counter_add("evidence_window_shrinks_total", &[], s.window_shrinks);
         }
+    }
+
+    /// Moves the simulation work done against the session's golden
+    /// trace since the last call into the `sim_*` counters.
+    fn record_sim(&self) {
+        if let (Some(reg), Some(trace)) = (self.metrics, &self.golden_trace) {
+            let work = trace.take_work();
+            reg.counter_add("sim_sweeps_total", &[], work.sweeps);
+            reg.counter_add("sim_net_words_total", &[], work.net_words);
+            reg.counter_add("sim_lanes_loaded_total", &[], work.lanes_loaded);
+        }
+    }
+
+    /// One ECO through the session flow. The placer/router work the
+    /// flow returns is recorded into the metrics registry here; the
+    /// caller charges the ledger.
+    fn reimplement(
+        &mut self,
+        seeds: &[CellId],
+        added: &[CellId],
+    ) -> Result<EcoPhysicalOutcome, TilingError> {
+        let phys = self.flow.reimplement(self.td, seeds, added)?;
+        if let Some(reg) = self.metrics {
+            let engine = self.td.options.placer.engine.label();
+            let mode = if phys.kept_routes {
+                "incremental"
+            } else {
+                "full"
+            };
+            reg.counter_add(
+                "place_moves_evaluated_total",
+                &[("engine", engine)],
+                phys.effort.place_moves,
+            );
+            reg.counter_add("place_cg_iterations_total", &[], phys.cg_iterations);
+            reg.counter_add(
+                "route_nets_ripped_total",
+                &[("mode", mode)],
+                phys.rerouted_nets as u64,
+            );
+        }
+        Ok(phys)
     }
 
     /// The golden model's response to the session's stimulus. The
@@ -750,7 +805,7 @@ impl<'a> DebugSession<'a> {
         let correct_before = outcome.ledger;
         let fix = sim::inject::repair_op(error);
         let rep = netlist::eco::apply(&mut self.td.netlist, &fix)?;
-        let phys = self.flow.reimplement(self.td, &rep.touched(), &[])?;
+        let phys = self.reimplement(&rep.touched(), &[])?;
         outcome
             .ledger
             .charge(Phase::Correct, phys.effort, phys.affected.tiles.len());
@@ -774,7 +829,7 @@ impl<'a> DebugSession<'a> {
     /// Runs a multi-error campaign, one [`DebugOutcome`] row per seed.
     ///
     /// With a single seed this is the paper's protocol: plant, debug
-    /// to repair, done ([`run_campaign_serial`](Self::run_campaign_serial)).
+    /// to repair, done.
     /// With more than one seed, all errors are planted *simultaneously*
     /// and diagnosed through the [`crate::diagnosis`] scheduler
     /// ([`run_concurrent`](Self::run_concurrent)), so one batch of
@@ -875,15 +930,7 @@ impl<'a> DebugSession<'a> {
     /// whose error escapes detection (possible under LFSR stimulus on
     /// deep sequential state) are silently reverted at the netlist
     /// level so later iterations start from a clean DUT.
-    ///
-    /// Kept public as the baseline the concurrent path is measured
-    /// against (the `multi` bench bin compares the two directly).
-    ///
-    /// # Errors
-    ///
-    /// Propagates injection and flow failures.
-    pub fn run_campaign_serial(&mut self, seeds: &[u64]) -> Result<CampaignOutcome, TilingError> {
-        self.preflight()?;
+    fn run_campaign_serial(&mut self, seeds: &[u64]) -> Result<CampaignOutcome, TilingError> {
         let mut campaign = CampaignOutcome::default();
         for (iteration, &seed) in seeds.iter().enumerate() {
             let error = sim::inject::random_error(&mut self.td.netlist, seed)?;
@@ -901,28 +948,6 @@ impl<'a> DebugSession<'a> {
             campaign.iterations.push(outcome);
         }
         Ok(campaign)
-    }
-
-    /// Plants one random error per seed — all at once, in distinct
-    /// cells — and diagnoses them concurrently. Convenience wrapper
-    /// over [`run_concurrent`](Self::run_concurrent).
-    ///
-    /// # Errors
-    ///
-    /// Propagates injection and flow failures.
-    pub fn run_concurrent_campaign(
-        &mut self,
-        seeds: &[u64],
-    ) -> Result<ConcurrentOutcome, TilingError> {
-        self.preflight()?;
-        let errors = sim::inject::random_distinct_errors(&mut self.td.netlist, seeds)?;
-        for (iteration, error) in errors.iter().enumerate() {
-            self.emit(DebugEvent::ErrorInjected {
-                iteration,
-                cell: error.cell,
-            });
-        }
-        self.run_concurrent(&errors)
     }
 
     /// Diagnoses several already-planted errors *simultaneously*:
@@ -1071,7 +1096,7 @@ impl<'a> DebugSession<'a> {
         }
         seeds.sort_unstable();
         seeds.dedup();
-        let phys = self.flow.reimplement(self.td, &seeds, &[])?;
+        let phys = self.reimplement(&seeds, &[])?;
         let tiles = phys.affected.tiles.len();
         outcome.ledger.charge(Phase::Correct, phys.effort, tiles);
         let even = vec![1usize; n];
@@ -1351,7 +1376,7 @@ impl<'a> DebugSession<'a> {
             .iter()
             .map(|&cell| netlist::EcoOp::RemoveCell { cell })
             .collect();
-        let phys = match self.flow.reimplement(self.td, batch, &added) {
+        let phys = match self.reimplement(batch, &added) {
             Ok(phys) => phys,
             Err(e) => {
                 // The flow restored placement/routing; retire the
@@ -1459,7 +1484,7 @@ impl<'a> DebugSession<'a> {
         // iteration in a campaign.
         let base = unique_cp_name(&self.td.netlist, suspect);
         let cp = insert_control_point(&mut self.td.netlist, net, &base)?;
-        let phys = match self.flow.reimplement(self.td, &[suspect], &cp.report.added) {
+        let phys = match self.reimplement(&[suspect], &cp.report.added) {
             Ok(phys) => phys,
             Err(e) => {
                 // The flow restored placement/routing; retire the
@@ -1786,6 +1811,35 @@ mod tests {
         assert_eq!(out.ecos, out.ledger.total_ecos());
         assert!(out.ledger.phase(Phase::Localize).ecos >= 1);
         assert_eq!(out.ledger.phase(Phase::Correct).ecos, 1);
+    }
+
+    #[test]
+    fn clean_design_short_circuits() {
+        let bundle = PaperDesign::NineSym.generate().unwrap();
+        let golden = bundle.netlist.clone();
+        let mut td = implement(bundle.netlist, bundle.hierarchy, TilingOptions::fast(10)).unwrap();
+        // Fabricate an "error" record without actually corrupting the
+        // netlist: detection must find nothing and return early.
+        let any_lut = td
+            .netlist
+            .cells()
+            .find(|(_, c)| c.lut_function().is_some())
+            .map(|(id, _)| id)
+            .unwrap();
+        let tt = *td.netlist.cell(any_lut).unwrap().lut_function().unwrap();
+        let fake = InjectedError {
+            cell: any_lut,
+            kind: sim::inject::DesignErrorKind::Complement,
+            original: tt,
+            buggy: tt,
+        };
+        let out = DebugSession::new(&mut td, &golden)
+            .seed(1)
+            .run(&fake)
+            .unwrap();
+        assert!(out.mismatch.is_none());
+        assert!(out.repaired);
+        assert_eq!(out.effort.total(), 0);
     }
 
     /// An 8-LUT backbone fanning into two 4-LUT branches, each ending

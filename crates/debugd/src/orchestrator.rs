@@ -89,11 +89,13 @@ pub fn run_batch(
 /// (optionally) a tracer.
 ///
 /// Deterministic counters (`debugd_campaigns_total`,
-/// `session_phase_*`, `evidence_*`, `sim_*`, `artifact_*`, the
-/// `campaign_taps`/`campaign_ecos` histograms) land in the registry's
-/// deterministic section and are byte-identical whatever the worker
-/// count; wall-clock, steals, and queue depth go to the measured
-/// section. With a tracer, every campaign gets its own track (request
+/// `session_phase_*`, `evidence_*`, `sim_*`, `place_*`, `route_*`,
+/// `artifact_*`, the `campaign_taps`/`campaign_ecos` histograms) land
+/// in the registry's deterministic section and are byte-identical
+/// whatever the worker count; wall-clock, steals, and queue depth go
+/// to the measured section. Each campaign's session records its own
+/// work, so the section also stays exact while other batches run in
+/// the same process. With a tracer, every campaign gets its own track (request
 /// order) carrying its per-phase spans, and one track per pool worker
 /// is reconstructed from the pool's busy segments.
 pub fn run_batch_observed(
@@ -131,9 +133,6 @@ pub fn run_batch_observed(
             .map(|req| t.track(&format!("campaign {}", req.id)))
             .collect()
     });
-    let sim_before = sim::counters::snapshot();
-    let place_before = place::counters::snapshot();
-    let route_before = route::counters::snapshot();
     let t0_us = tracer.map(Tracer::now_us).unwrap_or(0);
     let jobs: Vec<(usize, &CampaignRequest)> = requests.iter().enumerate().collect();
     let resolved = &resolved;
@@ -181,40 +180,6 @@ pub fn run_batch_observed(
             registry.observe("campaign_ecos", &[], report.ledger.total_ecos() as u64);
         }
     }
-    // The packed simulator's process-global counters, scraped as a
-    // delta over the batch. The delta is deterministic as long as no
-    // *other* simulation runs concurrently in this process (the bins
-    // run batches sequentially; concurrent tests must not assert
-    // exact values).
-    let sim_delta = sim::counters::snapshot().delta_since(&sim_before);
-    registry.counter_add("sim_sweeps_total", &[], sim_delta.sweeps);
-    registry.counter_add("sim_net_words_total", &[], sim_delta.net_words);
-    registry.counter_add("sim_lanes_loaded_total", &[], sim_delta.lanes_loaded);
-    // Placer/router effort counters, same delta-over-the-batch scrape
-    // (order-independent sums keep serial and pooled runs identical).
-    let place_delta = place::counters::snapshot().delta_since(&place_before);
-    registry.counter_add(
-        "place_moves_evaluated_total",
-        &[("engine", "annealing")],
-        place_delta.moves_annealing,
-    );
-    registry.counter_add(
-        "place_moves_evaluated_total",
-        &[("engine", "analytical")],
-        place_delta.moves_analytical,
-    );
-    registry.counter_add("place_cg_iterations_total", &[], place_delta.cg_iterations);
-    let route_delta = route::counters::snapshot().delta_since(&route_before);
-    registry.counter_add(
-        "route_nets_ripped_total",
-        &[("mode", "incremental")],
-        route_delta.nets_ripped_incremental,
-    );
-    registry.counter_add(
-        "route_nets_ripped_total",
-        &[("mode", "full")],
-        route_delta.nets_ripped_full,
-    );
     let (builds, hits) = store.stats();
     registry.counter_set("artifact_builds_total", &[], builds as u64);
     registry.counter_set("artifact_hits_total", &[], hits as u64);

@@ -7,8 +7,8 @@
 //! total quadratic wirelength. The minimum of the resulting
 //! positive-definite system is found with a hand-rolled conjugate
 //! gradient — no external solver dependencies, deterministic f64
-//! arithmetic, and the iteration count doubles as the effort metric
-//! (`place_cg_iterations_total`).
+//! arithmetic, and the iteration count doubles as an effort metric
+//! (returned as `PlaceOutcome::cg_iterations`).
 //!
 //! The solution is continuous and overlapping; `crate::legalize` snaps
 //! it onto real BELs and the low-temperature polish in

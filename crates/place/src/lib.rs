@@ -32,7 +32,6 @@
 mod analytical;
 pub mod config;
 pub mod cost;
-pub mod counters;
 pub mod initial;
 mod legalize;
 mod placer;

@@ -1,9 +1,10 @@
 //! The [`Placer`] trait and its two engines.
 //!
 //! The tiling flows never call an engine directly: they go through
-//! [`run_placer`], which dispatches on [`PlacerConfig::engine`] and
-//! records the effort counters every bench and metrics artifact
-//! scrapes. [`AnnealingPlacer`] is the original VPR-style engine;
+//! [`run_placer`], which dispatches on [`PlacerConfig::engine`]. The
+//! returned [`PlaceOutcome`] carries the run's effort (moves evaluated,
+//! conjugate-gradient iterations) back to the caller that pays for it.
+//! [`AnnealingPlacer`] is the original VPR-style engine;
 //! [`AnalyticalPlacer`] is the quadratic solve → tetris legalization →
 //! low-temperature polish pipeline that reaches equal-or-better HPWL
 //! at a fraction of the moves.
@@ -13,7 +14,6 @@ use netlist::{CellId, CellKind, Netlist};
 
 use crate::analytical::solve_quadratic;
 use crate::config::{Constraints, PlaceEngine, PlacerConfig};
-use crate::counters;
 use crate::initial::initial_place;
 use crate::legalize::legalize;
 use crate::sa::{self, PlaceError, PlaceOutcome, Schedule};
@@ -226,9 +226,8 @@ pub fn placer_for(engine: PlaceEngine) -> &'static dyn Placer {
     }
 }
 
-/// Places through the engine selected by `config.engine` and records
-/// the global effort counters. This is the entry point every tiling
-/// flow uses.
+/// Places through the engine selected by `config.engine`. This is the
+/// entry point every tiling flow uses.
 ///
 /// # Errors
 ///
@@ -240,15 +239,7 @@ pub fn run_placer(
     initial: Option<Placement>,
     config: &PlacerConfig,
 ) -> Result<PlaceOutcome, PlaceError> {
-    let out = placer_for(config.engine).place(nl, device, constraints, initial, config)?;
-    match config.engine {
-        PlaceEngine::Annealing => counters::record_annealing_moves(out.moves_evaluated),
-        PlaceEngine::Analytical => {
-            counters::record_analytical_moves(out.moves_evaluated);
-            counters::record_cg_iterations(out.cg_iterations);
-        }
-    }
-    Ok(out)
+    placer_for(config.engine).place(nl, device, constraints, initial, config)
 }
 
 #[cfg(test)]
@@ -373,32 +364,5 @@ mod tests {
                 "{id} escaped to {loc}"
             );
         }
-    }
-
-    #[test]
-    fn counters_track_engine_effort() {
-        let nl = clustered_design();
-        let dev = Device::new(8, 8, 4, 2).unwrap();
-        let before = counters::snapshot();
-        run_placer(
-            &nl,
-            &dev,
-            &Constraints::free(),
-            None,
-            &PlacerConfig::fast(3),
-        )
-        .unwrap();
-        run_placer(
-            &nl,
-            &dev,
-            &Constraints::free(),
-            None,
-            &PlacerConfig::fast(3).with_engine(PlaceEngine::Annealing),
-        )
-        .unwrap();
-        let d = counters::snapshot().delta_since(&before);
-        assert!(d.moves_analytical > 0);
-        assert!(d.cg_iterations > 0);
-        assert!(d.moves_annealing > 0);
     }
 }

@@ -18,7 +18,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod pathfinder;
 pub mod request;
 

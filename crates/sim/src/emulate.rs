@@ -34,10 +34,22 @@
 //! then only latches ([`PackedSimulator::latch`]). Every onset and
 //! verdict stays bit-exact with the scalar [`Simulator`](crate::Simulator)
 //! oracle.
+//!
+//! # Work accounting
+//!
+//! A trace also accumulates the [`SimWork`] of everything simulated
+//! against it: its own recording pass, and every DUT sweep, added once
+//! per sweep. Fault-simulation engines that borrow the trace add
+//! theirs with [`GoldenTrace::add_work`]. The trace's owner reads the
+//! total with [`GoldenTrace::take_work`], so simulation work is
+//! attributed to the session that did it, however many sessions share
+//! the process.
+
+use std::sync::{Mutex, MutexGuard};
 
 use netlist::{NetId, Netlist, NetlistError};
 
-use crate::packed::{lane_mask, PackedSimulator, LANES};
+use crate::packed::{lane_mask, PackedSimulator, SimWork, LANES};
 use crate::patterns::PatternGen;
 
 /// A detected divergence between golden model and device under test.
@@ -97,7 +109,7 @@ impl Chunk {
 /// Net ids are shared between the golden model and a DUT derived from
 /// it by ECOs, so a DUT net is compared with the golden net of the same
 /// id; nets the golden model does not have read as 0.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GoldenTrace {
     /// `words[n * stride + w]`: bit `b` is net `n` on pattern `64w + b`.
     words: Vec<u64>,
@@ -109,6 +121,9 @@ pub struct GoldenTrace {
     /// The net each golden primary output reads (PO order; `None` for
     /// a dangling output, which reads as 0).
     outputs: Vec<Option<NetId>>,
+    /// Simulation work done against this trace and not yet taken (see
+    /// the [module docs](self#work-accounting)).
+    work: Mutex<SimWork>,
 }
 
 impl GoldenTrace {
@@ -174,7 +189,26 @@ impl GoldenTrace {
             patterns: patterns.len(),
             inputs,
             outputs,
+            work: Mutex::new(sim.take_work()),
         })
+    }
+
+    /// Adds `work` done against this trace to its running total.
+    pub fn add_work(&self, work: SimWork) {
+        *self.work_total() += work;
+    }
+
+    /// The work done against this trace since it was recorded or the
+    /// previous call, which the total restarts from. Recording the
+    /// trace is part of the first call's total.
+    pub fn take_work(&self) -> SimWork {
+        std::mem::take(&mut *self.work_total())
+    }
+
+    fn work_total(&self) -> MutexGuard<'_, SimWork> {
+        self.work
+            .lock()
+            .expect("the work total is only held for one add or swap")
     }
 
     /// Number of patterns recorded.
@@ -222,7 +256,7 @@ impl GoldenTrace {
     /// values. Inputs beyond the golden model's — a DUT's debug
     /// instrumentation — are driven inactive.
     pub fn load_chunk(&self, sim: &mut PackedSimulator<'_>, chunk: Chunk) {
-        crate::counters::record_lanes(chunk.len as u64);
+        sim.count_lanes(chunk.len);
         for k in 0..sim.num_inputs() {
             let word = self.inputs.get(k).map_or(0, |&n| self.net_chunk(n, chunk));
             sim.set_input_word(k, word);
@@ -232,7 +266,7 @@ impl GoldenTrace {
     /// Drives pattern `p` on every lane of `sim` (machines-as-lanes
     /// mode); inputs beyond the golden model's are driven inactive.
     pub fn broadcast_pattern(&self, sim: &mut PackedSimulator<'_>, p: usize) {
-        crate::counters::record_lanes(1);
+        sim.count_lanes(1);
         let chunk = Chunk { base: p, len: 1 };
         for k in 0..sim.num_inputs() {
             let bit = self.inputs.get(k).map_or(0, |&n| self.net_chunk(n, chunk));
@@ -252,7 +286,8 @@ impl GoldenTrace {
 /// With `force = Some(net)` the DUT's inputs past the golden model's
 /// are a control point's `[force_val, force_en]` pair: `force_val`
 /// carries golden `net`'s values and `force_en` is held active. Returns
-/// the number of patterns consumed.
+/// the number of patterns consumed; the sweep's work is added to
+/// `trace`.
 fn sweep_dut<F>(
     trace: &GoldenTrace,
     dut: &Netlist,
@@ -283,6 +318,7 @@ where
             dsim.latch();
         }
     }
+    trace.add_work(dsim.take_work());
     Ok(swept)
 }
 
@@ -620,6 +656,26 @@ mod tests {
         let mid = Chunk { base: 64, len: 64 };
         assert_eq!(trace.net_chunk(y1, mid), words[1]);
         assert_eq!(trace.net_words(NetId::new(10_000)), &[] as &[u64]);
+    }
+
+    #[test]
+    fn trace_accumulates_the_work_done_against_it() {
+        let golden = two_cone_design();
+        let trace = GoldenTrace::record(&golden, PatternGen::exhaustive(3)).unwrap();
+        // Recording is one 8-lane pass over 5 ops (3 inputs, 2 LUTs).
+        let recorded = trace.take_work();
+        assert_eq!(
+            recorded,
+            SimWork {
+                sweeps: 1,
+                net_words: 5,
+                lanes_loaded: 8
+            }
+        );
+        assert_eq!(trace.take_work(), SimWork::default());
+        // A DUT sweep of the same shape adds the same work.
+        po_divergence_words(&trace, &golden.clone(), &[(0, 0)]).unwrap();
+        assert_eq!(trace.take_work(), recorded);
     }
 
     #[test]

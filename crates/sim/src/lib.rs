@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod emulate;
 pub mod inject;
 pub mod packed;
@@ -32,11 +31,10 @@ pub mod patterns;
 pub mod simulator;
 pub mod testlogic;
 
-pub use counters::SimCounters;
 pub use emulate::{first_mismatch, Chunk, GoldenTrace, Mismatch};
 pub use inject::{
     inject, random_distinct_errors, random_error, repair_op, DesignErrorKind, InjectedError,
 };
-pub use packed::{PackedSimulator, LANES};
+pub use packed::{PackedSimulator, SimWork, LANES};
 pub use patterns::PatternGen;
 pub use simulator::Simulator;

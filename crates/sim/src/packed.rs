@@ -44,11 +44,41 @@
 //! The scalar [`Simulator`](crate::Simulator) stays untouched as the
 //! differential oracle: every packed consumer is pinned to it
 //! bit-exactly by property tests (`tests/properties.rs`).
+//!
+//! Each engine counts its own work in a [`SimWork`] (plain fields, two
+//! adds per topo pass). Whoever owns the engine reads it back with
+//! [`PackedSimulator::take_work`]; a debug session folds every sweep's
+//! count into its [`GoldenTrace`](crate::emulate::GoldenTrace), so the
+//! count belongs to the campaign that did the work.
+
+use std::ops::AddAssign;
 
 use netlist::{CellId, CellKind, NetId, Netlist, NetlistError};
 
 /// Lanes per machine word (bits in a `u64`).
 pub const LANES: usize = 64;
+
+/// Simulation work done by packed engines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SimWork {
+    /// Packed topo passes (`comb_eval` calls) — each evaluates 64
+    /// lanes at once.
+    pub sweeps: u64,
+    /// Net *words* evaluated: ops walked per sweep, 64 lane-values
+    /// each.
+    pub net_words: u64,
+    /// Stimulus lanes loaded (a broadcast pattern counts once):
+    /// `lanes_loaded / (sweeps * 64)` approximates lane occupancy.
+    pub lanes_loaded: u64,
+}
+
+impl AddAssign for SimWork {
+    fn add_assign(&mut self, rhs: SimWork) {
+        self.sweeps += rhs.sweeps;
+        self.net_words += rhs.net_words;
+        self.lanes_loaded += rhs.lanes_loaded;
+    }
+}
 
 /// One compiled evaluation step (topo order position).
 #[derive(Debug, Clone)]
@@ -109,6 +139,9 @@ pub struct PackedSimulator<'a> {
     /// Mux-tree scratch for LUT row candidates.
     scratch: [u64; 1 << netlist::logic::MAX_ARITY],
     cycles: u64,
+    /// Work done since construction or the last
+    /// [`take_work`](Self::take_work).
+    work: SimWork,
 }
 
 impl<'a> PackedSimulator<'a> {
@@ -180,6 +213,7 @@ impl<'a> PackedSimulator<'a> {
             fault: vec![0u64; nl.net_capacity()],
             scratch: [0u64; 1 << netlist::logic::MAX_ARITY],
             cycles: 0,
+            work: SimWork::default(),
         })
     }
 
@@ -198,6 +232,18 @@ impl<'a> PackedSimulator<'a> {
         self.cycles
     }
 
+    /// The work done since construction or the previous call, which
+    /// the count restarts from.
+    pub fn take_work(&mut self) -> SimWork {
+        std::mem::take(&mut self.work)
+    }
+
+    /// Counts `n` stimulus lanes loaded by a caller that drives the
+    /// input words itself ([`GoldenTrace`](crate::emulate::GoldenTrace)).
+    pub(crate) fn count_lanes(&mut self, n: usize) {
+        self.work.lanes_loaded += n as u64;
+    }
+
     /// Transposes up to [`LANES`] stimulus patterns into the input
     /// words (pattern `l` of the chunk occupies lane `l`) and returns
     /// the valid-lane mask (`(1 << n) - 1` for `n` patterns).
@@ -212,7 +258,7 @@ impl<'a> PackedSimulator<'a> {
         for pat in chunk {
             assert_eq!(pat.len(), self.num_inputs, "input width mismatch");
         }
-        crate::counters::record_lanes(chunk.len() as u64);
+        self.count_lanes(chunk.len());
         for (k, word) in self.inputs.iter_mut().enumerate() {
             let mut w = 0u64;
             for (l, pat) in chunk.iter().enumerate() {
@@ -233,7 +279,7 @@ impl<'a> PackedSimulator<'a> {
         assert_eq!(pat.len(), self.num_inputs, "input width mismatch");
         // Machines-as-lanes mode: one stimulus pattern drives all 64
         // lanes, so this counts as a single loaded lane.
-        crate::counters::record_lanes(1);
+        self.count_lanes(1);
         for (word, &bit) in self.inputs.iter_mut().zip(pat) {
             *word = broadcast(bit);
         }
@@ -284,7 +330,8 @@ impl<'a> PackedSimulator<'a> {
     /// Propagates the current input words and FF state through the
     /// combinational network — one topo pass for all 64 lanes.
     pub fn comb_eval(&mut self) {
-        crate::counters::record_sweep(self.ops.len() as u64);
+        self.work.sweeps += 1;
+        self.work.net_words += self.ops.len() as u64;
         let Self {
             ops,
             values,

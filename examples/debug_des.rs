@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", outcome.ledger);
 
-    let full = tiling::full_replace_effort(&td)?;
+    let full = tiling::flow_effort(&td, &mut FullReplaceFlow, &[])?;
     println!("\nfull re-P&R : {}", full);
     println!("speedup     : {:.1}x", full.speedup_over(&outcome.effort));
     assert!(outcome.repaired);

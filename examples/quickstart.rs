@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Effort comparison: a flow without change tracking pays one
     //    full re-place-and-route per ECO (every tap batch and the fix
     //    each need a new bitstream).
-    let full = tiling::full_replace_effort(&td)?;
+    let full = tiling::flow_effort(&td, &mut FullReplaceFlow, &[])?;
     let non_tiled_total = CadEffort {
         place_moves: full.place_moves * outcome.ecos as u64,
         route_expansions: full.route_expansions * outcome.ecos as u64,

@@ -3,8 +3,12 @@
 //! the session's own `EffortLedger` — per phase, not just in total —
 //! on both the serial and the concurrent diagnosis paths. The fleet
 //! path's deterministic counter section must be byte-identical
-//! whatever the worker count (the metrics extension of the PR 7
-//! report/event invariant).
+//! whatever the worker count (the metrics extension of the fleet's
+//! report/event invariant), even while another batch runs in the same
+//! process.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 use fpga_debug_tiling::prelude::*;
 use fpga_debug_tiling::{implement_paper_design, sim, tiling};
@@ -25,7 +29,9 @@ fn victim(td: &TiledDesign) -> netlist::CellId {
 
 /// Asserts that for every phase, the tracer's span effort totals and
 /// the registry's `session_phase_effort_units_total` counter both
-/// equal that phase's ledger entry exactly.
+/// equal that phase's ledger entry exactly; that the placer moves the
+/// session recorded equal the ledger's; and that its simulation work
+/// was recorded.
 fn assert_reconciled(tracer: &Tracer, registry: &MetricsRegistry, ledger: &tiling::EffortLedger) {
     let spans = tracer.spans();
     let snap = registry.snapshot();
@@ -58,6 +64,15 @@ fn assert_reconciled(tracer: &Tracer, registry: &MetricsRegistry, ledger: &tilin
     assert!(
         spans.iter().any(|s| s.name == Phase::Detect.name()),
         "no detect span recorded"
+    );
+    assert_eq!(
+        snap.sum_counters("place_moves_evaluated_total"),
+        ledger.total().place_moves,
+        "recorded placer moves disagree with the ledger"
+    );
+    assert!(
+        snap.value_u64("sim_sweeps_total", &[]) > 0,
+        "no simulation work recorded"
     );
 }
 
@@ -132,22 +147,38 @@ fn fleet_deterministic_metrics_are_byte_identical_across_worker_counts() {
     let serial_store = debugd::ArtifactStore::new();
     let serial_registry = MetricsRegistry::new();
     debugd::run_batch_observed(&serial_store, &requests, 1, &serial_registry, None);
+    // The pooled batch shares the process with a different batch on a
+    // second thread: both start together, and the other batch repeats
+    // until the pooled one is done. None of its work may show up in
+    // the pooled batch's counters.
+    let other = vec![debugd::CampaignRequest {
+        id: "other".into(),
+        error_seeds: vec![97],
+        ..Default::default()
+    }];
     let pooled_store = debugd::ArtifactStore::new();
     let pooled_registry = MetricsRegistry::new();
-    debugd::run_batch_observed(&pooled_store, &requests, 4, &pooled_registry, None);
-    // The `sim_*` counters are process-global deltas; sibling tests in
-    // this harness simulate concurrently, so only the bins (which run
-    // batches alone in their process — the `fleet` bin asserts the
-    // full section) can pin them. Everything else must match exactly.
-    let strip_sim = |s: String| {
-        s.lines()
-            .filter(|l| !l.contains("sim_"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
+    let start = Barrier::new(2);
+    let pooled_done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let store = debugd::ArtifactStore::new();
+            let registry = MetricsRegistry::new();
+            start.wait();
+            loop {
+                debugd::run_batch_observed(&store, &other, 1, &registry, None);
+                if pooled_done.load(Ordering::Relaxed) {
+                    break;
+                }
+            }
+        });
+        start.wait();
+        debugd::run_batch_observed(&pooled_store, &requests, 4, &pooled_registry, None);
+        pooled_done.store(true, Ordering::Relaxed);
+    });
     assert_eq!(
-        strip_sim(serial_registry.render_deterministic()),
-        strip_sim(pooled_registry.render_deterministic()),
+        serial_registry.render_deterministic(),
+        pooled_registry.render_deterministic(),
         "deterministic metrics section must not depend on worker count"
     );
 }
