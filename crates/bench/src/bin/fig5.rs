@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 // Baselines measured once (tile size does not change
                 // what the baselines do; incremental uses the window
                 // around the change). Same trait, different flows.
-                let mut incr_flow = IncrementalFlow::default();
+                let mut incr_flow = IncrementalFlow;
                 let mut quick_flow = QuickEcoFlow::default();
                 let baselines: [(&mut dyn ReimplFlow, &mut f64); 2] = [
                     (&mut incr_flow, &mut incr_speedup),
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     *speedup = full.speedup_over(&effort);
                 }
             }
-            let mut tiled = TiledFlow::default();
+            let mut tiled = TiledFlow;
             let eco = tiled.reimplement(&mut td, &[victim], &[])?;
             let speedup = full.speedup_over(&eco.effort);
             per_size[k].push(speedup);

@@ -39,7 +39,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use bench_harness::{canonical_victim, experiment_options, tracks_for};
+use bench_harness::canonical_victim;
+use debugd::artifacts::implement_options;
 use netlist::{CellId, TruthTable};
 use place::PlaceEngine;
 use synth::PaperDesign;
@@ -171,7 +172,7 @@ fn implement_once(
     engine: PlaceEngine,
 ) -> Result<(TiledDesign, ImplementRow), TilingError> {
     let bundle = design.generate()?;
-    let mut opts = experiment_options(SEED, TARGET_TILES, tracks_for(design));
+    let mut opts = implement_options(design, TARGET_TILES, SEED);
     opts.placer.engine = engine;
     let t = Instant::now();
     let td = implement(bundle.netlist, bundle.hierarchy, opts)?;
@@ -209,7 +210,7 @@ fn tap_row(
     let obs = rep.added[0];
     let obs_net = trial.netlist.cell_output(obs)?;
     let po = trial.netlist.add_output("flowbench_tap_po", obs_net)?;
-    let mut flow = tiling::TiledFlow::default();
+    let mut flow = tiling::TiledFlow;
     use tiling::ReimplFlow as _;
     let t = Instant::now();
     let out = flow.reimplement(&mut trial, &[victim], &[obs, po])?;

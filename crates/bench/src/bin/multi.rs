@@ -59,7 +59,7 @@ use obs::{MetricsRegistry, Tracer, TrackId};
 use sim::inject::inject;
 use synth::PaperDesign;
 use tiling::flows::TiledFlow;
-use tiling::session::DebugSession;
+use tiling::session::{DebugEvent, DebugSession};
 use tiling::TiledDesign;
 
 /// One (design, k) comparison row.
@@ -85,17 +85,28 @@ fn run_cell(
     k: usize,
     observe: Option<(&Tracer, TrackId, &MetricsRegistry)>,
 ) -> Result<Row, tiling::TilingError> {
-    // Plant k distinct random errors, all live at once.
+    // Plant k distinct random errors, all live at once. The cluster
+    // columns come from the campaign's events: the rows are per
+    // planted error, and their taps are requested, not inserted.
     let mut td = td0.clone();
     let seeds: Vec<u64> = (0..k as u64).map(|i| 31 + i).collect();
     let errors = sim::inject::random_distinct_errors(&mut td.netlist, &seeds)?;
-    let mut session = DebugSession::new(&mut td, golden)
-        .flow(TiledFlow::default())
-        .seed(7);
-    if let Some((tracer, track, registry)) = observe {
-        session = session.trace(tracer, track).metrics(registry);
-    }
-    let conc = session.run_concurrent(&errors)?;
+    let (mut clusters, mut localized, mut conc_taps) = (0usize, 0usize, 0usize);
+    let conc_ecos = {
+        let mut session = DebugSession::new(&mut td, golden)
+            .flow(TiledFlow)
+            .seed(7)
+            .on_event(|e| match e {
+                DebugEvent::ConeSplit { clusters: n, .. } => clusters = *n,
+                DebugEvent::Localized { cell: Some(_) } => localized += 1,
+                DebugEvent::TapEco { cells, .. } => conc_taps += cells.len(),
+                _ => {}
+            });
+        if let Some((tracer, track, registry)) = observe {
+            session = session.trace(tracer, track).metrics(registry);
+        }
+        session.run_concurrent(&errors)?.ledger.total_ecos()
+    };
 
     // Sequential baseline: the same errors, one fresh
     // single-error campaign each. Serial localization now
@@ -107,9 +118,7 @@ fn run_cell(
     for error in &errors {
         let mut td = td0.clone();
         let replant = inject(&mut td.netlist, error.cell, error.kind)?;
-        let mut session = DebugSession::new(&mut td, golden)
-            .flow(TiledFlow::default())
-            .seed(7);
+        let mut session = DebugSession::new(&mut td, golden).flow(TiledFlow).seed(7);
         if let Some((tracer, track, registry)) = observe {
             session = session.trace(tracer, track).metrics(registry);
         }
@@ -119,18 +128,13 @@ fn run_cell(
         secos += out.ecos;
     }
 
-    let found = conc
-        .clusters
-        .iter()
-        .filter(|c| c.localized.is_some())
-        .count();
     Ok(Row {
         design: design.name(),
         k,
-        clusters: conc.clusters.len(),
-        localized: found,
-        conc_taps: conc.taps_inserted,
-        conc_ecos: conc.ecos,
+        clusters,
+        localized,
+        conc_taps,
+        conc_ecos,
         seq_localized: slocalized,
         seq_taps: staps,
         seq_ecos: secos,

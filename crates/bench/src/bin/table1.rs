@@ -11,7 +11,8 @@
 // CLI/example output goes to stdout by design.
 #![allow(clippy::print_stdout)]
 
-use bench_harness::{cli_designs, experiment_options, fmt_overhead};
+use bench_harness::{cli_designs, fmt_overhead};
+use debugd::artifacts::implement_options;
 use tiling::implement;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,8 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // and routed without any tiling pressure (no partitioning, no
         // per-tile balancing), so the timing column isolates tiling's
         // effect rather than device-size differences.
-        let tracks = bench_harness::tracks_for(design);
-        let mut base_opts = experiment_options(11, 1, tracks);
+        let mut base_opts = implement_options(design, 1, 11);
         base_opts.enforce_tile_slack = false;
         let base = implement(bundle.netlist.clone(), bundle.hierarchy.clone(), base_opts)?;
         let base_t = base.timing()?.critical_ns;
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let tiled = implement(
             bundle.netlist,
             bundle.hierarchy,
-            experiment_options(11, 10, tracks),
+            implement_options(design, 10, 11),
         )?;
         let tiled_t = tiled.timing()?.critical_ns;
 

@@ -10,43 +10,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use place::PlacerConfig;
 use synth::PaperDesign;
-use tiling::{implement, TiledDesign, TilingError, TilingOptions};
+use tiling::{implement, TiledDesign, TilingError};
 
-/// Channel width per design: denser designs need wider channels to
-/// route at low slack (the XC4000 family likewise scaled its routing
-/// with array size).
-pub fn tracks_for(design: PaperDesign) -> u16 {
-    if design.paper_clbs() >= 200 {
-        18
-    } else {
-        11
-    }
-}
-
-/// Standard options used by every experiment: 20% slack, the paper's
-/// ten-tile partitions, deterministic seeds.
-pub fn experiment_options(seed: u64, target_tiles: usize, tracks: u16) -> TilingOptions {
-    TilingOptions {
-        overhead: 0.20,
-        target_tiles,
-        tracks,
-        placer: PlacerConfig {
-            seed,
-            max_temps: 120,
-            ..Default::default()
-        },
-        router: route::RouteOptions {
-            max_iterations: 45,
-            ..Default::default()
-        },
-        enforce_tile_slack: true,
-        incremental_routing: true,
-    }
-}
-
-/// Implements one paper design with the experiment options.
+/// Implements one paper design with the service's implement options
+/// ([`debugd::artifacts::implement_options`]), so bench sweeps and
+/// service campaigns run on identical layouts.
 ///
 /// # Errors
 ///
@@ -60,7 +29,7 @@ pub fn implement_design(
     implement(
         bundle.netlist,
         bundle.hierarchy,
-        experiment_options(seed, target_tiles, tracks_for(design)),
+        debugd::artifacts::implement_options(design, target_tiles, seed),
     )
 }
 
@@ -131,14 +100,6 @@ mod tests {
         let b = canonical_victim(&td);
         assert_eq!(a, b);
         assert!(td.netlist.cell(a).unwrap().lut_function().is_some());
-    }
-
-    #[test]
-    fn options_are_paper_shaped() {
-        let o = experiment_options(3, 10, 11);
-        assert!((o.overhead - 0.20).abs() < 1e-9);
-        assert_eq!(o.target_tiles, 10);
-        assert!(tracks_for(PaperDesign::Des) > tracks_for(PaperDesign::NineSym));
     }
 
     #[test]

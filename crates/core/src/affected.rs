@@ -14,17 +14,6 @@ use netlist::CellId;
 use crate::error::TilingError;
 use crate::tile::{TileId, TilePlan};
 
-/// Expansion policy when a tile's slack is insufficient.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExpansionPolicy {
-    /// Add the adjacent tile with the most free CLBs (default).
-    #[default]
-    MostFree,
-    /// Add the adjacent tile with the lowest id (nearest-first,
-    /// ablation baseline).
-    NearestFirst,
-}
-
 /// The tiles a change touches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AffectedSet {
@@ -56,8 +45,10 @@ impl AffectedSet {
     ///
     /// `seeds` are the perturbed cells (from an
     /// [`netlist::EcoReport`] or a test-point list); `extra_clbs` is
-    /// the CLB cost of newly inserted logic. The set saturates at the
-    /// whole device rather than failing; check [`AffectedSet::fits`].
+    /// the CLB cost of newly inserted logic. When the seed tiles lack
+    /// the slack, the adjacent tile with the most free CLBs is drafted
+    /// in, repeatedly. The set saturates at the whole device rather
+    /// than failing; check [`AffectedSet::fits`].
     ///
     /// # Errors
     ///
@@ -68,7 +59,6 @@ impl AffectedSet {
         placement: &Placement,
         seeds: &[CellId],
         extra_clbs: usize,
-        policy: ExpansionPolicy,
     ) -> Result<AffectedSet, TilingError> {
         let mut tiles: Vec<TileId> = Vec::new();
         for &cell in seeds {
@@ -111,27 +101,17 @@ impl AffectedSet {
             if frontier.is_empty() {
                 break; // saturated: every tile is affected
             }
-            let chosen = match policy {
-                ExpansionPolicy::MostFree => {
-                    let mut best = frontier[0];
-                    let mut best_free = free_of(best)?;
-                    for &cand in &frontier[1..] {
-                        let f = free_of(cand)?;
-                        if f > best_free || (f == best_free && cand < best) {
-                            best = cand;
-                            best_free = f;
-                        }
-                    }
-                    best
+            let mut best = frontier[0];
+            let mut best_free = free_of(best)?;
+            for &cand in &frontier[1..] {
+                let f = free_of(cand)?;
+                if f > best_free || (f == best_free && cand < best) {
+                    best = cand;
+                    best_free = f;
                 }
-                ExpansionPolicy::NearestFirst => {
-                    let mut f = frontier.clone();
-                    f.sort_unstable();
-                    f[0]
-                }
-            };
-            free += free_of(chosen)?;
-            tiles.push(chosen);
+            }
+            free += best_free;
+            tiles.push(best);
         }
         Ok(AffectedSet {
             tiles,
@@ -180,8 +160,7 @@ mod tests {
         let (_, plan) = plan();
         let mut p = Placement::new(16);
         fill_tile0(&mut p, 4); // 2 CLBs used, 2 free in tile 0
-        let set = AffectedSet::compute(&plan, &p, &[CellId::new(0)], 2, ExpansionPolicy::MostFree)
-            .unwrap();
+        let set = AffectedSet::compute(&plan, &p, &[CellId::new(0)], 2).unwrap();
         assert_eq!(set.tiles, vec![TileId(0)]);
         assert!(set.fits);
         assert_eq!(set.fraction_of(&plan), 0.25);
@@ -193,8 +172,7 @@ mod tests {
         let mut p = Placement::new(16);
         fill_tile0(&mut p, 4);
         // Need 6 CLBs: tile0 has 2 free, neighbours have 4 each.
-        let set = AffectedSet::compute(&plan, &p, &[CellId::new(0)], 6, ExpansionPolicy::MostFree)
-            .unwrap();
+        let set = AffectedSet::compute(&plan, &p, &[CellId::new(0)], 6).unwrap();
         assert_eq!(set.tiles.len(), 2);
         assert_eq!(set.tiles[0], TileId(0));
         assert!(set.fits);
@@ -205,7 +183,7 @@ mod tests {
     fn saturates_at_whole_device() {
         let (_, plan) = plan();
         let p = Placement::new(0);
-        let set = AffectedSet::compute(&plan, &p, &[], 1000, ExpansionPolicy::MostFree).unwrap();
+        let set = AffectedSet::compute(&plan, &p, &[], 1000).unwrap();
         assert_eq!(set.tiles.len(), 4);
         assert!(!set.fits);
         assert_eq!(set.fraction_of(&plan), 1.0);
@@ -216,39 +194,9 @@ mod tests {
         let (_, plan) = plan();
         let mut p = Placement::new(16);
         fill_tile0(&mut p, 8); // tile 0 completely full of LUTs
-        let set = AffectedSet::compute(&plan, &p, &[], 1, ExpansionPolicy::MostFree).unwrap();
+        let set = AffectedSet::compute(&plan, &p, &[], 1).unwrap();
         assert_ne!(set.tiles[0], TileId(0));
         assert!(set.fits);
-    }
-
-    #[test]
-    fn policies_differ() {
-        let (_, plan) = plan();
-        let mut p = Placement::new(64);
-        fill_tile0(&mut p, 8); // tile 0 full
-                               // Fill tile 1 (x in 2..4, y in 0..2) halfway: 4 slots.
-        let mut k = 8;
-        for (x, y) in [(2u16, 0u16), (3, 0)] {
-            for slot in [ClbSlot::LutF, ClbSlot::LutG] {
-                p.place(CellId::new(k), BelLoc::clb(x, y, slot)).unwrap();
-                k += 1;
-            }
-        }
-        // Seed in tile 0 (full), need 4 CLBs. MostFree picks tile 2
-        // (4 free) over tile 1 (2 free); NearestFirst picks tile 1.
-        let most = AffectedSet::compute(&plan, &p, &[CellId::new(0)], 4, ExpansionPolicy::MostFree)
-            .unwrap();
-        let near = AffectedSet::compute(
-            &plan,
-            &p,
-            &[CellId::new(0)],
-            4,
-            ExpansionPolicy::NearestFirst,
-        )
-        .unwrap();
-        assert_eq!(most.tiles[1], TileId(2));
-        assert_eq!(near.tiles[1], TileId(1));
-        assert!(near.tiles.len() >= most.tiles.len());
     }
 
     #[test]
@@ -259,14 +207,7 @@ mod tests {
             .unwrap();
         p.place(CellId::new(1), BelLoc::clb(3, 3, ClbSlot::LutF))
             .unwrap();
-        let set = AffectedSet::compute(
-            &plan,
-            &p,
-            &[CellId::new(0), CellId::new(1)],
-            0,
-            ExpansionPolicy::MostFree,
-        )
-        .unwrap();
+        let set = AffectedSet::compute(&plan, &p, &[CellId::new(0), CellId::new(1)], 0).unwrap();
         assert_eq!(set.tiles, vec![TileId(0), TileId(3)]);
         assert!(set.contains(TileId(3)));
     }

@@ -69,7 +69,7 @@ mod tests {
 
         // The tiled flow commits for real (the state the next debug
         // step iterates on).
-        let tiled = TiledFlow::default()
+        let tiled = TiledFlow
             .reimplement(&mut td, &[victim], &[])
             .unwrap()
             .effort;

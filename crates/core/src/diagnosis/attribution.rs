@@ -91,15 +91,6 @@ impl ResponseSignature {
             .map(|(i, &w)| i * 64 + w.trailing_zeros() as usize)
     }
 
-    /// Whether the output stayed clean on every pattern of the
-    /// observation window `[0, window]` (inclusive). This is the
-    /// windowed analog of [`is_clean`](Self::is_clean): an output
-    /// clean *within a cluster's window* alibis its fanin cone for
-    /// that cluster even if it diverges later in the sweep.
-    pub fn clean_within(&self, window: usize) -> bool {
-        self.first_failing().is_none_or(|p| p > window)
-    }
-
     /// Marks every pattern failing in `other` as failing here too
     /// (set union — how a cluster accumulates the signatures of its
     /// member outputs).
@@ -457,34 +448,6 @@ impl<'a> FaultAttribution<'a> {
             inter as f64 / uni as f64
         })
     }
-
-    /// The candidate that best explains `observed`, with its score.
-    /// Ties resolve to the lowest cell index; an empty candidate list
-    /// yields `None`. Candidates are [`prime`](Self::prime)d first, so
-    /// sequential designs fault-simulate them 64 machines per pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fault-simulation failures.
-    pub fn best_explanation(
-        &mut self,
-        candidates: &[CellId],
-        observed: &[bool],
-    ) -> Result<Option<(CellId, f64)>, NetlistError> {
-        self.prime(candidates)?;
-        let mut best: Option<(CellId, f64)> = None;
-        for &c in candidates {
-            let s = self.blame_score(c, observed)?;
-            let better = match best {
-                None => true,
-                Some((bc, bs)) => s > bs || (s == bs && c.index() < bc.index()),
-            };
-            if better {
-                best = Some((c, s));
-            }
-        }
-        Ok(best)
-    }
 }
 
 /// One pattern-parallel sweep of a single combinational candidate:
@@ -659,9 +622,7 @@ mod tests {
         let s0 = att.blame_score(u0, &observed).unwrap();
         let s1 = att.blame_score(u1, &observed).unwrap();
         assert!(s1 > s0, "u1 {s1} must beat u0 {s0}");
-        let best = att.best_explanation(&[u0, u1], &observed).unwrap().unwrap();
-        assert_eq!(best.0, u1);
-        assert!(best.1 > 0.99, "exact footprint match expected");
+        assert!(s1 > 0.99, "exact footprint match expected");
         // Non-LUT candidates predict nothing and score zero.
         let a = golden.find_cell("a").unwrap();
         assert_eq!(att.blame_score(a, &observed).unwrap(), 0.0);

@@ -1,4 +1,4 @@
-//! Diagnosis: causal evidence, suspect-cone algebra, shared test
+//! The diagnosis layer: causal evidence, suspect-cone algebra, shared test
 //! logic, and per-error attribution.
 //!
 //! The paper's debug loop (§3.1) is one evidence-accumulation process

@@ -56,7 +56,6 @@ struct Track {
     /// when the round's verdicts are fed back.
     requested: Vec<CellId>,
     taps_requested: usize,
-    rounds_joined: usize,
     done: bool,
 }
 
@@ -161,7 +160,6 @@ impl MultiErrorScheduler {
             window,
             requested: Vec::new(),
             taps_requested: 0,
-            rounds_joined: 0,
             done: false,
         });
         let partition = ConePartition::split(
@@ -202,12 +200,6 @@ impl MultiErrorScheduler {
     /// physical tap count is the sharing win).
     pub fn taps_requested(&self, k: usize) -> usize {
         self.tracks[k].taps_requested
-    }
-
-    /// Rounds track `k` participated in (including rounds served
-    /// entirely from evidence).
-    pub fn rounds_joined(&self, k: usize) -> usize {
-        self.tracks[k].rounds_joined
     }
 
     /// The shared-core frontier cells the screening round taps, in
@@ -259,7 +251,6 @@ impl MultiErrorScheduler {
                             continue;
                         }
                         t.taps_requested += req.len();
-                        t.rounds_joined += 1;
                         t.requested = req;
                     }
                     for &c in &t.requested {
@@ -291,7 +282,6 @@ impl MultiErrorScheduler {
                         continue;
                     }
                     t.taps_requested += req.len();
-                    t.rounds_joined += 1;
                     t.requested = req;
                 }
                 any_request = true;

@@ -22,7 +22,7 @@ use netlist::{CellId, CellKind, NetId};
 use place::Constraints;
 use route::{ConnectionRequest, RouteOptions};
 
-use crate::affected::{AffectedSet, ExpansionPolicy};
+use crate::affected::AffectedSet;
 use crate::effort::CadEffort;
 use crate::error::TilingError;
 use crate::flow::TiledDesign;
@@ -100,7 +100,6 @@ pub fn replace_and_route(
     td: &mut TiledDesign,
     seeds: &[CellId],
     added: &[CellId],
-    policy: ExpansionPolicy,
 ) -> Result<EcoPhysicalOutcome, TilingError> {
     // Resource demand of the new logic, in CLBs.
     let (mut new_luts, mut new_ffs) = (0usize, 0usize);
@@ -114,7 +113,7 @@ pub fn replace_and_route(
     let extra_clbs = new_luts.max(new_ffs).div_ceil(2);
 
     // Steps 16–17: identify affected tiles (with neighbour expansion).
-    let affected = AffectedSet::compute(&td.plan, &td.placement, seeds, extra_clbs, policy)?;
+    let affected = AffectedSet::compute(&td.plan, &td.placement, seeds, extra_clbs)?;
     if !affected.fits {
         return Err(TilingError::InsufficientSlack {
             needed: extra_clbs,
@@ -275,32 +274,6 @@ pub fn replace_and_route(
                 }
             }
             Err((e, _)) => {
-                // Diagnostics hook: dump the conflicting state before
-                // restoring (enabled by setting TILING_DUMP).
-                if std::env::var_os("TILING_DUMP").is_some() {
-                    for node in td.routing.overused_nodes() {
-                        eprintln!("overused {:?}", td.rrg.node(node));
-                        for (net, tree) in td.routing.iter() {
-                            if tree.nodes().contains(&node) {
-                                let name = td
-                                    .netlist
-                                    .net(net)
-                                    .map(|n| n.name.clone())
-                                    .unwrap_or_else(|_| "<dead>".into());
-                                eprintln!("  net {net} ({name}) paths:");
-                                for p in &tree.paths {
-                                    if p.contains(&node) {
-                                        let s: Vec<String> = p
-                                            .iter()
-                                            .map(|&x| format!("{}", td.rrg.node(x)))
-                                            .collect();
-                                        eprintln!("    {}", s.join(" > "));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
                 td.placement = placement_snapshot;
                 td.routing = routing_snapshot;
                 return Err(e);
@@ -739,16 +712,6 @@ fn attempt_inner(
         if untouched {
             continue;
         }
-        if std::env::var_os("TILING_TRACE").is_some() {
-            eprintln!(
-                "work {net_id}: driver_inside={driver_inside} inside={} outside={} missing={} exits={} free_paths={} had_route={had_route}",
-                inside_pins.len(),
-                outside_pins.len(),
-                outside_missing.len(),
-                exits.len(),
-                split.reroute_free.len(),
-            );
-        }
         if !had_route && inside_pins.is_empty() && outside_pins.is_empty() {
             continue; // dangling net, nothing to connect
         }
@@ -888,7 +851,7 @@ mod tests {
             },
         )
         .unwrap();
-        let out = replace_and_route(&mut td, &[victim], &[], ExpansionPolicy::MostFree).unwrap();
+        let out = replace_and_route(&mut td, &[victim], &[]).unwrap();
         assert_eq!(out.affected.tiles.len(), 1, "function change fits one tile");
         assert!(td.routing.is_feasible());
         // Cells outside the affected tile did not move.
@@ -931,8 +894,7 @@ mod tests {
         let obs_net = td.netlist.cell_output(obs).unwrap();
         let po = td.netlist.add_output("obs_po", obs_net).unwrap();
 
-        let out = replace_and_route(&mut td, &[tile_cell], &[obs, po], ExpansionPolicy::MostFree)
-            .unwrap();
+        let out = replace_and_route(&mut td, &[tile_cell], &[obs, po]).unwrap();
         assert!(td.routing.is_feasible());
         assert!(out.replaced_cells > 0);
         // The new LUT landed inside an affected tile.
@@ -966,7 +928,7 @@ mod tests {
             .unwrap()
             .complement();
         td.netlist.set_lut_function(victim, tt).unwrap();
-        let out = replace_and_route(&mut td, &[victim], &[], ExpansionPolicy::MostFree).unwrap();
+        let out = replace_and_route(&mut td, &[victim], &[]).unwrap();
         let region = RegionSet::from_tiles(&td.device, &td.plan, &out.affected.tiles);
         let mut checked = 0;
         for (net, tree) in before {

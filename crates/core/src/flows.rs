@@ -23,7 +23,7 @@ use fpga::{NodeId, Placement, Rect, Routing};
 use netlist::{CellId, NetId};
 use place::Constraints;
 
-use crate::affected::{AffectedSet, ExpansionPolicy};
+use crate::affected::AffectedSet;
 use crate::eco_flow::{replace_and_route, EcoPhysicalOutcome};
 use crate::effort::CadEffort;
 use crate::error::TilingError;
@@ -94,10 +94,7 @@ impl<T: ReimplFlow + ?Sized> ReimplFlow for Box<T> {
 /// The paper's contribution: clear and re-implement only the affected
 /// tiles, with every interface to the rest of the design locked.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TiledFlow {
-    /// Neighbour-expansion policy when a tile's slack is insufficient.
-    pub policy: ExpansionPolicy,
-}
+pub struct TiledFlow;
 
 impl ReimplFlow for TiledFlow {
     fn name(&self) -> &'static str {
@@ -110,7 +107,7 @@ impl ReimplFlow for TiledFlow {
         seeds: &[CellId],
         added: &[CellId],
     ) -> Result<EcoPhysicalOutcome, TilingError> {
-        replace_and_route(td, seeds, added, self.policy)
+        replace_and_route(td, seeds, added)
     }
 }
 
@@ -175,21 +172,14 @@ impl ReimplFlow for FullReplaceFlow {
 /// re-places everything inside an *inflated* window around the change
 /// (it needs room to shuffle surrounding logic) and fully re-routes
 /// every net that touches the window.
-#[derive(Debug, Clone, Copy)]
-pub struct IncrementalFlow {
-    /// Window inflation in CLBs on each side (2 in the benches).
-    pub margin: u16,
-    /// CLB cost of new logic to budget for (sizes the seed window).
-    pub extra_clbs: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IncrementalFlow;
 
-impl Default for IncrementalFlow {
-    fn default() -> Self {
-        Self {
-            margin: 2,
-            extra_clbs: 0,
-        }
-    }
+impl IncrementalFlow {
+    /// Window inflation in CLBs on each side.
+    const MARGIN: u16 = 2;
+    /// CLB cost of new logic budgeted for when sizing the seed window.
+    const EXTRA_CLBS: usize = 0;
 }
 
 impl ReimplFlow for IncrementalFlow {
@@ -205,13 +195,7 @@ impl ReimplFlow for IncrementalFlow {
     ) -> Result<EcoPhysicalOutcome, TilingError> {
         // Window: bounding box of the tiles the change maps to,
         // inflated by the margin.
-        let affected = AffectedSet::compute(
-            &td.plan,
-            &td.placement,
-            seeds,
-            self.extra_clbs,
-            ExpansionPolicy::MostFree,
-        )?;
+        let affected = AffectedSet::compute(&td.plan, &td.placement, seeds, Self::EXTRA_CLBS)?;
         let mut bbox: Option<Rect> = None;
         for &t in &affected.tiles {
             let r = td.plan.tile(t)?.rect;
@@ -223,10 +207,10 @@ impl ReimplFlow for IncrementalFlow {
         let b = td.device.bounds();
         let bbox = bbox.unwrap_or(b);
         let window = Rect::new(
-            bbox.x0.saturating_sub(self.margin),
-            bbox.y0.saturating_sub(self.margin),
-            (bbox.x1 + self.margin).min(b.x1),
-            (bbox.y1 + self.margin).min(b.y1),
+            bbox.x0.saturating_sub(Self::MARGIN),
+            bbox.y0.saturating_sub(Self::MARGIN),
+            (bbox.x1 + Self::MARGIN).min(b.x1),
+            (bbox.y1 + Self::MARGIN).min(b.y1),
         );
         let movable: Vec<CellId> = td
             .netlist
@@ -308,9 +292,9 @@ impl ReimplFlow for QuickEcoFlow {
 /// uniform iteration. Order: tiled, full, incremental, quick_eco.
 pub fn standard_flows() -> Vec<Box<dyn ReimplFlow>> {
     vec![
-        Box::new(TiledFlow::default()),
+        Box::new(TiledFlow),
         Box::new(FullReplaceFlow),
-        Box::new(IncrementalFlow::default()),
+        Box::new(IncrementalFlow),
         Box::new(QuickEcoFlow::default()),
     ]
 }
@@ -566,7 +550,7 @@ mod tests {
         assert_eq!(full.affected.tiles.len(), full_td.plan.len());
 
         let mut tiled_td = td0.clone();
-        let tiled = TiledFlow::default()
+        let tiled = TiledFlow
             .reimplement(&mut tiled_td, &[victim], &[])
             .unwrap();
         assert!(tiled.affected.tiles.len() < tiled_td.plan.len());

@@ -68,9 +68,6 @@ pub use flows::{
 pub use partition::partition;
 pub use preflight::{audit_confined_eco, check_design, preflight, tile_views};
 pub use report::{DebugReport, TilingReport};
-pub use session::{
-    CampaignOutcome, ClusterOutcome, ConcurrentOutcome, DebugEvent, DebugOutcome, DebugSession,
-    PatternSpec,
-};
+pub use session::{CampaignOutcome, DebugEvent, DebugOutcome, DebugSession, PatternSpec};
 pub use strategy::{BinarySearch, LinearBatches, LocalizationStrategy};
 pub use tile::{Tile, TileId, TilePlan};

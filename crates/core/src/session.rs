@@ -169,23 +169,27 @@ pub enum DebugEvent {
     },
 }
 
-/// Result of one debugging iteration.
-#[derive(Debug, Clone)]
+/// Result of one debugging iteration: the session's one row per
+/// planted error.
+#[derive(Debug, Clone, Default)]
 pub struct DebugOutcome {
-    /// The detected divergence (None if the DUT already matched).
+    /// The detected divergence (None if the DUT already matched, or if
+    /// no failure cluster of a concurrent campaign was matched to this
+    /// error).
     pub mismatch: Option<Mismatch>,
-    /// Size of the initial structural suspect set.
-    pub initial_suspects: usize,
     /// The cell the localization loop identified.
     pub localized: Option<CellId>,
-    /// Observation taps inserted during localization.
+    /// Observation taps inserted during localization. A concurrent
+    /// campaign's rows count the taps their clusters *requested*:
+    /// requests deduplicate across clusters before insertion, so the
+    /// rows sum to more than the physical tap count whenever cones
+    /// overlap.
     pub taps_inserted: usize,
-    /// Whether the corrective ECO made the DUT match the golden model.
+    /// Whether the corrective ECO made the DUT match the golden model
+    /// (on a concurrent campaign's row: on its cluster's outputs).
     pub repaired: bool,
     /// Total CAD effort across all ECOs of the iteration.
     pub effort: CadEffort,
-    /// Tiles cleared across all ECOs (with multiplicity).
-    pub tiles_cleared: usize,
     /// Physical ECOs performed (tap batches + confirmation + the
     /// correction). A non-tiled flow pays one full re-place-and-route
     /// per ECO.
@@ -201,109 +205,15 @@ pub struct DebugOutcome {
     pub flow: &'static str,
 }
 
-/// Aggregate result of a multi-error campaign.
+/// Result of a campaign: one [`DebugOutcome`] row per planted error.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignOutcome {
-    /// Per-iteration outcomes, in order.
+    /// Per-error rows, in planting order.
     pub iterations: Vec<DebugOutcome>,
-    /// Merged per-phase ledger across all iterations.
+    /// The campaign's physical per-phase ledger. It is not the rows'
+    /// sum: a shared ECO counts once in every row that took part in
+    /// it, while the rows' effort apportions this ledger's exactly.
     pub ledger: EffortLedger,
-}
-
-impl CampaignOutcome {
-    /// Whether every iteration ended with a matching DUT.
-    pub fn all_repaired(&self) -> bool {
-        self.iterations.iter().all(|o| o.repaired)
-    }
-
-    /// Total CAD effort across the campaign.
-    pub fn total_effort(&self) -> CadEffort {
-        self.ledger.total()
-    }
-}
-
-/// Result of one error cluster within a concurrent multi-error
-/// diagnosis (see [`DebugSession::run_concurrent`]).
-#[derive(Debug, Clone)]
-pub struct ClusterOutcome {
-    /// Golden primary-output cells presenting this failure footprint.
-    pub outputs: Vec<CellId>,
-    /// The stimulus patterns those outputs fail on.
-    pub signature: ResponseSignature,
-    /// The cluster's observation window: every suspect prune and tap
-    /// verdict for this cluster was evaluated over patterns
-    /// `[0, window]`, its earliest observed failure.
-    pub window: usize,
-    /// Structural suspect-cone size (before the live-LUT filter).
-    pub cone_size: usize,
-    /// Candidate suspects surviving the live-LUT filter.
-    pub candidates: usize,
-    /// Suspects no other cluster's cone implicates (the cluster's
-    /// exclusive ownership region).
-    pub exclusive_size: usize,
-    /// The localized error site, if the cluster's strategy converged.
-    pub localized: Option<CellId>,
-    /// Whether the §4.1 control point confirmed the site. The check
-    /// compares only this cluster's outputs — other live errors keep
-    /// the rest of the design diverging.
-    pub confirmed_by_control: bool,
-    /// Index of the planted error this cluster was matched to (exact
-    /// localized-cell agreement first, then cone containment).
-    pub matched_error: Option<usize>,
-    /// Taps this cluster's strategy requested. Requests deduplicate
-    /// across clusters before insertion, so the sum over clusters
-    /// exceeds the campaign's physical tap count whenever cones
-    /// overlap — that difference is the sharing win.
-    pub taps_requested: usize,
-    /// This cluster's share of the campaign effort: tap ECOs split
-    /// proportionally to requested taps, the corrective ECO evenly.
-    pub ledger: EffortLedger,
-    /// Whether this cluster's outputs match golden after correction.
-    pub repaired: bool,
-}
-
-/// Aggregate result of a concurrent multi-error diagnosis.
-#[derive(Debug, Clone)]
-pub struct ConcurrentOutcome {
-    /// Per-cluster results, in failure-footprint discovery order.
-    /// Empty when the sweep detected no divergence at all.
-    pub clusters: Vec<ClusterOutcome>,
-    /// Scheduler rounds executed (each round advances every live
-    /// cluster through one shared set of tap batches).
-    pub rounds: usize,
-    /// Observation taps physically inserted (post-deduplication).
-    pub taps_inserted: usize,
-    /// Physical ECOs performed across all phases.
-    pub ecos: usize,
-    /// Suspects implicated by two or more clusters.
-    pub shared_core_cells: usize,
-    /// Global per-phase effort (phases sum to the campaign total; the
-    /// per-cluster ledgers apportion exactly this).
-    pub ledger: EffortLedger,
-    /// Whether the whole DUT matches the golden model at the end.
-    pub repaired: bool,
-    /// Name of the localization strategy driving every cluster.
-    pub strategy: &'static str,
-    /// Name of the physical flow that ran.
-    pub flow: &'static str,
-}
-
-impl ConcurrentOutcome {
-    /// The localized error sites, in cluster order, omitting clusters
-    /// that failed to converge.
-    pub fn localized_cells(&self) -> Vec<CellId> {
-        self.clusters.iter().filter_map(|c| c.localized).collect()
-    }
-
-    /// Total CAD effort across the campaign.
-    pub fn total_effort(&self) -> CadEffort {
-        self.ledger.total()
-    }
-
-    /// Taps requested across all clusters before deduplication.
-    pub fn taps_requested(&self) -> usize {
-        self.clusters.iter().map(|c| c.taps_requested).sum()
-    }
 }
 
 /// Boxed progress callback (see [`DebugSession::on_event`]). `Send`
@@ -313,9 +223,11 @@ type EventCallback<'a> = Box<dyn FnMut(&DebugEvent) + Send + 'a>;
 /// A configured debugging session over one tiled design.
 ///
 /// Built with [`DebugSession::new`] plus the builder methods, then run
-/// with [`run`](DebugSession::run) (one planted error) or
-/// [`run_campaign`](DebugSession::run_campaign) (a sequence of random
-/// errors).
+/// with [`run`](DebugSession::run) (one planted error),
+/// [`run_concurrent`](DebugSession::run_concurrent) (several planted
+/// errors at once) or [`run_campaign`](DebugSession::run_campaign)
+/// (random errors planted from seeds). Every entry point reports one
+/// [`DebugOutcome`] row per error.
 ///
 /// ```no_run
 /// use sim::inject::random_error;
@@ -332,7 +244,7 @@ type EventCallback<'a> = Box<dyn FnMut(&DebugEvent) + Send + 'a>;
 /// let error = random_error(&mut td.netlist, 7)?;
 /// let outcome = DebugSession::new(&mut td, &golden)
 ///     .strategy(BinarySearch::new())
-///     .flow(TiledFlow::default())
+///     .flow(TiledFlow)
 ///     .seed(42)
 ///     .on_event(|e| eprintln!("{e:?}"))
 ///     .run(&error)?;
@@ -367,7 +279,7 @@ impl<'a> DebugSession<'a> {
             td,
             golden,
             strategy: Box::new(LinearBatches::default()),
-            flow: Box::new(TiledFlow::default()),
+            flow: Box::new(TiledFlow),
             patterns: PatternSpec::Auto,
             seed: 0,
             confirm_with_control: true,
@@ -644,40 +556,27 @@ impl<'a> DebugSession<'a> {
     /// onset and read back under the cluster's causal
     /// [`crate::diagnosis::ObservationWindow`].
     ///
+    /// An error the stimulus never exposes is reverted at the netlist
+    /// level and reported with `mismatch: None` and `repaired: true`.
+    ///
     /// # Errors
     ///
     /// Propagates netlist/placement/routing failures from the flow.
     pub fn run(&mut self, error: &InjectedError) -> Result<DebugOutcome, TilingError> {
         self.preflight()?;
+        let errors = std::slice::from_ref(error);
         let mut outcome = DebugOutcome {
-            mismatch: None,
-            initial_suspects: 0,
-            localized: None,
-            taps_inserted: 0,
-            repaired: false,
-            effort: CadEffort::default(),
-            tiles_cleared: 0,
-            ecos: 0,
-            confirmed_by_control: false,
-            ledger: EffortLedger::default(),
             strategy: self.strategy.name(),
             flow: self.flow.name(),
+            ..DebugOutcome::default()
         };
-
-        // ---- Detection (steps 10, 21): one full response sweep --------
-        let t_detect = self.span_begin();
-        let detect_before = outcome.ledger;
-        let matrix = self.sweep_responses()?;
-        let mismatch = matrix_mismatch(self.golden, &matrix)?;
-        self.phase_mark(Phase::Detect, t_detect, detect_before, &outcome.ledger);
-        let Some(mismatch) = mismatch else {
-            self.emit(DebugEvent::CleanDesign);
-            outcome.repaired = true; // nothing to do
+        let Some(matrix) = self.detect(errors)? else {
+            outcome.repaired = true;
             return Ok(outcome);
         };
         // (The per-cluster `Detected` events are emitted by the
         // shared diagnosis pipeline below.)
-        outcome.mismatch = Some(mismatch);
+        outcome.mismatch = Some(matrix_mismatch(self.golden, &matrix)?);
 
         // ---- Localization (steps 16–21) -------------------------------
         // The same cluster → defer-merge → prune pipeline as the
@@ -697,8 +596,7 @@ impl<'a> DebugSession<'a> {
         let (mut evidence, clusters, witness_taps, _) =
             self.screened_clusters(&matrix, &mut outcome.ledger)?;
         outcome.taps_inserted = witness_taps;
-        let order = self.golden.topo_order()?;
-        let rank: HashMap<CellId, usize> = order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+        let rank = topo_rank(self.golden)?;
         let rank_of = |c: CellId| rank.get(&c).copied().unwrap_or(usize::MAX);
         // The sharpest single-error view comes first: the
         // *intersection* of every failing output's cone (the site
@@ -722,13 +620,6 @@ impl<'a> DebugSession<'a> {
         }
         cluster_tracks.sort_by_key(|(_, suspects)| suspects.len());
         tracks.extend(cluster_tracks);
-        // Distinct suspects across the views (the views overlap — the
-        // joint cone is a subset of every cluster cone).
-        outcome.initial_suspects = tracks
-            .iter()
-            .flat_map(|(_, s)| s.iter().copied())
-            .collect::<SuspectCone>()
-            .len();
 
         // Bounded arbitration: a single error that several
         // independent views localize to *different, unconfirmable*
@@ -801,54 +692,29 @@ impl<'a> DebugSession<'a> {
         self.record_evidence(&evidence);
 
         // ---- Correction (steps 11–15, 17–21) ---------------------------
-        let t_correct = self.span_begin();
-        let correct_before = outcome.ledger;
-        let fix = sim::inject::repair_op(error);
-        let rep = netlist::eco::apply(&mut self.td.netlist, &fix)?;
-        let phys = self.reimplement(&rep.touched(), &[])?;
-        outcome
-            .ledger
-            .charge(Phase::Correct, phys.effort, phys.affected.tiles.len());
-
-        // Confirmation emulation: one response sweep of the corrected
-        // DUT, which pairs the golden primary outputs with their
-        // same-named DUT cells — debug instrumentation may have left
-        // extra pins behind.
-        outcome.repaired = self.sweep_responses()?.failing().is_empty();
-        self.emit(DebugEvent::Corrected {
-            repaired: outcome.repaired,
-        });
-        self.phase_mark(Phase::Correct, t_correct, correct_before, &outcome.ledger);
-
+        let (_, verified) = self.correct(errors, &mut outcome.ledger)?;
+        outcome.repaired = verified.failing().is_empty();
         outcome.effort = outcome.ledger.total();
-        outcome.tiles_cleared = outcome.ledger.total_tiles_cleared();
         outcome.ecos = outcome.ledger.total_ecos();
         Ok(outcome)
     }
 
-    /// Runs a multi-error campaign, one [`DebugOutcome`] row per seed.
+    /// Runs a campaign: plants one random error per seed, each in a
+    /// distinct cell, and debugs them — one [`DebugOutcome`] row per
+    /// seed.
     ///
-    /// With a single seed this is the paper's protocol: plant, debug
-    /// to repair, done.
-    /// With more than one seed, all errors are planted *simultaneously*
-    /// and diagnosed through the [`crate::diagnosis`] scheduler
+    /// A single error runs the paper's protocol ([`run`](Self::run)).
+    /// Several are live *simultaneously* and are diagnosed through the
+    /// [`crate::diagnosis`] scheduler
     /// ([`run_concurrent`](Self::run_concurrent)), so one batch of
     /// observation taps — and one corrective ECO — serves every live
-    /// error; the result is then adapted back into per-error rows.
-    /// Errors no cluster was matched to report `mismatch: None`, like
-    /// serially-undetected errors, and unmatched clusters' effort is
-    /// folded into the rows of errors their cones contain, so the
-    /// per-iteration ledgers sum to [`CampaignOutcome::ledger`] on
-    /// both paths.
+    /// error.
     ///
     /// # Errors
     ///
     /// Propagates injection and flow failures.
     pub fn run_campaign(&mut self, seeds: &[u64]) -> Result<CampaignOutcome, TilingError> {
         self.preflight()?;
-        if seeds.len() <= 1 {
-            return self.run_campaign_serial(seeds);
-        }
         let errors = sim::inject::random_distinct_errors(&mut self.td.netlist, seeds)?;
         for (iteration, error) in errors.iter().enumerate() {
             self.emit(DebugEvent::ErrorInjected {
@@ -856,98 +722,17 @@ impl<'a> DebugSession<'a> {
                 cell: error.cell,
             });
         }
-        let conc = self.run_concurrent(&errors)?;
-        let mut campaign = CampaignOutcome {
-            iterations: Vec::new(),
-            ledger: conc.ledger,
-        };
-        let pos = self.golden.primary_outputs();
-        let sequential = self.golden.is_sequential();
-        for i in 0..errors.len() {
-            let row = match conc.clusters.iter().find(|c| c.matched_error == Some(i)) {
-                Some(c) => DebugOutcome {
-                    mismatch: Some(synthesized_mismatch(
-                        self.golden,
-                        &pos,
-                        &conc.clusters,
-                        c,
-                        sequential,
-                    )?),
-                    initial_suspects: c.cone_size,
-                    localized: c.localized,
-                    taps_inserted: c.taps_requested,
-                    repaired: c.repaired,
-                    effort: c.ledger.total(),
-                    tiles_cleared: c.ledger.total_tiles_cleared(),
-                    ecos: c.ledger.total_ecos(),
-                    confirmed_by_control: c.confirmed_by_control,
-                    ledger: c.ledger,
-                    strategy: conc.strategy,
-                    flow: conc.flow,
-                },
-                None => DebugOutcome {
-                    mismatch: None,
-                    initial_suspects: 0,
-                    localized: None,
-                    taps_inserted: 0,
-                    // Unmatched errors were still repaired by the
-                    // shared corrective ECO (or reverted, if nothing
-                    // was detected at all).
-                    repaired: conc.repaired,
-                    effort: CadEffort::default(),
-                    tiles_cleared: 0,
-                    ecos: 0,
-                    confirmed_by_control: false,
-                    ledger: EffortLedger::default(),
-                    strategy: conc.strategy,
-                    flow: conc.flow,
-                },
-            };
-            campaign.iterations.push(row);
-        }
-        // Unmatched clusters (a footprint no planted error claimed —
-        // e.g. one FSM error fanning out into several cones) still
-        // spent real effort. Fold each into the row of an error its
-        // cone contains, so per-iteration ledgers keep summing to the
-        // campaign ledger exactly as on the serial path.
-        for cl in conc.clusters.iter().filter(|c| c.matched_error.is_none()) {
-            let cone = SuspectCone::fanin(self.golden, &cl.outputs);
-            let i = (0..errors.len())
-                .find(|&i| cone.contains(errors[i].cell))
-                .unwrap_or(0);
-            let row = &mut campaign.iterations[i];
-            row.ledger.merge(&cl.ledger);
-            row.effort = row.ledger.total();
-            row.tiles_cleared = row.ledger.total_tiles_cleared();
-            row.ecos = row.ledger.total_ecos();
-            row.taps_inserted += cl.taps_requested;
-        }
-        Ok(campaign)
-    }
-
-    /// The paper's one-at-a-time protocol: for each seed, plants one
-    /// random error, debugs it to repair, and moves on. Iterations
-    /// whose error escapes detection (possible under LFSR stimulus on
-    /// deep sequential state) are silently reverted at the netlist
-    /// level so later iterations start from a clean DUT.
-    fn run_campaign_serial(&mut self, seeds: &[u64]) -> Result<CampaignOutcome, TilingError> {
-        let mut campaign = CampaignOutcome::default();
-        for (iteration, &seed) in seeds.iter().enumerate() {
-            let error = sim::inject::random_error(&mut self.td.netlist, seed)?;
-            self.emit(DebugEvent::ErrorInjected {
-                iteration,
-                cell: error.cell,
-            });
-            let outcome = self.run(&error)?;
-            if outcome.mismatch.is_none() {
-                // Undetected: revert the netlist edit (no physical ECO
-                // — a LUT-function change does not move cells or nets).
-                netlist::eco::apply(&mut self.td.netlist, &sim::inject::repair_op(&error))?;
+        match errors.as_slice() {
+            [] => Ok(CampaignOutcome::default()),
+            [error] => {
+                let row = self.run(error)?;
+                Ok(CampaignOutcome {
+                    ledger: row.ledger,
+                    iterations: vec![row],
+                })
             }
-            campaign.ledger.merge(&outcome.ledger);
-            campaign.iterations.push(outcome);
+            _ => self.run_concurrent(&errors),
         }
-        Ok(campaign)
     }
 
     /// Diagnoses several already-planted errors *simultaneously*:
@@ -958,13 +743,22 @@ impl<'a> DebugSession<'a> {
     /// one corrective ECO.
     ///
     /// This is the multi-error counterpart of [`run`](Self::run) —
-    /// the capability the single-error paper protocol lacks. The
-    /// machinery lives in [`crate::diagnosis`]; progress is reported
-    /// through the usual [`DebugEvent`] stream plus the multi-error
-    /// [`DebugEvent::ConeSplit`] and [`DebugEvent::Attribution`]
-    /// variants, and effort is attributed per error in
-    /// [`ClusterOutcome::ledger`] rows that apportion the global
-    /// ledger exactly.
+    /// the capability the single-error paper protocol lacks — and it
+    /// runs the concurrent pipeline even on one error. The machinery
+    /// lives in [`crate::diagnosis`]; cluster-level progress is
+    /// reported through the usual [`DebugEvent`] stream plus the
+    /// multi-error [`DebugEvent::ConeSplit`] and
+    /// [`DebugEvent::Attribution`] variants.
+    ///
+    /// Row `i` reports `errors[i]`. Clusters are matched to errors by
+    /// exact localized cell first, then by cone containment, and a
+    /// matched row carries its cluster's detection, localization,
+    /// confirmation, verdict and share of the effort: tap ECOs split
+    /// in proportion to requested taps, the corrective ECO evenly. An
+    /// error no cluster was matched to reports `mismatch: None`, like
+    /// an undetected error. An unmatched cluster's share is folded
+    /// into the row of an error its outputs' fanin cone contains, so
+    /// the rows' effort sums to [`CampaignOutcome::ledger`]'s.
     ///
     /// # Errors
     ///
@@ -972,73 +766,82 @@ impl<'a> DebugSession<'a> {
     pub fn run_concurrent(
         &mut self,
         errors: &[InjectedError],
-    ) -> Result<ConcurrentOutcome, TilingError> {
+    ) -> Result<CampaignOutcome, TilingError> {
         self.preflight()?;
-        let mut outcome = ConcurrentOutcome {
-            clusters: Vec::new(),
-            rounds: 0,
-            taps_inserted: 0,
-            ecos: 0,
-            shared_core_cells: 0,
-            ledger: EffortLedger::default(),
-            repaired: false,
+        let blank = DebugOutcome {
             strategy: self.strategy.name(),
             flow: self.flow.name(),
+            ..DebugOutcome::default()
+        };
+        let mut ledger = EffortLedger::default();
+        let Some(matrix) = self.detect(errors)? else {
+            let clean = DebugOutcome {
+                repaired: true,
+                ..blank
+            };
+            return Ok(CampaignOutcome {
+                iterations: vec![clean; errors.len()],
+                ledger,
+            });
         };
 
-        // ---- Detection: one full response sweep -----------------------
-        let t_detect = self.span_begin();
-        let detect_before = outcome.ledger;
-        let matrix = self.sweep_responses()?;
-        let raw_clusters = cluster_failures(self.golden, &matrix);
-        self.phase_mark(Phase::Detect, t_detect, detect_before, &outcome.ledger);
-        if raw_clusters.is_empty() {
-            self.emit(DebugEvent::CleanDesign);
-            // Undetectable errors are still repaired — at the netlist
-            // level only, since a LUT-function restore moves nothing —
-            // mirroring the detected path, whose corrective ECO also
-            // repairs every planted error. The caller never keeps a
-            // latent bug in a DUT reported repaired.
-            for error in errors {
-                netlist::eco::apply(&mut self.td.netlist, &sim::inject::repair_op(error))?;
-            }
-            outcome.repaired = true;
-            return Ok(outcome);
-        }
-
         // ---- Shared diagnosis pipeline --------------------------------
+        // Build the evidence base, tap the deferred-merge witness
+        // registers, fold FSM fan-out clusters, prune every cluster's
+        // cone within its causal window, register one strategy track
+        // per cluster, and drive the physical tap rounds to completion.
         let t_localize = self.span_begin();
-        let localize_before = outcome.ledger;
-        let mut ledger = std::mem::take(&mut outcome.ledger);
-        let mut diagnosis = self.diagnose(&matrix, &mut ledger)?;
-        outcome.ledger = ledger;
-        outcome.rounds = diagnosis.rounds;
-        outcome.taps_inserted = diagnosis.taps_inserted;
-        outcome.shared_core_cells = diagnosis.shared_core_cells;
-        let clusters = std::mem::take(&mut diagnosis.clusters);
-        let candidate_counts = diagnosis.candidate_counts;
-        let exclusive_sizes = diagnosis.exclusive_sizes;
-        let localized = diagnosis.localized;
-        let mut cluster_ledgers = diagnosis.cluster_ledgers;
+        let localize_before = ledger;
+        let (mut evidence, clusters, _, merge_screen) =
+            self.screened_clusters(&matrix, &mut ledger)?;
+        let rank = topo_rank(self.golden)?;
+        let rank_of = |c: CellId| rank.get(&c).copied().unwrap_or(usize::MAX);
         let n = clusters.len();
+        let mut scheduler = MultiErrorScheduler::new(LinearBatches::DEFAULT_BATCH);
+        for cl in &clusters {
+            let (window, suspects) = self.cluster_track(&evidence, cl, &rank_of)?;
+            scheduler.add_error(self.golden, &suspects, window, self.strategy.fresh());
+        }
+        self.emit(DebugEvent::ConeSplit {
+            clusters: n,
+            exclusive: scheduler.partition().exclusive_sizes(),
+            shared: scheduler.partition().shared.len(),
+        });
+        // The merge-screening taps served every (final) cluster
+        // equally; apportion them now that the cluster count is known.
+        let even = vec![1usize; n];
+        let mut cluster_ledgers = vec![EffortLedger::default(); n];
+        for &(effort, tiles) in &merge_screen {
+            split_charge(&mut cluster_ledgers, Phase::Localize, effort, tiles, &even);
+        }
+        let ambiguities = self
+            .run_tap_rounds(
+                &mut scheduler,
+                &mut evidence,
+                &mut ledger,
+                &mut cluster_ledgers,
+            )?
+            .ambiguities;
+        self.record_evidence(&evidence);
+        let localized = scheduler.localized();
 
         // Score each ambiguous shared-core divergence against every
         // implicated cluster's observed footprint; report the best
         // match.
-        if !diagnosis.ambiguities.is_empty() {
+        if !ambiguities.is_empty() {
             let trace = self.golden_trace()?;
             let mut attribution = FaultAttribution::new(self.golden, &trace)?;
             // Prime the whole ambiguity set up front: sequential
             // designs fault-simulate 64 candidate machines per packed
             // stream pass instead of one hypothesis netlist each.
-            let amb_cells: Vec<CellId> = diagnosis.ambiguities.iter().map(|a| a.cell).collect();
+            let amb_cells: Vec<CellId> = ambiguities.iter().map(|a| a.cell).collect();
             attribution.prime(&amb_cells)?;
             let pos = self.golden.primary_outputs();
             let failing_masks: Vec<Vec<bool>> = clusters
                 .iter()
                 .map(|cl| pos.iter().map(|p| cl.outputs.contains(p)).collect())
                 .collect();
-            for amb in &diagnosis.ambiguities {
+            for amb in &ambiguities {
                 let mut best: Option<(usize, f64)> = None;
                 for &t in &amb.tracks {
                     let score = attribution.blame_score(amb.cell, &failing_masks[t])?;
@@ -1058,12 +861,7 @@ impl<'a> DebugSession<'a> {
         for &cell in &localized {
             self.emit(DebugEvent::Localized { cell });
         }
-        self.phase_mark(
-            Phase::Localize,
-            t_localize,
-            localize_before,
-            &outcome.ledger,
-        );
+        self.phase_mark(Phase::Localize, t_localize, localize_before, &ledger);
 
         // ---- Per-cluster confirmation (§4.1) --------------------------
         let mut confirmed = vec![false; n];
@@ -1071,12 +869,12 @@ impl<'a> DebugSession<'a> {
             for k in 0..n {
                 if let Some(suspect) = localized[k] {
                     let t_confirm = self.span_begin();
-                    let confirm_before = outcome.ledger;
+                    let confirm_before = ledger;
                     let (ok, effort, tiles) =
                         self.control_point_confirm(suspect, Some(&clusters[k].outputs))?;
-                    outcome.ledger.charge(Phase::Confirm, effort, tiles);
+                    ledger.charge(Phase::Confirm, effort, tiles);
                     cluster_ledgers[k].charge(Phase::Confirm, effort, tiles);
-                    self.phase_mark(Phase::Confirm, t_confirm, confirm_before, &outcome.ledger);
+                    self.phase_mark(Phase::Confirm, t_confirm, confirm_before, &ledger);
                     confirmed[k] = ok;
                     self.emit(DebugEvent::Confirmed {
                         cell: suspect,
@@ -1087,34 +885,16 @@ impl<'a> DebugSession<'a> {
         }
 
         // ---- One corrective ECO for every error -----------------------
-        let t_correct = self.span_begin();
-        let correct_before = outcome.ledger;
-        let mut seeds: Vec<CellId> = Vec::with_capacity(errors.len());
-        for error in errors {
-            netlist::eco::apply(&mut self.td.netlist, &sim::inject::repair_op(error))?;
-            seeds.push(error.cell);
-        }
-        seeds.sort_unstable();
-        seeds.dedup();
-        let phys = self.reimplement(&seeds, &[])?;
-        let tiles = phys.affected.tiles.len();
-        outcome.ledger.charge(Phase::Correct, phys.effort, tiles);
-        let even = vec![1usize; n];
+        // One sweep of the corrected DUT judges the whole design and
+        // every cluster's own outputs.
+        let (phys, verified) = self.correct(errors, &mut ledger)?;
         split_charge(
             &mut cluster_ledgers,
             Phase::Correct,
             phys.effort,
-            tiles,
+            phys.affected.tiles.len(),
             &even,
         );
-        // One sweep of the corrected DUT judges the whole design and
-        // every cluster's own outputs.
-        let verified = self.sweep_responses()?;
-        outcome.repaired = verified.failing().is_empty();
-        self.emit(DebugEvent::Corrected {
-            repaired: outcome.repaired,
-        });
-        self.phase_mark(Phase::Correct, t_correct, correct_before, &outcome.ledger);
 
         // ---- Attribution: match clusters to planted errors ------------
         let mut matched: Vec<Option<usize>> = vec![None; n];
@@ -1140,94 +920,100 @@ impl<'a> DebugSession<'a> {
             }
         }
 
-        for (k, cl) in clusters.into_iter().enumerate() {
-            let repaired = verified.clean_on(&cl.outputs);
-            outcome.clusters.push(ClusterOutcome {
-                outputs: cl.outputs,
-                signature: cl.signature,
-                window: cl.window,
-                cone_size: cl.cone.len(),
-                candidates: candidate_counts[k],
-                exclusive_size: exclusive_sizes[k],
-                localized: localized[k],
-                confirmed_by_control: confirmed[k],
-                matched_error: matched[k],
-                taps_requested: diagnosis.taps_requested[k],
-                ledger: cluster_ledgers[k],
-                repaired,
-            });
+        // ---- One row per planted error --------------------------------
+        // Unmatched errors were still repaired by the shared corrective
+        // ECO.
+        let mut iterations = vec![
+            DebugOutcome {
+                repaired: verified.failing().is_empty(),
+                ..blank
+            };
+            errors.len()
+        ];
+        for (k, cl) in clusters.iter().enumerate() {
+            let i = match matched[k] {
+                Some(i) => {
+                    let row = &mut iterations[i];
+                    row.mismatch = Some(synthesized_mismatch(self.golden, &clusters, cl)?);
+                    row.localized = localized[k];
+                    row.repaired = verified.clean_on(&cl.outputs);
+                    row.confirmed_by_control = confirmed[k];
+                    i
+                }
+                // A footprint no planted error claimed (e.g. one FSM
+                // error fanning out into several cones) still spent
+                // real effort: fold it into the row of an error its
+                // outputs' fanin cone contains.
+                None => {
+                    let cone = SuspectCone::fanin(self.golden, &cl.outputs);
+                    (0..errors.len())
+                        .find(|&i| cone.contains(errors[i].cell))
+                        .unwrap_or(0)
+                }
+            };
+            if let Some(row) = iterations.get_mut(i) {
+                row.ledger.merge(&cluster_ledgers[k]);
+                row.taps_inserted += scheduler.taps_requested(k);
+            }
         }
-        outcome.ecos = outcome.ledger.total_ecos();
-        Ok(outcome)
+        for row in &mut iterations {
+            row.effort = row.ledger.total();
+            row.ecos = row.ledger.total_ecos();
+        }
+        Ok(CampaignOutcome { iterations, ledger })
     }
 
-    /// The shared diagnosis pipeline both entry points run after a
-    /// failing detection sweep: build the [`EvidenceBase`], tap the
-    /// deferred-merge witness registers, fold FSM fan-out clusters,
-    /// prune every cluster's cone within its causal window, register
-    /// one strategy track per cluster, and drive the physical tap
-    /// rounds to completion. Emits the per-cluster
-    /// [`DebugEvent::Detected`] / [`DebugEvent::SuspectsComputed`]
-    /// events and the campaign-level [`DebugEvent::ConeSplit`].
-    ///
-    /// The serial path ([`run`](Self::run)) consumes the per-cluster
-    /// localizations as alternative candidate sites for its one
-    /// error; the concurrent path ([`run_concurrent`](Self::run_concurrent))
-    /// adapts them into [`ClusterOutcome`] rows.
-    fn diagnose(
+    /// Detection (steps 10, 21): one full response sweep of the DUT.
+    /// Returns the sweep when some output fails. On a clean sweep it
+    /// emits [`DebugEvent::CleanDesign`], reverts every planted error
+    /// at the netlist level — a LUT-function restore moves nothing, so
+    /// no physical ECO — and returns `None`: the caller never keeps a
+    /// latent bug the stimulus missed in a DUT reported repaired.
+    fn detect(&mut self, errors: &[InjectedError]) -> Result<Option<ResponseMatrix>, TilingError> {
+        let t_detect = self.span_begin();
+        let matrix = self.sweep_responses()?;
+        // Detection charges nothing; the region still gets its span.
+        let nothing = EffortLedger::default();
+        self.phase_mark(Phase::Detect, t_detect, nothing, &nothing);
+        if !matrix.failing().is_empty() {
+            return Ok(Some(matrix));
+        }
+        self.emit(DebugEvent::CleanDesign);
+        for error in errors {
+            netlist::eco::apply(&mut self.td.netlist, &sim::inject::repair_op(error))?;
+        }
+        Ok(None)
+    }
+
+    /// Correction (steps 11–15, 17–21): applies every error's repair,
+    /// re-implements the sorted, deduplicated error cells in one ECO
+    /// charged to [`Phase::Correct`], and checks the result with one
+    /// response sweep of the corrected DUT (which pairs the golden
+    /// primary outputs with their same-named DUT cells — debug
+    /// instrumentation may have left extra pins behind). Returns the
+    /// ECO's outcome and the verification sweep.
+    fn correct(
         &mut self,
-        matrix: &ResponseMatrix,
+        errors: &[InjectedError],
         ledger: &mut EffortLedger,
-    ) -> Result<Diagnosis, TilingError> {
-        let (mut evidence, clusters, taps_inserted, merge_screen) =
-            self.screened_clusters(matrix, ledger)?;
-
-        let order = self.golden.topo_order()?;
-        let rank: HashMap<CellId, usize> = order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        let rank_of = |c: CellId| rank.get(&c).copied().unwrap_or(usize::MAX);
-        let n = clusters.len();
-        let mut scheduler = MultiErrorScheduler::new(LinearBatches::DEFAULT_BATCH);
-        let mut candidate_counts = Vec::with_capacity(n);
-        for cl in &clusters {
-            let (window, suspects) = self.cluster_track(&evidence, cl, &rank_of)?;
-            candidate_counts.push(suspects.len());
-            scheduler.add_error(self.golden, &suspects, window, self.strategy.fresh());
+    ) -> Result<(EcoPhysicalOutcome, ResponseMatrix), TilingError> {
+        let t_correct = self.span_begin();
+        let correct_before = *ledger;
+        let mut seeds: Vec<CellId> = Vec::with_capacity(errors.len());
+        for error in errors {
+            netlist::eco::apply(&mut self.td.netlist, &sim::inject::repair_op(error))?;
+            seeds.push(error.cell);
         }
-        let exclusive_sizes = scheduler.partition().exclusive_sizes();
-        let shared_core_cells = scheduler.partition().shared.len();
-        self.emit(DebugEvent::ConeSplit {
-            clusters: n,
-            exclusive: exclusive_sizes.clone(),
-            shared: shared_core_cells,
+        seeds.sort_unstable();
+        seeds.dedup();
+        let phys = self.reimplement(&seeds, &[])?;
+        ledger.charge(Phase::Correct, phys.effort, phys.affected.tiles.len());
+        let verified = self.sweep_responses()?;
+        self.emit(DebugEvent::Corrected {
+            repaired: verified.failing().is_empty(),
         });
-
-        // The merge-screening taps served every (final) cluster
-        // equally; apportion them now that the cluster count is known.
-        let mut cluster_ledgers = vec![EffortLedger::default(); n];
-        for &(effort, tiles) in &merge_screen {
-            split_charge(
-                &mut cluster_ledgers,
-                Phase::Localize,
-                effort,
-                tiles,
-                &vec![1usize; n],
-            );
-        }
-        let stats =
-            self.run_tap_rounds(&mut scheduler, &mut evidence, ledger, &mut cluster_ledgers)?;
-        self.record_evidence(&evidence);
-        Ok(Diagnosis {
-            clusters,
-            candidate_counts,
-            exclusive_sizes,
-            shared_core_cells,
-            taps_requested: (0..n).map(|k| scheduler.taps_requested(k)).collect(),
-            localized: scheduler.localized(),
-            rounds: stats.rounds,
-            taps_inserted: taps_inserted + stats.taps_inserted,
-            ambiguities: stats.ambiguities,
-            cluster_ledgers,
-        })
+        self.phase_mark(Phase::Correct, t_correct, correct_before, ledger);
+        Ok((phys, verified))
     }
 
     /// Builds the [`EvidenceBase`] from a failing detection sweep,
@@ -1421,7 +1207,6 @@ impl<'a> DebugSession<'a> {
         let mut stats = RoundStats::default();
         let mut eco_no = 1000; // distinct namespace from merge screening
         while let Some(plan) = scheduler.plan_round(evidence) {
-            stats.rounds += 1;
             let mut verdicts: HashMap<CellId, Option<usize>> = HashMap::new();
             for batch in &plan.batches {
                 // A screening batch serves every track equally (no
@@ -1469,8 +1254,8 @@ impl<'a> DebugSession<'a> {
     ///
     /// Like observation taps, the control point is *retired* at the
     /// netlist level afterwards (the physical cleanup folds into the
-    /// correction ECO that follows), so successive campaign
-    /// iterations start from an uninstrumented DUT.
+    /// correction ECO that follows), so every later step starts from
+    /// an uninstrumented DUT.
     fn control_point_confirm(
         &mut self,
         suspect: CellId,
@@ -1481,7 +1266,7 @@ impl<'a> DebugSession<'a> {
         // retirement (removing a cell frees its name; a dead net keeps
         // its), so every insertion needs a fresh namespace — confirm
         // runs once per error in a concurrent session and once per
-        // iteration in a campaign.
+        // tried site in a serial one.
         let base = unique_cp_name(&self.td.netlist, suspect);
         let cp = insert_control_point(&mut self.td.netlist, net, &base)?;
         let phys = match self.reimplement(&[suspect], &cp.report.added) {
@@ -1563,7 +1348,6 @@ const _: () = {
     assert_send::<DebugEvent>();
     assert_send::<DebugOutcome>();
     assert_send::<CampaignOutcome>();
-    assert_send::<ConcurrentOutcome>();
     assert_send::<crate::report::DebugReport>();
     assert_send::<TilingError>();
 };
@@ -1572,77 +1356,33 @@ const _: () = {
 /// re-emulation compares.
 const CONFIRM_PATTERNS: usize = 256;
 
-/// Everything the shared diagnosis pipeline
-/// ([`DebugSession::diagnose`]) produced.
-struct Diagnosis {
-    /// The (deferred-merge folded) failure clusters, in discovery
-    /// order.
-    clusters: Vec<FailureCluster>,
-    /// Pruned, live-LUT-filtered suspect count per cluster.
-    candidate_counts: Vec<usize>,
-    /// Exclusive-region sizes of the registered cones.
-    exclusive_sizes: Vec<usize>,
-    /// Cells implicated by two or more clusters.
-    shared_core_cells: usize,
-    /// Taps each track requested (pre-dedup / pre-evidence).
-    taps_requested: Vec<usize>,
-    /// Per-cluster localization results.
-    localized: Vec<Option<CellId>>,
-    /// Scheduler rounds executed.
-    rounds: usize,
-    /// Physical taps inserted (witness screening + rounds).
-    taps_inserted: usize,
-    /// Shared-core divergences needing attribution.
-    ambiguities: Vec<Ambiguity>,
-    /// Per-cluster effort rows apportioning the localization phase.
-    cluster_ledgers: Vec<EffortLedger>,
-}
-
 /// What the shared tap-round loop accumulated.
 #[derive(Debug, Default)]
 struct RoundStats {
-    /// Scheduler rounds executed.
-    rounds: usize,
     /// Observation taps physically inserted (post-deduplication).
     taps_inserted: usize,
     /// Shared-core divergences more than one cone-and-window explains.
     ambiguities: Vec<Ambiguity>,
 }
 
-/// Reconstructs the classic first-mismatch record from a full
-/// response sweep: the earliest failing pattern across all outputs,
-/// with `output_ok` read off the signatures at that pattern. `None`
-/// when nothing failed. Pattern indices are directly comparable with
-/// every other consumer of the same sweep.
-fn matrix_mismatch(
-    golden: &Netlist,
-    matrix: &ResponseMatrix,
-) -> Result<Option<Mismatch>, TilingError> {
-    let first = matrix
+/// Reconstructs the classic first-mismatch record from a failing
+/// sweep: the earliest failing pattern across all outputs, with
+/// `output_ok` read off the signatures at that pattern. Pattern
+/// indices are directly comparable with every other consumer of the
+/// same sweep.
+fn matrix_mismatch(golden: &Netlist, matrix: &ResponseMatrix) -> Result<Mismatch, TilingError> {
+    let pattern_index = matrix
         .signatures
         .iter()
         .filter_map(ResponseSignature::first_failing)
-        .min();
-    let Some(pattern_index) = first else {
-        return Ok(None);
-    };
-    let output_ok: Vec<bool> = matrix
+        .min()
+        .unwrap_or(0);
+    let output_ok = matrix
         .signatures
         .iter()
         .map(|s| !s.contains(pattern_index))
         .collect();
-    let output_index = output_ok.iter().position(|&ok| !ok).unwrap_or(0);
-    Ok(Some(Mismatch {
-        pattern_index,
-        cycle: if golden.is_sequential() {
-            pattern_index as u64
-        } else {
-            0
-        },
-        output_index,
-        output_name: golden.cell(matrix.outputs[output_index])?.name.clone(),
-        output_ok,
-    }))
+    mismatch_at(golden, pattern_index, output_ok)
 }
 
 /// The serial path's sharpest one-cluster view of a failing sweep:
@@ -1694,18 +1434,17 @@ fn unique_cp_name(nl: &Netlist, suspect: CellId) -> String {
 }
 
 /// Reconstructs a [`Mismatch`] for one cluster of a concurrent
-/// diagnosis (the compat shape `run_campaign` rows report): the
-/// cluster's earliest failing pattern, with `output_ok` rebuilt from
-/// every cluster's signature at that pattern.
+/// diagnosis (the shape a matched row reports): the cluster's earliest
+/// failing pattern, with `output_ok` rebuilt from every cluster's
+/// signature at that pattern.
 fn synthesized_mismatch(
     golden: &Netlist,
-    pos: &[CellId],
-    clusters: &[ClusterOutcome],
-    cluster: &ClusterOutcome,
-    sequential: bool,
+    clusters: &[FailureCluster],
+    cluster: &FailureCluster,
 ) -> Result<Mismatch, TilingError> {
     let pattern_index = cluster.signature.first_failing().unwrap_or(0);
-    let output_ok: Vec<bool> = pos
+    let output_ok = golden
+        .primary_outputs()
         .iter()
         .map(|po| {
             !clusters
@@ -1713,14 +1452,42 @@ fn synthesized_mismatch(
                 .any(|cl| cl.outputs.contains(po) && cl.signature.contains(pattern_index))
         })
         .collect();
+    mismatch_at(golden, pattern_index, output_ok)
+}
+
+/// The [`Mismatch`] record of a failure at `pattern_index`, naming the
+/// first golden primary output `output_ok` marks failing.
+fn mismatch_at(
+    golden: &Netlist,
+    pattern_index: usize,
+    output_ok: Vec<bool>,
+) -> Result<Mismatch, TilingError> {
     let output_index = output_ok.iter().position(|&ok| !ok).unwrap_or(0);
     Ok(Mismatch {
         pattern_index,
-        cycle: if sequential { pattern_index as u64 } else { 0 },
+        cycle: if golden.is_sequential() {
+            pattern_index as u64
+        } else {
+            0
+        },
         output_index,
-        output_name: golden.cell(pos[output_index])?.name.clone(),
+        output_name: golden
+            .cell(golden.primary_outputs()[output_index])?
+            .name
+            .clone(),
         output_ok,
     })
+}
+
+/// Each golden cell's position in topological order — the tie-break
+/// that orders equally deep suspects.
+fn topo_rank(golden: &Netlist) -> Result<HashMap<CellId, usize>, TilingError> {
+    Ok(golden
+        .topo_order()?
+        .into_iter()
+        .enumerate()
+        .map(|(i, c)| (c, i))
+        .collect())
 }
 
 /// Splits `total` proportionally to `weights`, exactly: shares sum to
@@ -1890,37 +1657,53 @@ mod tests {
             sim::inject::DesignErrorKind::Complement,
         )
         .unwrap();
+        let planted = [e0.cell, e1.cell];
         let mut events = Vec::new();
         let out = DebugSession::new(&mut td, &golden)
             .seed(5)
-            .on_event(|e| events.push(format!("{e:?}")))
+            .on_event(|e| events.push(e.clone()))
             .run_concurrent(&[e0, e1])
             .unwrap();
-        assert!(out.repaired);
         assert!(td.routing.is_feasible());
-        assert_eq!(out.clusters.len(), 2, "one cluster per failing output");
-        // Both errors localized to the exact planted cells and matched.
-        let mut found = out.localized_cells();
-        found.sort_unstable();
-        let mut planted = vec![b0[2], b1[2]];
-        planted.sort_unstable();
-        assert_eq!(found, planted);
-        for (k, c) in out.clusters.iter().enumerate() {
-            assert!(c.matched_error.is_some(), "cluster {k} unmatched");
-            assert!(c.repaired, "cluster {k} outputs still diverge");
-            assert!(c.confirmed_by_control, "cluster {k} unconfirmed");
-            assert_eq!(c.exclusive_size, 4, "branch is the exclusive region");
+        // One row per planted error, each localized to its exact cell.
+        assert_eq!(out.iterations.len(), 2);
+        for (i, row) in out.iterations.iter().enumerate() {
+            assert!(row.mismatch.is_some(), "error {i} unmatched");
+            assert_eq!(row.localized, Some(planted[i]), "error {i}");
+            assert!(row.repaired, "error {i} outputs still diverge");
+            assert!(row.confirmed_by_control, "error {i} unconfirmed");
         }
-        // The 8 backbone LUTs are the shared core.
-        assert_eq!(out.shared_core_cells, 8);
-        // Per-cluster ledgers apportion the global ledger exactly.
-        let split: u64 = out.clusters.iter().map(|c| c.ledger.total().total()).sum();
-        assert_eq!(split, out.ledger.total().total());
+        // One cluster per failing output; each branch is its cluster's
+        // exclusive region and the 8 backbone LUTs are the shared core.
+        let split = events.iter().find_map(|e| match e {
+            DebugEvent::ConeSplit {
+                clusters,
+                exclusive,
+                shared,
+            } => Some((*clusters, exclusive.clone(), *shared)),
+            _ => None,
+        });
+        assert_eq!(split, Some((2, vec![4, 4], 8)));
+        // The rows apportion the campaign effort exactly.
+        let rows: u64 = out.iterations.iter().map(|r| r.effort.total()).sum();
+        assert_eq!(rows, out.ledger.total().total());
         // Sharing: requested taps exceed physically inserted taps.
-        assert!(out.taps_requested() > out.taps_inserted);
-        assert_eq!(out.ecos, out.ledger.total_ecos());
-        assert!(events.iter().any(|e| e.contains("ConeSplit")));
-        assert!(events.iter().any(|e| e.contains("Corrected")));
+        let requested: usize = out.iterations.iter().map(|r| r.taps_inserted).sum();
+        let inserted: usize = events
+            .iter()
+            .map(|e| match e {
+                DebugEvent::TapEco { cells, .. } => cells.len(),
+                _ => 0,
+            })
+            .sum();
+        assert!(
+            requested > inserted,
+            "{requested} requested, {inserted} inserted"
+        );
+        assert!(matches!(
+            events.last(),
+            Some(DebugEvent::Corrected { repaired: true })
+        ));
         // The DUT really is clean.
         let m =
             first_mismatch(&golden, &td.netlist, PatternSpec::Auto.generate(&golden, 5)).unwrap();
@@ -1937,8 +1720,8 @@ mod tests {
             .run_campaign(&[1001, 2002])
             .unwrap();
         assert_eq!(campaign.iterations.len(), 2);
-        assert!(campaign.all_repaired());
-        assert!(campaign.total_effort().total() > 0);
+        assert!(campaign.iterations.iter().all(|r| r.repaired));
+        assert!(campaign.ledger.total().total() > 0);
         assert!(td.routing.is_feasible());
         // The DUT really is clean at the end.
         let m =

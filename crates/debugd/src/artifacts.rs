@@ -33,9 +33,9 @@ pub struct DesignArtifact {
     pub golden: Netlist,
 }
 
-/// Channel width per design — denser designs need wider channels
-/// (mirrors the bench harness so service campaigns and benchmark
-/// sweeps implement identically).
+/// Channel width per design: denser designs need wider channels to
+/// route at low slack (the XC4000 family likewise scaled its routing
+/// with array size).
 fn tracks_for(design: PaperDesign) -> u16 {
     if design.paper_clbs() >= 200 {
         18
@@ -44,9 +44,9 @@ fn tracks_for(design: PaperDesign) -> u16 {
     }
 }
 
-/// The service-side implement options: 20% slack, deterministic
-/// seeds — the same shape `bench-harness::experiment_options` uses,
-/// so a campaign's artifact matches the corresponding benchmark run.
+/// The paper's implement options, shared by service campaigns and
+/// the bench sweeps: 20% slack, `target_tiles` tiles, the design's
+/// channel width, deterministic seeds.
 pub fn implement_options(design: PaperDesign, target_tiles: usize, seed: u64) -> TilingOptions {
     TilingOptions {
         overhead: 0.20,
@@ -136,6 +136,15 @@ impl ArtifactStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn options_are_paper_shaped() {
+        let o = implement_options(PaperDesign::NineSym, 10, 3);
+        assert!((o.overhead - 0.20).abs() < 1e-9);
+        assert_eq!(o.target_tiles, 10);
+        assert_eq!(o.placer.seed, 3);
+        assert!(tracks_for(PaperDesign::Des) > tracks_for(PaperDesign::NineSym));
+    }
 
     #[test]
     fn store_dedups_by_design_tiles_seed() {

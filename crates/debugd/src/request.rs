@@ -116,9 +116,9 @@ impl FlowKind {
     /// Builds the flow object a session consumes.
     pub fn instantiate(self) -> Box<dyn ReimplFlow> {
         match self {
-            Self::Tiled => Box::new(TiledFlow::default()),
+            Self::Tiled => Box::new(TiledFlow),
             Self::FullReplace => Box::new(FullReplaceFlow),
-            Self::Incremental => Box::new(IncrementalFlow::default()),
+            Self::Incremental => Box::new(IncrementalFlow),
             Self::QuickEco => Box::new(QuickEcoFlow::default()),
         }
     }

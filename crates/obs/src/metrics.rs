@@ -18,8 +18,8 @@
 //!
 //! Counters and histograms are exact (`u64` buckets keyed by observed
 //! value — the workloads observe small integers like taps-per-campaign,
-//! so sparse exact buckets beat lossy log buckets); gauges are `f64`
-//! and always measured.
+//! so sparse exact buckets beat lossy log buckets); high-water-mark
+//! gauges are always measured.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -90,8 +90,6 @@ impl HistogramData {
 pub enum MetricValue {
     /// Monotonic `u64` counter.
     Counter(u64),
-    /// Instantaneous `f64` gauge (always measured).
-    Gauge(f64),
     /// High-water-mark gauge: updates keep the maximum.
     MaxGauge(u64),
     /// Exact sparse histogram.
@@ -102,7 +100,7 @@ impl MetricValue {
     fn type_name(&self) -> &'static str {
         match self {
             Self::Counter(_) => "counter",
-            Self::Gauge(_) | Self::MaxGauge(_) => "gauge",
+            Self::MaxGauge(_) => "gauge",
             Self::Histogram(_) => "histogram",
         }
     }
@@ -246,20 +244,6 @@ impl MetricsRegistry {
         );
     }
 
-    /// Sets a **measured** `f64` gauge.
-    pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.upsert(
-            name,
-            labels,
-            Section::Measured,
-            |m| match m {
-                MetricValue::Gauge(g) => *g = v,
-                other => panic!("metric '{name}' is a {}, not a gauge", other.type_name()),
-            },
-            MetricValue::Gauge(0.0),
-        );
-    }
-
     /// A point-in-time copy of every series.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -373,15 +357,6 @@ impl MetricsSnapshot {
                 MetricValue::MaxGauge(g) => {
                     let _ = writeln!(out, "{}{} {}", key.name, label_block(&key.labels, &[]), g);
                 }
-                MetricValue::Gauge(g) => {
-                    let _ = writeln!(
-                        out,
-                        "{}{} {:.6}",
-                        key.name,
-                        label_block(&key.labels, &[]),
-                        g
-                    );
-                }
                 MetricValue::Histogram(h) => {
                     let mut cum = 0u64;
                     for (&v, &n) in &h.counts {
@@ -480,7 +455,6 @@ mod tests {
         let r = MetricsRegistry::new();
         r.counter_add("det_total", &[], 1);
         r.measured_add("wall_us_total", &[], 1234);
-        r.gauge_set("util", &[], 0.5);
         r.measured_max("peak", &[], 7);
         r.measured_max("peak", &[], 3);
         let text = r.render_prometheus();
@@ -488,7 +462,6 @@ mod tests {
         let det_at = text.find("det_total").unwrap();
         let wall_at = text.find("wall_us_total").unwrap();
         assert!(det_at < marker_at && marker_at < wall_at);
-        assert!(text.contains("util 0.500000"));
         assert!(text.contains("peak 7"));
         assert_eq!(r.render_deterministic(), &text[..marker_at]);
     }

@@ -1,7 +1,7 @@
 //! Placement engines with region and lock constraints.
 //!
-//! Two engines sit behind the [`Placer`] trait, selected per call via
-//! [`config::PlaceEngine`] and dispatched by [`run_placer`]:
+//! Two engines, selected per call via [`config::PlaceEngine`] and
+//! dispatched by [`run_placer`]:
 //!
 //! * **annealing** — the original VPR-style simulated annealer;
 //! * **analytical** (default) — clique/star-decomposed quadratic
@@ -40,5 +40,5 @@ pub mod sa;
 pub use config::{Constraints, PlaceEngine, PlacerConfig};
 pub use cost::{net_bbox_cost, total_wirelength_cost};
 pub use initial::initial_place;
-pub use placer::{run_placer, AnalyticalPlacer, AnnealingPlacer, Placer};
+pub use placer::run_placer;
 pub use sa::{place, PlaceError, PlaceOutcome};

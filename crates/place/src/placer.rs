@@ -1,13 +1,13 @@
-//! The [`Placer`] trait and its two engines.
+//! The two placement engines and their dispatcher.
 //!
 //! The tiling flows never call an engine directly: they go through
 //! [`run_placer`], which dispatches on [`PlacerConfig::engine`]. The
 //! returned [`PlaceOutcome`] carries the run's effort (moves evaluated,
 //! conjugate-gradient iterations) back to the caller that pays for it.
-//! [`AnnealingPlacer`] is the original VPR-style engine;
-//! [`AnalyticalPlacer`] is the quadratic solve → tetris legalization →
-//! low-temperature polish pipeline that reaches equal-or-better HPWL
-//! at a fraction of the moves.
+//! [`PlaceEngine::Annealing`] is the original VPR-style engine
+//! ([`sa::place`]); [`PlaceEngine::Analytical`] is the quadratic solve
+//! → tetris legalization → low-temperature polish pipeline that
+//! reaches equal-or-better HPWL at a fraction of the moves.
 
 use fpga::{Device, Placement};
 use netlist::{CellId, CellKind, Netlist};
@@ -18,143 +18,111 @@ use crate::initial::initial_place;
 use crate::legalize::legalize;
 use crate::sa::{self, PlaceError, PlaceOutcome, Schedule};
 
-/// A placement engine: same contract as [`crate::place`].
-pub trait Placer {
-    /// Stable engine name (metrics label, bench column).
-    fn name(&self) -> &'static str;
-
-    /// Places `nl` on `device` under `constraints`, seeded by
-    /// `initial` (locked cells must already be placed in it).
-    ///
-    /// # Errors
-    ///
-    /// [`PlaceError::NoSpace`] when a region cannot hold its cells,
-    /// [`PlaceError::Netlist`] on graph inconsistencies.
-    fn place(
-        &self,
-        nl: &Netlist,
-        device: &Device,
-        constraints: &Constraints,
-        initial: Option<Placement>,
-        config: &PlacerConfig,
-    ) -> Result<PlaceOutcome, PlaceError>;
-}
-
-/// The original full simulated-annealing engine.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnnealingPlacer;
-
-impl Placer for AnnealingPlacer {
-    fn name(&self) -> &'static str {
-        PlaceEngine::Annealing.label()
-    }
-
-    fn place(
-        &self,
-        nl: &Netlist,
-        device: &Device,
-        constraints: &Constraints,
-        initial: Option<Placement>,
-        config: &PlacerConfig,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        sa::place(nl, device, constraints, initial, config)
+/// Places through the engine selected by `config.engine`. This is the
+/// entry point every tiling flow uses.
+///
+/// # Errors
+///
+/// Same contract as [`crate::place`]: [`PlaceError::NoSpace`] when a
+/// region cannot hold its cells, [`PlaceError::Netlist`] on graph
+/// inconsistencies.
+pub fn run_placer(
+    nl: &Netlist,
+    device: &Device,
+    constraints: &Constraints,
+    initial: Option<Placement>,
+    config: &PlacerConfig,
+) -> Result<PlaceOutcome, PlaceError> {
+    match config.engine {
+        PlaceEngine::Annealing => sa::place(nl, device, constraints, initial, config),
+        PlaceEngine::Analytical => analytical_place(nl, device, constraints, initial, config),
     }
 }
 
 /// Quadratic-wirelength solve + tetris legalization + SA polish.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnalyticalPlacer;
+fn analytical_place(
+    nl: &Netlist,
+    device: &Device,
+    constraints: &Constraints,
+    initial: Option<Placement>,
+    config: &PlacerConfig,
+) -> Result<PlaceOutcome, PlaceError> {
+    let mut placement = initial.unwrap_or_else(|| Placement::new(nl.cell_capacity()));
+    // Constructive fill first: pads get perimeter sites, logic a
+    // (random but deterministic) fallback — and everything the
+    // caller pre-placed or locked stays put.
+    initial_place(nl, device, constraints, &mut placement, config.seed)?;
 
-impl Placer for AnalyticalPlacer {
-    fn name(&self) -> &'static str {
-        PlaceEngine::Analytical.label()
+    let mut movable_logic: Vec<CellId> = Vec::new();
+    let mut movable_io: Vec<CellId> = Vec::new();
+    for (id, cell) in nl.cells() {
+        if constraints.is_locked(id) {
+            continue;
+        }
+        match cell.kind {
+            CellKind::Lut(_) | CellKind::Ff { .. } => movable_logic.push(id),
+            CellKind::Input | CellKind::Output => movable_io.push(id),
+        }
+    }
+    if movable_logic.len() + movable_io.len() < 2 {
+        // Nothing to optimize; mirror the annealer's fast path.
+        return sa::place(nl, device, constraints, Some(placement), config);
     }
 
-    fn place(
-        &self,
-        nl: &Netlist,
-        device: &Device,
-        constraints: &Constraints,
-        initial: Option<Placement>,
-        config: &PlacerConfig,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        let mut placement = initial.unwrap_or_else(|| Placement::new(nl.cell_capacity()));
-        // Constructive fill first: pads get perimeter sites, logic a
-        // (random but deterministic) fallback — and everything the
-        // caller pre-placed or locked stays put.
-        initial_place(nl, device, constraints, &mut placement, config.seed)?;
-
-        let mut movable_logic: Vec<CellId> = Vec::new();
-        let mut movable_io: Vec<CellId> = Vec::new();
-        for (id, cell) in nl.cells() {
-            if constraints.is_locked(id) {
-                continue;
-            }
-            match cell.kind {
-                CellKind::Lut(_) | CellKind::Ff { .. } => movable_logic.push(id),
-                CellKind::Input | CellKind::Output => movable_io.push(id),
-            }
-        }
-        if movable_logic.len() + movable_io.len() < 2 {
-            // Nothing to optimize; mirror the annealer's fast path.
-            return sa::place(nl, device, constraints, Some(placement), config);
-        }
-
-        let mut cg_iterations = 0u64;
-        if !movable_logic.is_empty() {
-            // Alternate solve ↔ pad reassignment: the constructive pad
-            // sites are random, and a solve against them inherits that
-            // randomness. Each reassignment pulls every movable pad to
-            // the perimeter site nearest its solved neighborhood, which
-            // contracts pad spread geometrically — a handful of rounds
-            // settles the mutual logic/pad dependency. The final solve
-            // (against the settled pads) is what gets legalized.
-            const PAD_ROUNDS: usize = 4;
-            let rounds = if movable_io.is_empty() { 0 } else { PAD_ROUNDS };
-            let mut sol = solve_quadratic(nl, device, constraints, &placement, &movable_logic);
+    let mut cg_iterations = 0u64;
+    if !movable_logic.is_empty() {
+        // Alternate solve ↔ pad reassignment: the constructive pad
+        // sites are random, and a solve against them inherits that
+        // randomness. Each reassignment pulls every movable pad to
+        // the perimeter site nearest its solved neighborhood, which
+        // contracts pad spread geometrically — a handful of rounds
+        // settles the mutual logic/pad dependency. The final solve
+        // (against the settled pads) is what gets legalized.
+        const PAD_ROUNDS: usize = 4;
+        let rounds = if movable_io.is_empty() { 0 } else { PAD_ROUNDS };
+        let mut sol = solve_quadratic(nl, device, constraints, &placement, &movable_logic);
+        cg_iterations += sol.cg_iterations;
+        for _ in 0..rounds {
+            assign_pads(nl, device, &mut placement, &movable_io, |c| {
+                sol.positions.get(&c).copied()
+            })?;
+            sol = solve_quadratic(nl, device, constraints, &placement, &movable_logic);
             cg_iterations += sol.cg_iterations;
-            for _ in 0..rounds {
-                assign_pads(nl, device, &mut placement, &movable_io, |c| {
-                    sol.positions.get(&c).copied()
-                })?;
-                sol = solve_quadratic(nl, device, constraints, &placement, &movable_logic);
-                cg_iterations += sol.cg_iterations;
-            }
-            for &c in &movable_logic {
-                let _ = placement.unplace(c);
-            }
-            let targets: Vec<(CellId, f64, f64)> = movable_logic
-                .iter()
-                .map(|&c| {
-                    let (x, y) = sol.positions[&c];
-                    (c, x, y)
-                })
-                .collect();
-            legalize(nl, device, constraints, &mut placement, &targets)?;
-            #[cfg(debug_assertions)]
-            debug_assert!(crate::legalize::respects_regions(
-                constraints,
-                &placement,
-                &movable_logic
-            ));
         }
-
-        // Short low-temperature polish: repairs legalization damage
-        // and settles the pads; never worse than its own start.
-        let mut out = sa::anneal(
-            nl,
-            device,
+        for &c in &movable_logic {
+            let _ = placement.unplace(c);
+        }
+        let targets: Vec<(CellId, f64, f64)> = movable_logic
+            .iter()
+            .map(|&c| {
+                let (x, y) = sol.positions[&c];
+                (c, x, y)
+            })
+            .collect();
+        legalize(nl, device, constraints, &mut placement, &targets)?;
+        #[cfg(debug_assertions)]
+        debug_assert!(crate::legalize::respects_regions(
             constraints,
-            placement,
-            config.seed,
-            Schedule::polish(config, device),
-        )?;
-        // Fold the CG work into the paper-comparable effort metric so
-        // engine comparisons stay honest.
-        out.cg_iterations = cg_iterations;
-        out.moves_evaluated += cg_iterations;
-        Ok(out)
+            &placement,
+            &movable_logic
+        ));
     }
+
+    // Short low-temperature polish: repairs legalization damage
+    // and settles the pads; never worse than its own start.
+    let mut out = sa::anneal(
+        nl,
+        device,
+        constraints,
+        placement,
+        config.seed,
+        Schedule::polish(config, device),
+    )?;
+    // Fold the CG work into the paper-comparable effort metric so
+    // engine comparisons stay honest.
+    out.cg_iterations = cg_iterations;
+    out.moves_evaluated += cg_iterations;
+    Ok(out)
 }
 
 /// Moves each movable pad to the free perimeter site nearest the
@@ -216,30 +184,6 @@ fn assign_pads(
             .map_err(|_| PlaceError::NoSpace(pad))?;
     }
     Ok(())
-}
-
-/// The engine for a config.
-pub fn placer_for(engine: PlaceEngine) -> &'static dyn Placer {
-    match engine {
-        PlaceEngine::Annealing => &AnnealingPlacer,
-        PlaceEngine::Analytical => &AnalyticalPlacer,
-    }
-}
-
-/// Places through the engine selected by `config.engine`. This is the
-/// entry point every tiling flow uses.
-///
-/// # Errors
-///
-/// Same contract as [`crate::place`].
-pub fn run_placer(
-    nl: &Netlist,
-    device: &Device,
-    constraints: &Constraints,
-    initial: Option<Placement>,
-    config: &PlacerConfig,
-) -> Result<PlaceOutcome, PlaceError> {
-    placer_for(config.engine).place(nl, device, constraints, initial, config)
 }
 
 #[cfg(test)]

@@ -62,12 +62,6 @@ impl NetBuilder {
         &mut self.nl
     }
 
-    /// Enters a child module scope; emitted cells belong to it.
-    pub fn enter(&mut self, name: impl Into<String>) -> HierarchyNodeId {
-        self.scope = self.hier.add_child(self.scope, name);
-        self.scope
-    }
-
     /// Enters a child of the *root* (a functional block).
     pub fn enter_block(&mut self, name: impl Into<String>) -> HierarchyNodeId {
         let root = self.hier.root();

@@ -76,15 +76,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // tiled physical flow, LFSR stimulus on the 64-bit plaintext port.
     let outcome = DebugSession::new(&mut td, &golden)
         .strategy(BinarySearch::new())
-        .flow(TiledFlow::default())
+        .flow(TiledFlow)
         .seed(0xD0E5)
         .run(&error)?;
     match &outcome.mismatch {
         Some(m) => println!(
-            "detected at pattern #{} on `{}`; {} suspects, {} taps ({} localization ECOs)",
+            "detected at pattern #{} on `{}`; {} taps ({} localization ECOs)",
             m.pattern_index,
             m.output_name,
-            outcome.initial_suspects,
             outcome.taps_inserted,
             outcome.ledger.phase(Phase::Localize).ecos,
         ),

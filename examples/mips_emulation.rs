@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     // The insertion is one ECO through the unified flow surface — the
     // same `ReimplFlow` trait a debug session drives.
-    let outcome = TiledFlow::default().reimplement(&mut td, &seeds, &report.added)?;
+    let outcome = TiledFlow.reimplement(&mut td, &seeds, &report.added)?;
     println!(
         "affected tiles: {}/{} ({:.0}%)",
         outcome.affected.tiles.len(),

@@ -65,6 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|&v| sim::inject::inject(&mut td.netlist, v, sim::inject::DesignErrorKind::Complement))
         .collect::<Result<_, _>>()?;
+    let mut inserted = 0usize;
     let conc = DebugSession::new(&mut td, &golden)
         .seed(5)
         .on_event(|event| match event {
@@ -79,6 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "[partition] {clusters} clusters; exclusive regions {exclusive:?}, shared core {shared} cells"
             ),
             DebugEvent::TapEco { cells, .. } => {
+                inserted += cells.len();
                 println!("[localize]  tap ECO on {} cells", cells.len());
             }
             DebugEvent::Attribution {
@@ -99,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             _ => {}
         })
         .run_concurrent(&errors)?;
-    assert!(conc.repaired);
+    assert!(conc.iterations.iter().all(|row| row.repaired));
 
     // The paper's protocol: one fresh campaign per error.
     let (mut staps, mut secos) = (0usize, 0usize);
@@ -112,25 +114,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         secos += out.ecos;
     }
 
+    // Row i reports planted error i.
     println!("\nper-error attribution:");
-    for (k, cl) in conc.clusters.iter().enumerate() {
+    for (row, victim) in conc.iterations.iter().zip(&victims) {
         println!(
-            "  cluster {k}: outputs {:?} -> localized {:?}, matched planted error {:?}, repaired {}",
-            cl.outputs
-                .iter()
-                .map(|&po| golden.cell(po).map(|c| c.name.clone()).unwrap_or_default())
-                .collect::<Vec<_>>(),
-            cl.localized.map(|c| c.index()),
-            cl.matched_error,
-            cl.repaired,
+            "  error at cell {}: detected {} -> localized {:?}, confirmed {}, repaired {}",
+            victim.index(),
+            row.mismatch.is_some(),
+            row.localized.map(|c| c.index()),
+            row.confirmed_by_control,
+            row.repaired,
         );
     }
+    let requested: usize = conc.iterations.iter().map(|row| row.taps_inserted).sum();
     println!(
-        "\nconcurrent : {} taps, {} ECOs (requested {} taps; sharing + caching saved {})",
-        conc.taps_inserted,
-        conc.ecos,
-        conc.taps_requested(),
-        conc.taps_requested() - conc.taps_inserted,
+        "\nconcurrent : {inserted} taps, {} ECOs (requested {requested} taps; sharing + caching saved {})",
+        conc.ledger.total_ecos(),
+        requested - inserted,
     );
     println!("sequential : {staps} taps, {secos} ECOs (3 independent campaigns)");
     Ok(())

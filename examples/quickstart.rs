@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    tiled flow).
     let outcome = DebugSession::new(&mut td, &golden)
         .strategy(LinearBatches::default())
-        .flow(TiledFlow::default())
+        .flow(TiledFlow)
         .seed(42)
         .on_event(|event| match event {
             DebugEvent::Detected {

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .complement();
         td.netlist.set_lut_function(victim, tt)?;
         let full = tiling::flow_effort(&td, &mut FullReplaceFlow, &[victim])?;
-        let eco = TiledFlow::default().reimplement(&mut td, &[victim], &[])?;
+        let eco = TiledFlow.reimplement(&mut td, &[victim], &[])?;
 
         println!(
             "{:>6} {:>9} {:>10.1} {:>11.0}% {:>14} {:>9.1}x",

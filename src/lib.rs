@@ -77,12 +77,12 @@ pub mod prelude {
     pub use sim::{PatternGen, Simulator};
     pub use synth::{DesignBundle, PaperDesign};
     pub use tiling::{
-        AffectedSet, BinarySearch, CadEffort, CampaignOutcome, ClusterOutcome, ConcurrentOutcome,
-        ConePartition, DebugEvent, DebugOutcome, DebugReport, DebugSession, EffortLedger,
-        EvidenceBase, FailureCluster, FaultAttribution, FullReplaceFlow, IncrementalFlow,
-        LinearBatches, LocalizationStrategy, MultiErrorScheduler, ObservationWindow, PatternSpec,
-        Phase, QuickEcoFlow, ReimplFlow, ResponseSignature, SuspectCone, TileId, TilePlan,
-        TiledDesign, TiledFlow, TilingError, TilingOptions,
+        AffectedSet, BinarySearch, CadEffort, CampaignOutcome, ConePartition, DebugEvent,
+        DebugOutcome, DebugReport, DebugSession, EffortLedger, EvidenceBase, FailureCluster,
+        FaultAttribution, FullReplaceFlow, IncrementalFlow, LinearBatches, LocalizationStrategy,
+        MultiErrorScheduler, ObservationWindow, PatternSpec, Phase, QuickEcoFlow, ReimplFlow,
+        ResponseSignature, SuspectCone, TileId, TilePlan, TiledDesign, TiledFlow, TilingError,
+        TilingOptions,
     };
 }
 

@@ -60,7 +60,7 @@ fn assert_session_rejects(
     );
 
     let result = DebugSession::new(&mut td, golden)
-        .flow(TiledFlow::default())
+        .flow(TiledFlow)
         .seed(7)
         .run(error);
     match result {
@@ -215,7 +215,7 @@ fn moved_outside_cell_fails_the_eco_audit() {
 fn clean_fixture_passes_preflight_and_localizes() {
     let (mut td, golden, error) = planted_fixture();
     let out = DebugSession::new(&mut td, &golden)
-        .flow(TiledFlow::default())
+        .flow(TiledFlow)
         .seed(7)
         .run(&error)
         .unwrap();

@@ -67,7 +67,7 @@ proptest! {
     /// never shrink below the seed tiles.
     #[test]
     fn affected_set_is_monotone(extra_a in 0usize..20, extra_b in 0usize..20) {
-        use tiling::affected::{AffectedSet, ExpansionPolicy};
+        use tiling::affected::AffectedSet;
         let bundle = PaperDesign::NineSym.generate().unwrap();
         let td = tiling::implement(bundle.netlist, bundle.hierarchy, TilingOptions::fast(77))
             .unwrap();
@@ -78,12 +78,8 @@ proptest! {
             .map(|(id, _)| id)
             .unwrap();
         let (lo, hi) = if extra_a <= extra_b { (extra_a, extra_b) } else { (extra_b, extra_a) };
-        let small = AffectedSet::compute(
-            &td.plan, &td.placement, &[seed_cell], lo, ExpansionPolicy::MostFree,
-        ).unwrap();
-        let large = AffectedSet::compute(
-            &td.plan, &td.placement, &[seed_cell], hi, ExpansionPolicy::MostFree,
-        ).unwrap();
+        let small = AffectedSet::compute(&td.plan, &td.placement, &[seed_cell], lo).unwrap();
+        let large = AffectedSet::compute(&td.plan, &td.placement, &[seed_cell], hi).unwrap();
         prop_assert!(large.tiles.len() >= small.tiles.len());
         prop_assert!(!small.tiles.is_empty());
         // The seed tile is always first.

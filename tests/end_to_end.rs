@@ -96,9 +96,7 @@ fn eco_locality_invariant_c499() {
         .unwrap()
         .complement();
     td.netlist.set_lut_function(victim, tt).unwrap();
-    let out = TiledFlow::default()
-        .reimplement(&mut td, &[victim], &[])
-        .unwrap();
+    let out = TiledFlow.reimplement(&mut td, &[victim], &[]).unwrap();
     assert!(td.routing.is_feasible());
     // Placement outside untouched — holds on every path, including
     // the coarse fallback (which only re-routes).
@@ -161,9 +159,7 @@ fn functional_equivalence_preserved_by_physical_eco() {
         .unwrap();
     let tt = *td.netlist.cell(victim).unwrap().lut_function().unwrap();
     td.netlist.set_lut_function(victim, tt).unwrap();
-    TiledFlow::default()
-        .reimplement(&mut td, &[victim], &[])
-        .unwrap();
+    TiledFlow.reimplement(&mut td, &[victim], &[]).unwrap();
     let m = sim::emulate::first_mismatch(
         &golden,
         &td.netlist,
@@ -189,7 +185,7 @@ fn observation_logic_figures_in_affected_tiles() {
     let rep = sim::testlogic::insert_event_counter(&mut td.netlist, net, 8, "cnt").unwrap();
     let clbs = sim::testlogic::clb_cost(&td.netlist, &rep);
     assert!(clbs >= 4, "8-bit counter is a real block of logic");
-    let out = TiledFlow::default()
+    let out = TiledFlow
         .reimplement(&mut td, &[seed_cell], &rep.added)
         .unwrap();
     assert!(td.routing.is_feasible());
@@ -224,7 +220,7 @@ fn control_point_lets_emulation_force_state() {
     let cp = sim::testlogic::insert_control_point(&mut td.netlist, net, "cp").unwrap();
     let mut added = cp.report.added.clone();
     // New PIs occupy pads; the mux is logic.
-    TiledFlow::default()
+    TiledFlow
         .reimplement(&mut td, &[seed_cell], &added)
         .unwrap();
     added.clear();

@@ -53,6 +53,55 @@ fn plant(td: &mut TiledDesign, cell: netlist::CellId) -> sim::inject::InjectedEr
     .unwrap()
 }
 
+/// What a concurrent campaign's event stream says about its failure
+/// clusters (the rows report per planted error).
+#[derive(Default)]
+struct Clusters {
+    /// `ConeSplit`: how many clusters the failing outputs formed.
+    count: usize,
+    /// `ConeSplit`: suspects implicated by two or more clusters.
+    shared: usize,
+    /// `Detected`: each cluster's observation window, in cluster order.
+    windows: Vec<usize>,
+    /// `TapEco`: observation taps physically inserted.
+    taps: usize,
+    /// `Corrected`: the whole DUT matches golden after correction.
+    repaired: bool,
+}
+
+impl Clusters {
+    fn of(events: &[DebugEvent]) -> Self {
+        let mut c = Clusters::default();
+        for e in events {
+            match e {
+                DebugEvent::ConeSplit {
+                    clusters, shared, ..
+                } => (c.count, c.shared) = (*clusters, *shared),
+                DebugEvent::Detected { pattern_index, .. } => c.windows.push(*pattern_index),
+                DebugEvent::TapEco { cells, .. } => c.taps += cells.len(),
+                DebugEvent::Corrected { repaired } => c.repaired = *repaired,
+                _ => {}
+            }
+        }
+        c
+    }
+}
+
+/// Asserts that row `i` of a concurrent campaign was matched to a
+/// cluster that localized exactly `victims[i]` and repaired it.
+fn assert_rows_localize(rows: &[DebugOutcome], victims: &[netlist::CellId], what: &str) {
+    assert_eq!(rows.len(), victims.len(), "{what}: one row per error");
+    for (i, (row, &victim)) in rows.iter().zip(victims).enumerate() {
+        assert!(row.mismatch.is_some(), "{what}: error {i} unmatched");
+        assert_eq!(
+            row.localized,
+            Some(victim),
+            "{what}: error {i} must localize to its exact cell"
+        );
+        assert!(row.repaired, "{what}: error {i} outputs still diverge");
+    }
+}
+
 /// Runs the experiment for one strategy: concurrent diagnosis of all
 /// three errors versus three sequential single-error campaigns, both
 /// through `TiledFlow`. Asserts correctness of every localization and
@@ -66,28 +115,23 @@ fn compare(
     // Concurrent: all three errors live at once.
     let mut td = td0.clone();
     let errors: Vec<_> = victims.iter().map(|&v| plant(&mut td, v)).collect();
+    let mut events = Vec::new();
     let conc = DebugSession::new(&mut td, golden)
         .strategy(fresh())
-        .flow(TiledFlow::default())
+        .flow(TiledFlow)
         .seed(11)
+        .on_event(|e| events.push(e.clone()))
         .run_concurrent(&errors)
         .unwrap();
-    assert!(conc.repaired, "concurrent campaign left the DUT buggy");
+    let clusters = Clusters::of(&events);
+    assert!(clusters.repaired, "concurrent campaign left the DUT buggy");
     assert!(td.routing.is_feasible());
-    assert_eq!(conc.clusters.len(), BRANCHES, "one cluster per output");
+    assert_eq!(clusters.count, BRANCHES, "one cluster per output");
     assert_eq!(
-        conc.shared_core_cells, BACKBONE,
+        clusters.shared, BACKBONE,
         "backbone must be the shared core"
     );
-    let mut found = conc.localized_cells();
-    found.sort_unstable();
-    let mut planted = victims.to_vec();
-    planted.sort_unstable();
-    assert_eq!(found, planted, "every error localized to its exact cell");
-    for c in &conc.clusters {
-        assert!(c.matched_error.is_some());
-        assert!(c.repaired);
-    }
+    assert_rows_localize(&conc.iterations, victims, "concurrent");
 
     // Sequential baseline: three independent single-error campaigns.
     let (mut staps, mut secos) = (0usize, 0usize);
@@ -96,7 +140,7 @@ fn compare(
         let error = plant(&mut td, victim);
         let out = DebugSession::new(&mut td, golden)
             .strategy(fresh())
-            .flow(TiledFlow::default())
+            .flow(TiledFlow)
             .seed(11)
             .run(&error)
             .unwrap();
@@ -105,7 +149,7 @@ fn compare(
         staps += out.taps_inserted;
         secos += out.ecos;
     }
-    ((conc.taps_inserted, conc.ecos), (staps, secos))
+    ((clusters.taps, conc.ledger.total_ecos()), (staps, secos))
 }
 
 // ---------------------------------------------------------------------
@@ -192,34 +236,29 @@ fn compare_sequential(
     let patterns = PatternSpec::Random { count: 48 };
     let mut td = td0.clone();
     let errors: Vec<_> = victims.iter().map(|&v| plant(&mut td, v)).collect();
+    let mut events = Vec::new();
     let conc = DebugSession::new(&mut td, golden)
         .strategy(fresh())
-        .flow(TiledFlow::default())
+        .flow(TiledFlow)
         .patterns(patterns)
         .seed(23)
+        .on_event(|e| events.push(e.clone()))
         .run_concurrent(&errors)
         .unwrap();
-    assert!(conc.repaired, "concurrent campaign left the DUT buggy");
+    let clusters = Clusters::of(&events);
+    assert!(clusters.repaired, "concurrent campaign left the DUT buggy");
     assert!(td.routing.is_feasible());
     // y2/y3 fail only through the trunk error, on the same pattern,
     // behind the same state registers: merged into one cluster.
     assert_eq!(
-        conc.clusters.len(),
+        clusters.count,
         SEQ_BRANCHES - 1,
         "FSM fan-out clusters must merge"
     );
-    let mut found = conc.localized_cells();
-    found.sort_unstable();
-    let mut planted = victims.to_vec();
-    planted.sort_unstable();
-    assert_eq!(found, planted, "every error localized to its exact cell");
-    for c in &conc.clusters {
-        assert!(c.matched_error.is_some());
-        assert!(c.repaired);
-    }
+    assert_rows_localize(&conc.iterations, victims, "concurrent");
     // The merged trunk cluster's window is the trunk error's arrival
     // (8 trunk FFs + 2 branch FFs); the branch clusters fail earlier.
-    let windows: Vec<usize> = conc.clusters.iter().map(|c| c.window).collect();
+    let windows = &clusters.windows;
     assert!(windows.contains(&10), "trunk cluster window: {windows:?}");
 
     let (mut staps, mut secos) = (0usize, 0usize);
@@ -228,7 +267,7 @@ fn compare_sequential(
         let error = plant(&mut td, victim);
         let out = DebugSession::new(&mut td, golden)
             .strategy(fresh())
-            .flow(TiledFlow::default())
+            .flow(TiledFlow)
             .patterns(patterns)
             .seed(23)
             .run(&error)
@@ -238,7 +277,7 @@ fn compare_sequential(
         staps += out.taps_inserted;
         secos += out.ecos;
     }
-    ((conc.taps_inserted, conc.ecos), (staps, secos))
+    ((clusters.taps, conc.ledger.total_ecos()), (staps, secos))
 }
 
 #[test]
@@ -338,28 +377,24 @@ fn staggered_trunk_errors_localize_exactly_under_causal_windows() {
     for (name, fresh) in &strategies {
         let mut td = td0.clone();
         let errors: Vec<_> = victims.iter().map(|&v| plant(&mut td, v)).collect();
+        let mut events = Vec::new();
         let conc = DebugSession::new(&mut td, &golden)
             .strategy(fresh())
-            .flow(TiledFlow::default())
+            .flow(TiledFlow)
             .patterns(PatternSpec::Random { count: 48 })
             .seed(31)
+            .on_event(|e| events.push(e.clone()))
             .run_concurrent(&errors)
             .unwrap();
-        assert!(conc.repaired, "{name}: campaign left the DUT buggy");
-        assert_eq!(conc.clusters.len(), 3, "{name}: one cluster per output");
+        let clusters = Clusters::of(&events);
+        assert!(clusters.repaired, "{name}: campaign left the DUT buggy");
+        assert_eq!(clusters.count, 3, "{name}: one cluster per output");
         // Staggered onsets: the deepest tap sees the downstream error
         // first, the shallowest only the upstream one, much later.
-        let mut windows: Vec<usize> = conc.clusters.iter().map(|c| c.window).collect();
+        let mut windows = clusters.windows;
         windows.sort_unstable();
         assert_eq!(windows, vec![5, 11, 17], "{name}: staggered windows");
-        let mut found = conc.localized_cells();
-        found.sort_unstable();
-        let mut planted = victims.to_vec();
-        planted.sort_unstable();
-        assert_eq!(
-            found, planted,
-            "{name}: every staggered trunk error must localize to its exact cell"
-        );
+        assert_rows_localize(&conc.iterations, &victims, name);
     }
 }
 
@@ -417,29 +452,23 @@ fn independent_same_onset_errors_behind_a_shared_trunk_stay_apart() {
     let golden = td0.netlist.clone();
     let mut td = td0.clone();
     let errors: Vec<_> = victims.iter().map(|&v| plant(&mut td, v)).collect();
+    let mut events = Vec::new();
     let conc = DebugSession::new(&mut td, &golden)
         .patterns(PatternSpec::Random { count: 32 })
         .seed(17)
+        .on_event(|e| events.push(e.clone()))
         .run_concurrent(&errors)
         .unwrap();
-    assert!(conc.repaired);
+    let clusters = Clusters::of(&events);
+    assert!(clusters.repaired);
     // Same onset, shared dominating register — but the register is
     // clean, so the deferred merge keeps one cluster per output.
-    assert_eq!(conc.clusters.len(), 2, "clean trunk forbids the merge");
-    let windows: Vec<usize> = conc.clusters.iter().map(|c| c.window).collect();
+    assert_eq!(clusters.count, 2, "clean trunk forbids the merge");
+    let windows = &clusters.windows;
     assert_eq!(windows[0], windows[1], "the trap: identical onsets");
-    let mut found = conc.localized_cells();
-    found.sort_unstable();
-    let mut planted = victims.clone();
-    planted.sort_unstable();
-    assert_eq!(
-        found, planted,
-        "both independent sites must localize exactly"
-    );
-    for c in &conc.clusters {
-        assert!(c.matched_error.is_some());
-        assert!(c.confirmed_by_control);
-        assert!(c.repaired);
+    assert_rows_localize(&conc.iterations, &victims, "both independent sites");
+    for row in &conc.iterations {
+        assert!(row.confirmed_by_control);
     }
 }
 
@@ -454,19 +483,20 @@ fn genuine_fsm_error_behind_the_trunk_still_merges() {
     let golden = td0.netlist.clone();
     let mut td = td0.clone();
     let error = plant(&mut td, t0);
+    let mut events = Vec::new();
     let conc = DebugSession::new(&mut td, &golden)
         .patterns(PatternSpec::Random { count: 32 })
         .seed(17)
+        .on_event(|e| events.push(e.clone()))
         .run_concurrent(&[error])
         .unwrap();
-    assert!(conc.repaired);
+    let clusters = Clusters::of(&events);
+    assert!(clusters.repaired);
     assert_eq!(
-        conc.clusters.len(),
-        1,
+        clusters.count, 1,
         "a diverging register folds the fan-out clusters"
     );
-    assert_eq!(conc.clusters[0].localized, Some(t0));
-    assert!(conc.clusters[0].repaired);
+    assert_rows_localize(&conc.iterations, &[t0], "the trunk error");
 }
 
 #[test]

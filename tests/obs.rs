@@ -94,7 +94,7 @@ fn serial_session_spans_and_counters_reconcile_with_the_ledger() {
     let track = tracer.track("serial session");
     let out = DebugSession::new(&mut td, &golden)
         .seed(9)
-        .flow(TiledFlow::default())
+        .flow(TiledFlow)
         .trace(&tracer, track)
         .metrics(&registry)
         .run(&error)
@@ -124,12 +124,12 @@ fn concurrent_session_spans_and_counters_reconcile_with_the_ledger() {
     let track = tracer.track("concurrent session");
     let out = DebugSession::new(&mut td, &golden)
         .seed(7)
-        .flow(TiledFlow::default())
+        .flow(TiledFlow)
         .trace(&tracer, track)
         .metrics(&registry)
         .run_concurrent(&errors)
         .unwrap();
-    assert!(!out.clusters.is_empty());
+    assert!(out.iterations.iter().any(|row| row.mismatch.is_some()));
     assert_reconciled(&tracer, &registry, &out.ledger);
 }
 

@@ -59,9 +59,7 @@ fn ten_consecutive_ecos_keep_the_design_consistent() {
                 .set_lut_function(victim, tt.complement())
                 .unwrap();
             td.netlist.set_lut_function(victim, tt).unwrap();
-            TiledFlow::default()
-                .reimplement(&mut td, &[victim], &[])
-                .unwrap();
+            TiledFlow.reimplement(&mut td, &[victim], &[]).unwrap();
         } else {
             // Insert an observation tap (PO only, no logic).
             let net = td.netlist.cell_output(victim).unwrap();
@@ -72,7 +70,7 @@ fn ten_consecutive_ecos_keep_the_design_consistent() {
                 false,
             )
             .unwrap();
-            TiledFlow::default()
+            TiledFlow
                 .reimplement(&mut td, &[victim], &rep.added)
                 .unwrap();
         }
@@ -142,9 +140,7 @@ fn timing_after_eco_stays_reasonable() {
         .unwrap()
         .complement();
     td.netlist.set_lut_function(victim, tt).unwrap();
-    TiledFlow::default()
-        .reimplement(&mut td, &[victim], &[])
-        .unwrap();
+    TiledFlow.reimplement(&mut td, &[victim], &[]).unwrap();
     let after = td.timing().unwrap().critical_ns;
     // The paper observes tiled-ECO timing deltas within the noise of
     // small placement changes; a 3x blowup would indicate broken
@@ -210,7 +206,7 @@ fn quick_eco_hierarchy_granularity_orders_effort() {
         .unwrap()
         .complement();
     td.netlist.set_lut_function(victim, tt).unwrap();
-    let tiled = TiledFlow::default()
+    let tiled = TiledFlow
         .reimplement(&mut td, &[victim], &[])
         .unwrap()
         .effort;
@@ -242,9 +238,7 @@ fn incremental_eco_reroutes_fewer_nets_than_tile_clearing() {
         td.netlist
             .set_lut_function(victim, tt.complement())
             .unwrap();
-        let out = TiledFlow::default()
-            .reimplement(&mut td, &[victim], &[])
-            .unwrap();
+        let out = TiledFlow.reimplement(&mut td, &[victim], &[]).unwrap();
         assert!(td.routing.is_feasible());
         out
     };
@@ -267,7 +261,7 @@ fn incremental_eco_reroutes_fewer_nets_than_tile_clearing() {
         let net = td.netlist.cell_output(victim).unwrap();
         let rep =
             sim::testlogic::insert_observation_tap(&mut td.netlist, net, "cmp_tap", true).unwrap();
-        let out = TiledFlow::default()
+        let out = TiledFlow
             .reimplement(&mut td, &[victim], &rep.added)
             .unwrap();
         assert!(td.routing.is_feasible());
@@ -308,7 +302,7 @@ fn incremental_eco_survivors_stay_frozen_and_drc_clean() {
     let net = td.netlist.cell_output(victim).unwrap();
     let rep =
         sim::testlogic::insert_observation_tap(&mut td.netlist, net, "frozen_tap", true).unwrap();
-    let out = TiledFlow::default()
+    let out = TiledFlow
         .reimplement(&mut td, &[victim], &rep.added)
         .unwrap();
     assert!(out.confined, "tap ECO should stay on the incremental path");
@@ -372,9 +366,7 @@ fn incremental_congestion_fallback_converges() {
         added.extend(rep.added);
     }
 
-    let out = TiledFlow::default()
-        .reimplement(&mut td, &seeds, &added)
-        .unwrap();
+    let out = TiledFlow.reimplement(&mut td, &seeds, &added).unwrap();
     // Fallback proof: the incremental path only ever places the added
     // cells; tile clearing re-places every cell in the cleared tiles.
     assert!(

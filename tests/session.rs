@@ -91,6 +91,53 @@ fn bench_harness_victim(td: &TiledDesign) -> netlist::CellId {
     luts[luts.len() / 2]
 }
 
+/// An error the stimulus never exposes leaves no latent bug behind:
+/// `run` reports it undetected and repaired, and the DUT's LUT is
+/// back to the golden function. One LFSR vector drives each LUT
+/// through one row of its truth table, so flipping any other row is
+/// invisible to it.
+#[test]
+fn undetected_error_is_reverted_by_run() {
+    const SEED: u64 = 3;
+    let patterns = PatternSpec::Lfsr { count: 1 };
+    let mut td = implement_paper_design(PaperDesign::NineSym, TilingOptions::fast(202)).unwrap();
+    let golden = td.netlist.clone();
+    let victim = bench_harness_victim(&td);
+    let arity = golden.cell(victim).unwrap().lut_function().unwrap().arity();
+    let row = (0..1u64 << arity)
+        .find(|&row| {
+            let mut dut = golden.clone();
+            sim::inject::inject(
+                &mut dut,
+                victim,
+                sim::inject::DesignErrorKind::FlipRow { row },
+            )
+            .unwrap();
+            sim::emulate::first_mismatch(&golden, &dut, patterns.generate(&golden, SEED))
+                .unwrap()
+                .is_none()
+        })
+        .expect("one vector exercises one row of a LUT");
+    let error = sim::inject::inject(
+        &mut td.netlist,
+        victim,
+        sim::inject::DesignErrorKind::FlipRow { row },
+    )
+    .unwrap();
+    let out = DebugSession::new(&mut td, &golden)
+        .patterns(patterns)
+        .seed(SEED)
+        .run(&error)
+        .unwrap();
+    assert!(out.mismatch.is_none(), "the vector must miss row {row}");
+    assert!(out.repaired);
+    assert_eq!(
+        td.netlist.cell(victim).unwrap().lut_function(),
+        golden.cell(victim).unwrap().lut_function(),
+        "the undetected error is still in the DUT"
+    );
+}
+
 /// The acceptance experiment for the `BinarySearch` strategy: on a
 /// design whose suspect cone spans many tap batches, bisection
 /// localizes the *identical* cell while inserting strictly fewer taps
@@ -268,8 +315,12 @@ fn concurrent_event_stream_orders_clusters_and_apportions_ledger() {
         .on_event(|e| events.push(e.clone()))
         .run_concurrent(&errors)
         .unwrap();
-    assert!(out.repaired);
-    assert_eq!(out.clusters.len(), 2);
+    assert_eq!(out.iterations.len(), 2);
+    assert!(out.iterations.iter().all(|row| row.repaired));
+    assert!(matches!(
+        events.last(),
+        Some(DebugEvent::Corrected { repaired: true })
+    ));
 
     let detected = indices_of(&events, |e| matches!(e, DebugEvent::Detected { .. }));
     let split = indices_of(&events, |e| matches!(e, DebugEvent::ConeSplit { .. }));
@@ -279,6 +330,10 @@ fn concurrent_event_stream_orders_clusters_and_apportions_ledger() {
     let corrected = indices_of(&events, |e| matches!(e, DebugEvent::Corrected { .. }));
     assert_eq!(detected.len(), 2, "one detection per cluster");
     assert_eq!(split.len(), 1, "one cone split for the campaign");
+    assert!(matches!(
+        events[split[0]],
+        DebugEvent::ConeSplit { clusters: 2, .. }
+    ));
     assert_eq!(localized.len(), 2, "one localization per cluster");
     assert_eq!(confirmed.len(), 2, "one confirmation per cluster");
     assert_eq!(corrected.len(), 1, "one shared corrective ECO");
@@ -288,16 +343,20 @@ fn concurrent_event_stream_orders_clusters_and_apportions_ledger() {
     assert!(confirmed.iter().all(|&c| c < corrected[0]));
     assert_eq!(corrected[0], events.len() - 1);
 
-    // Per-phase apportioning: for every phase, the cluster ledgers
-    // sum exactly to the campaign ledger (no effort lost or minted).
+    // Per-phase apportioning: for every phase, the rows' ledgers sum
+    // exactly to the campaign ledger (no effort lost or minted).
     for p in Phase::ALL {
         let split_effort: u64 = out
-            .clusters
+            .iterations
             .iter()
-            .map(|c| c.ledger.phase(p).effort.total())
+            .map(|row| row.ledger.phase(p).effort.total())
             .sum();
         assert_eq!(split_effort, out.ledger.phase(p).effort.total(), "{p}");
     }
-    let phase_ecos: usize = Phase::ALL.iter().map(|&p| out.ledger.phase(p).ecos).sum();
-    assert_eq!(phase_ecos, out.ecos);
+    // The campaign ledger counts each physical ECO once: every tap
+    // batch, every confirmation and the one correction.
+    assert_eq!(
+        out.ledger.total_ecos(),
+        taps.len() + confirmed.len() + corrected.len()
+    );
 }
