@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 // what the baselines do; incremental uses the window
                 // around the change). Same trait, different flows.
                 let mut incr_flow = IncrementalFlow;
-                let mut quick_flow = QuickEcoFlow::default();
+                let mut quick_flow = QuickEcoFlow;
                 let baselines: [(&mut dyn ReimplFlow, &mut f64); 2] = [
                     (&mut incr_flow, &mut incr_speedup),
                     (&mut quick_flow, &mut quick_speedup),

@@ -6,9 +6,11 @@
 //! tiles are drafted in — "neighboring tiles can also be labeled
 //! 'affected' and may contribute their unused resources" — until the
 //! request fits or the whole device is consumed. Figure 3 sweeps the
-//! inserted-logic size through this exact algorithm.
+//! inserted-logic size through this exact algorithm, and the tiled ECO
+//! flow ([`crate::eco_flow`]) drafts by the same rule when routing,
+//! rather than logic, runs short.
 
-use fpga::Placement;
+use fpga::{Placement, Rect};
 use netlist::CellId;
 
 use crate::error::TilingError;
@@ -41,6 +43,30 @@ impl AffectedSet {
         self.tiles.contains(&tile)
     }
 
+    /// The affected set made of exactly `tiles`, with their free CLBs
+    /// counted under `placement` against a request of `needed_clbs`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TilingError::UnknownTile`] for a tile not in the plan.
+    pub(crate) fn of_tiles(
+        plan: &TilePlan,
+        placement: &Placement,
+        tiles: Vec<TileId>,
+        needed_clbs: usize,
+    ) -> Result<AffectedSet, TilingError> {
+        let mut free_clbs = 0;
+        for &t in &tiles {
+            free_clbs += plan.usage(t, placement)?.free_clbs();
+        }
+        Ok(AffectedSet {
+            tiles,
+            needed_clbs,
+            free_clbs,
+            fits: free_clbs >= needed_clbs,
+        })
+    }
+
     /// Computes the affected set for a change.
     ///
     /// `seeds` are the perturbed cells (from an
@@ -68,58 +94,79 @@ impl AffectedSet {
                 }
             }
         }
-        let free_of =
-            |t: TileId| -> Result<usize, TilingError> { Ok(plan.usage(t, placement)?.free_clbs()) };
         if tiles.is_empty() {
             // Pure insertion with no placed seed: start at the tile
             // with the most slack.
-            let mut best: Option<(usize, TileId)> = None;
-            for (id, _) in plan.iter() {
-                let f = free_of(id)?;
-                if best.is_none_or(|(bf, bid)| f > bf || (f == bf && id < bid)) {
-                    best = Some((f, id));
-                }
-            }
-            if let Some((_, id)) = best {
+            let all = plan.iter().map(|(id, _)| id);
+            if let Some((id, _)) = most_free(plan, placement, all)? {
                 tiles.push(id);
             }
         }
-        let mut free: usize = 0;
-        for &t in &tiles {
-            free += free_of(t)?;
-        }
-        // Neighbour expansion until the request fits.
-        while free < extra_clbs {
-            let mut frontier: Vec<TileId> = Vec::new();
-            for &t in &tiles {
-                for n in plan.neighbors(t)? {
-                    if !tiles.contains(&n) && !frontier.contains(&n) {
-                        frontier.push(n);
-                    }
-                }
-            }
-            if frontier.is_empty() {
-                break; // saturated: every tile is affected
-            }
-            let mut best = frontier[0];
-            let mut best_free = free_of(best)?;
-            for &cand in &frontier[1..] {
-                let f = free_of(cand)?;
-                if f > best_free || (f == best_free && cand < best) {
-                    best = cand;
-                    best_free = f;
-                }
-            }
-            free += best_free;
-            tiles.push(best);
-        }
-        Ok(AffectedSet {
-            tiles,
-            needed_clbs: extra_clbs,
-            free_clbs: free,
-            fits: free >= extra_clbs,
-        })
+        let mut set = Self::of_tiles(plan, placement, tiles, extra_clbs)?;
+        // Neighbour expansion until the request fits (or every tile
+        // is affected).
+        while !set.fits && set.draft_neighbour(plan, placement)? {}
+        Ok(set)
     }
+
+    /// Drafts the neighbouring tile with the most free CLBs under
+    /// `placement` (ties to the lowest id) and adds its slack. Returns
+    /// `false`, changing nothing, when no tile outside the set borders
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TilingError::UnknownTile`] for a tile not in the plan.
+    pub(crate) fn draft_neighbour(
+        &mut self,
+        plan: &TilePlan,
+        placement: &Placement,
+    ) -> Result<bool, TilingError> {
+        let mut frontier: Vec<TileId> = Vec::new();
+        for &t in &self.tiles {
+            for n in plan.neighbors(t)? {
+                if !self.tiles.contains(&n) && !frontier.contains(&n) {
+                    frontier.push(n);
+                }
+            }
+        }
+        let Some((tile, free)) = most_free(plan, placement, frontier)? else {
+            return Ok(false);
+        };
+        self.tiles.push(tile);
+        self.free_clbs += free;
+        self.fits = self.free_clbs >= self.needed_clbs;
+        Ok(true)
+    }
+
+    /// The rectangles of the affected tiles.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TilingError::UnknownTile`] for a tile not in the plan.
+    pub(crate) fn rects(&self, plan: &TilePlan) -> Result<Vec<Rect>, TilingError> {
+        self.tiles
+            .iter()
+            .map(|&t| plan.tile(t).map(|tile| tile.rect))
+            .collect()
+    }
+}
+
+/// The candidate with the most free CLBs, ties to the lowest id, with
+/// its free CLB count.
+fn most_free(
+    plan: &TilePlan,
+    placement: &Placement,
+    candidates: impl IntoIterator<Item = TileId>,
+) -> Result<Option<(TileId, usize)>, TilingError> {
+    let mut best: Option<(TileId, usize)> = None;
+    for id in candidates {
+        let free = plan.usage(id, placement)?.free_clbs();
+        if best.is_none_or(|(bid, bf)| free > bf || (free == bf && id < bid)) {
+            best = Some((id, free));
+        }
+    }
+    Ok(best)
 }
 
 #[cfg(test)]

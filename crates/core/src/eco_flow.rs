@@ -1,4 +1,5 @@
-//! Clear affected tiles and re-place-and-route them (paper §5.2).
+//! Re-implement a debugging change in the affected tiles (paper §5.2)
+//! with effort bounded by one full re-route (§6.1).
 //!
 //! "Any tile that contains a design portion affected by the debugging
 //! change must be cleared, while still maintaining the locked
@@ -7,28 +8,47 @@
 //! location. The affected portions are then re-placed-and-routed in
 //! the cleared tiles, any removed interfaces are re-locked."
 //!
-//! Two routing passes implement that: a *masked* pass confined to the
-//! cleared region whose nets terminate on locked interface nodes, and
-//! a small *free* pass for connections that inherently leave the
-//! region (new pads, new cross-region connections, feedthroughs) —
-//! those may use only free routing resources elsewhere, never locked
-//! ones.
+//! [`replace_and_route`] climbs a ladder of three rungs. Each rung is
+//! tried only when the one before it runs out of capacity, and every
+//! rung starts from the design as it was before the change, except
+//! the last, which keeps the failed attempt's placement.
+//!
+//! 1. **Incremental.** Nothing is cleared. Surviving placements and
+//!    routes stay installed, the added logic is placed into the
+//!    affected tiles, and only nets whose terminals changed are
+//!    routed. A function-only change re-routes nothing.
+//! 2. **Tile clearing.** The affected tiles are cleared and their
+//!    logic re-placed inside them. Routing takes two passes: a
+//!    *masked* pass confined to the cleared region, whose nets
+//!    terminate on locked interface nodes, and a small *free* pass for
+//!    connections that inherently leave the region (new pads, new
+//!    cross-region connections, feedthroughs), which may use only free
+//!    routing resources elsewhere, never locked ones. A region of a
+//!    fifth of the device or more is re-routed whole instead (the
+//!    coarse branch). When routing fails, the neighbouring tile with
+//!    the most free CLBs is drafted and the rung runs again.
+//! 3. **Full re-route.** Once drafting stops being promising, the
+//!    whole design is re-routed from the last attempt's placement, so
+//!    the tiled flow never costs more than the non-tiled one.
+//!
+//! The rungs share one place step and one full re-route with the rival
+//! flows in [`crate::flows`]. The ladder snapshots the design once and
+//! restores it if the change fails.
 
 use std::collections::BTreeSet;
-use std::ops::AddAssign;
 
-use fpga::{NodeId, RouteTree};
-use netlist::{CellId, CellKind, NetId};
+use fpga::{NodeId, Placement, Rect, RouteTree, Routing, RoutingGraph};
+use netlist::{CellId, CellKind, NetId, Netlist};
 use place::Constraints;
 use route::{ConnectionRequest, RouteOptions};
 
 use crate::affected::AffectedSet;
 use crate::effort::CadEffort;
 use crate::error::TilingError;
-use crate::flow::TiledDesign;
+use crate::flow::{drop_stale_physical_state, TiledDesign};
 use crate::interface::{split_tree, RegionSet};
 
-/// Result of one tile-confined re-implementation.
+/// Result of one re-implementation.
 #[derive(Debug, Clone)]
 pub struct EcoPhysicalOutcome {
     /// CAD effort spent (Figure 5's numerator for the tiled flow).
@@ -44,37 +64,58 @@ pub struct EcoPhysicalOutcome {
     pub rerouted_nets: usize,
     /// Whether every surviving route stayed installed, so only the
     /// `rerouted_nets` whose terminals changed were ripped (the tiled
-    /// flow's incremental path). `false` when routes were cleared and
+    /// flow's incremental rung). `false` when routes were cleared and
     /// re-routed from scratch.
     pub kept_routes: bool,
     /// Whether the re-route stayed confined to the affected tiles, so
     /// the locked-interface / frozen-route contract holds outside them.
-    /// The coarse-granularity and full-reroute fallback paths (and the
-    /// non-tiled flows) legitimately clear routes everywhere and
-    /// report `false`; the post-ECO audit only applies when `true`.
+    /// The coarse branch and the full re-route (and the non-tiled
+    /// flows) legitimately clear routes everywhere and report `false`;
+    /// the post-ECO audit only applies when `true`.
     pub confined: bool,
 }
 
-/// CAD work an attempt paid for, charged to the ECO whether or not
-/// the attempt succeeded.
+/// CAD work paid for, charged to the ECO whether or not the attempt
+/// that paid it succeeded.
 #[derive(Debug, Clone, Copy, Default)]
-struct Spent {
-    effort: CadEffort,
-    cg_iterations: u64,
+pub(crate) struct Spent {
+    pub(crate) effort: CadEffort,
+    pub(crate) cg_iterations: u64,
 }
 
 impl Spent {
-    fn place(&mut self, out: &place::PlaceOutcome) {
+    pub(crate) fn place(&mut self, out: &place::PlaceOutcome) {
         self.effort.place_moves += out.moves_evaluated;
         self.cg_iterations += out.cg_iterations;
     }
 }
 
-impl AddAssign for Spent {
-    fn add_assign(&mut self, rhs: Spent) {
-        self.effort += rhs.effort;
-        self.cg_iterations += rhs.cg_iterations;
+/// The placement and routing an ECO started from.
+pub(crate) struct Snapshot {
+    placement: Placement,
+    routing: Routing,
+}
+
+impl Snapshot {
+    /// Puts the design's placement and routing back as they were.
+    fn restore(&self, td: &mut TiledDesign) {
+        td.placement = self.placement.clone();
+        td.routing = self.routing.clone();
     }
+}
+
+/// Runs `eco` on the design and, if it fails, restores the placement
+/// and routing it started from, so a failed ECO never leaves the live
+/// design half-implemented. `eco` gets the snapshot to restart from.
+pub(crate) fn or_restore<T>(
+    td: &mut TiledDesign,
+    eco: impl FnOnce(&mut TiledDesign, &Snapshot) -> Result<T, TilingError>,
+) -> Result<T, TilingError> {
+    let snapshot = Snapshot {
+        placement: td.placement.clone(),
+        routing: td.routing.clone(),
+    };
+    eco(td, &snapshot).inspect_err(|_| snapshot.restore(td))
 }
 
 /// Clears the tiles affected by a change and re-implements them.
@@ -82,7 +123,8 @@ impl AddAssign for Spent {
 /// `seeds` are the perturbed pre-existing cells (back-annotated from
 /// the ECO); `added` are newly created cells awaiting placement. The
 /// rest of the design — placement and routing — is locked and
-/// provably untouched on return.
+/// provably untouched on return, unless the ladder reached the coarse
+/// branch or the full re-route (`confined == false`).
 ///
 /// Tile expansion is driven by *both* resources: logic slack first
 /// (the [`AffectedSet`] computation), and if the confined routing then
@@ -95,24 +137,60 @@ impl AddAssign for Spent {
 /// # Errors
 ///
 /// [`TilingError::InsufficientSlack`] if the change cannot fit even
-/// with every tile affected; placement/routing errors otherwise.
+/// with every tile affected; placement/routing errors otherwise. On
+/// error the design's placement and routing are left as they were.
 pub fn replace_and_route(
     td: &mut TiledDesign,
     seeds: &[CellId],
     added: &[CellId],
 ) -> Result<EcoPhysicalOutcome, TilingError> {
-    // Resource demand of the new logic, in CLBs.
+    let affected = affected_by(td, seeds, added)?;
+    or_restore(td, |td, snapshot| {
+        let outcome = climb(td, affected, added, snapshot)?;
+        // Debug builds re-prove the paper's contract after every
+        // confined ECO: everything outside the cleared tiles —
+        // placements and cross-boundary routes — is byte-identical to
+        // the snapshot. A violation here is a flow bug, not bad input
+        // (pre-flight owns input), so it asserts rather than returning
+        // an error.
+        #[cfg(debug_assertions)]
+        if outcome.confined {
+            let findings = crate::preflight::audit_confined_eco(
+                td,
+                &outcome.affected.tiles,
+                &snapshot.placement,
+                &snapshot.routing,
+            );
+            assert!(
+                findings.is_empty(),
+                "post-ECO DRC audit failed:\n{}",
+                findings
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            );
+        }
+        Ok(outcome)
+    })
+}
+
+/// Steps 16–17: the tiles a change needs — its seeds' tiles, with
+/// neighbours drafted until the added logic's CLBs fit.
+fn affected_by(
+    td: &TiledDesign,
+    seeds: &[CellId],
+    added: &[CellId],
+) -> Result<AffectedSet, TilingError> {
     let (mut new_luts, mut new_ffs) = (0usize, 0usize);
     for &c in added {
-        match td.netlist.cell(c).map(|cell| cell.kind.clone()) {
+        match td.netlist.cell(c).map(|cell| &cell.kind) {
             Ok(CellKind::Lut(_)) => new_luts += 1,
             Ok(CellKind::Ff { .. }) => new_ffs += 1,
             _ => {}
         }
     }
     let extra_clbs = new_luts.max(new_ffs).div_ceil(2);
-
-    // Steps 16–17: identify affected tiles (with neighbour expansion).
     let affected = AffectedSet::compute(&td.plan, &td.placement, seeds, extra_clbs)?;
     if !affected.fits {
         return Err(TilingError::InsufficientSlack {
@@ -120,169 +198,48 @@ pub fn replace_and_route(
             available: affected.free_clbs,
         });
     }
-
-    let placement_snapshot = td.placement.clone();
-    let routing_snapshot = td.routing.clone();
-    let mut tiles = affected.tiles.clone();
-    let mut wasted = Spent::default();
-    let mut retries = 0usize;
-    // The truly incremental path goes first: nothing is cleared, only
-    // missing connections are routed. One shot — if the surviving
-    // routes leave too little capacity, tile-clearing takes over.
-    let mut try_incremental = td.options.incremental_routing;
-    loop {
-        let incremental_now = std::mem::take(&mut try_incremental);
-        let result = if incremental_now {
-            attempt_incremental(td, &tiles, added, extra_clbs)
-        } else {
-            attempt(td, &tiles, added, extra_clbs)
-        };
-        match result {
-            Ok(mut outcome) => {
-                outcome.effort += wasted.effort;
-                outcome.cg_iterations += wasted.cg_iterations;
-                // Debug builds re-prove the paper's contract after
-                // every confined ECO: everything outside the cleared
-                // tiles — placements and cross-boundary routes — is
-                // byte-identical to the snapshots. A violation here is
-                // a flow bug, not bad input (pre-flight owns input),
-                // so it asserts rather than returning an error.
-                #[cfg(debug_assertions)]
-                if outcome.confined {
-                    let findings = crate::preflight::audit_confined_eco(
-                        td,
-                        &outcome.affected.tiles,
-                        &placement_snapshot,
-                        &routing_snapshot,
-                    );
-                    assert!(
-                        findings.is_empty(),
-                        "post-ECO DRC audit failed:\n{}",
-                        findings
-                            .iter()
-                            .map(ToString::to_string)
-                            .collect::<Vec<_>>()
-                            .join("\n")
-                    );
-                }
-                return Ok(outcome);
-            }
-            // The incremental attempt is best-effort: capacity
-            // shortfalls (congestion around the frozen routes, or no
-            // free slot for added logic) demote to tile-clearing on
-            // the same tiles, with the failed attempt's effort
-            // charged. Anything else is a real error.
-            Err((TilingError::Route(_) | TilingError::Place(_), spent)) if incremental_now => {
-                wasted += spent;
-                td.placement = placement_snapshot.clone();
-                td.routing = routing_snapshot.clone();
-            }
-            // Once expansion retries stop being promising — half the
-            // device drafted, or several failures already paid for —
-            // the cheapest guaranteed exit is one full re-route, which
-            // bounds tiled effort by the non-tiled flow's (§6.1).
-            Err((TilingError::Route(_), spent))
-                if tiles.len() >= td.plan.len()
-                    || 2 * tiles.len() >= td.plan.len()
-                    || retries >= 3 =>
-            {
-                // Every tile is already drafted and confined routing
-                // still fails: degenerate to a full re-route from the
-                // current placement — "the resulting CAD tool effort
-                // will never exceed that required by a non-tiled
-                // approach" (§6.1). Placement from the failed attempt
-                // is kept (all tiles were movable anyway).
-                wasted += spent;
-                let all_nets: Vec<NetId> = td.routing.iter().map(|(n, _)| n).collect();
-                for n in all_nets {
-                    td.routing.clear_route(n);
-                }
-                // Last resort gets a patient schedule: it replaces the
-                // entire iteration, so spending double the iterations
-                // here is still far cheaper than failing.
-                let fallback_router = route::RouteOptions {
-                    max_iterations: td.options.router.max_iterations * 2,
-                    stall_limit: td.options.router.stall_limit * 2,
-                    ..td.options.router.clone()
-                };
-                let stats = route::route_design(
-                    &td.netlist,
-                    &td.placement,
-                    &td.rrg,
-                    &mut td.routing,
-                    &fallback_router,
-                )
-                .map_err(|e| {
-                    td.placement = placement_snapshot.clone();
-                    td.routing = routing_snapshot.clone();
-                    TilingError::Route(e)
-                })?;
-                wasted.effort.route_expansions += stats.expansions;
-                let mut free_clbs = 0;
-                for &t in &tiles {
-                    free_clbs += td.plan.usage(t, &td.placement)?.free_clbs();
-                }
-                return Ok(EcoPhysicalOutcome {
-                    effort: wasted.effort,
-                    cg_iterations: wasted.cg_iterations,
-                    affected: AffectedSet {
-                        tiles,
-                        needed_clbs: extra_clbs,
-                        free_clbs,
-                        fits: true,
-                    },
-                    replaced_cells: td.netlist.cells().filter(|(_, c)| c.is_logic()).count(),
-                    rerouted_nets: td.routing.num_routed(),
-                    kept_routes: false,
-                    confined: false,
-                });
-            }
-            Err((TilingError::Route(_), spent)) if tiles.len() < td.plan.len() => {
-                // Routing capacity ran out: draft the most-free
-                // neighbouring tile and retry on the pristine state.
-                retries += 1;
-                wasted += spent;
-                td.placement = placement_snapshot.clone();
-                td.routing = routing_snapshot.clone();
-                let mut best: Option<(usize, crate::tile::TileId)> = None;
-                for &t in &tiles {
-                    for nb in td.plan.neighbors(t)? {
-                        if tiles.contains(&nb) {
-                            continue;
-                        }
-                        let f = td.plan.usage(nb, &td.placement)?.free_clbs();
-                        if best.is_none_or(|(bf, bid)| f > bf || (f == bf && nb < bid)) {
-                            best = Some((f, nb));
-                        }
-                    }
-                }
-                match best {
-                    Some((_, nb)) => tiles.push(nb),
-                    None => {
-                        // No neighbours left (disjoint saturated set):
-                        // add any remaining tile.
-                        let next = td
-                            .plan
-                            .iter()
-                            .map(|(id, _)| id)
-                            .find(|id| !tiles.contains(id));
-                        match next {
-                            Some(id) => tiles.push(id),
-                            None => unreachable!("guarded by tiles.len() < plan.len()"),
-                        }
-                    }
-                }
-            }
-            Err((e, _)) => {
-                td.placement = placement_snapshot;
-                td.routing = routing_snapshot;
-                return Err(e);
-            }
-        }
-    }
+    Ok(affected)
 }
 
-/// One truly incremental attempt: no clearing at all.
+/// The ladder. One `Spent` is charged across every attempt; `snapshot`
+/// is the design before the change.
+fn climb(
+    td: &mut TiledDesign,
+    mut affected: AffectedSet,
+    added: &[CellId],
+    snapshot: &Snapshot,
+) -> Result<EcoPhysicalOutcome, TilingError> {
+    let mut spent = Spent::default();
+    // Rung 1 is best-effort: capacity shortfalls (congestion around
+    // the frozen routes, or no free slot for added logic) demote to
+    // tile clearing on the same tiles. Anything else is a real error.
+    match incremental_rung(td, &affected, added, &mut spent) {
+        Err(TilingError::Route(_) | TilingError::Place(_)) => snapshot.restore(td),
+        done => return done,
+    }
+    // Rung 2 drafts a neighbour after each routing failure while that
+    // is still promising: fewer than half the tiles affected and fewer
+    // than three retries paid for. The next attempt starts from the
+    // snapshot, so the most free neighbour is judged there.
+    let mut retries = 0;
+    loop {
+        match clearing_rung(td, &affected, added, &mut spent) {
+            Err(TilingError::Route(_)) => {}
+            done => return done,
+        }
+        let promising = 2 * affected.tiles.len() < td.plan.len() && retries < 3;
+        if !promising || !affected.draft_neighbour(&td.plan, &snapshot.placement)? {
+            break;
+        }
+        snapshot.restore(td);
+        retries += 1;
+    }
+    // Rung 3 keeps the failed attempt's placement: every drafted tile
+    // was movable anyway.
+    full_reroute_rung(td, affected, &mut spent)
+}
+
+/// Rung 1: no clearing at all.
 ///
 /// Surviving placements and routes stay installed (so the router sees
 /// their present congestion and treats their wires as locked), added
@@ -291,74 +248,24 @@ pub fn replace_and_route(
 /// replaced drivers — are touched. Ripping is minimal: a net keeps
 /// every source-connected path that still ends on a live sink pin, and
 /// the router grows the missing connections from that seed tree.
-///
-/// On error the caller restores the snapshots and retries with the
-/// tile-clearing path; the work spent is returned so it is charged.
-fn attempt_incremental(
+fn incremental_rung(
     td: &mut TiledDesign,
-    tiles: &[crate::tile::TileId],
+    affected: &AffectedSet,
     added: &[CellId],
-    extra_clbs: usize,
-) -> Result<EcoPhysicalOutcome, (TilingError, Spent)> {
-    let mut spent = Spent::default();
-    attempt_incremental_inner(td, tiles, added, extra_clbs, &mut spent).map_err(|e| (e, spent))
-}
-
-fn attempt_incremental_inner(
-    td: &mut TiledDesign,
-    tiles: &[crate::tile::TileId],
-    added: &[CellId],
-    extra_clbs: usize,
     spent: &mut Spent,
 ) -> Result<EcoPhysicalOutcome, TilingError> {
-    let mut free_clbs = 0;
-    for &t in tiles {
-        free_clbs += td.plan.usage(t, &td.placement)?.free_clbs();
-    }
-    let affected = AffectedSet {
-        tiles: tiles.to_vec(),
-        needed_clbs: extra_clbs,
-        free_clbs,
-        fits: free_clbs >= extra_clbs,
-    };
-    let rects: Vec<fpga::Rect> = affected
-        .tiles
-        .iter()
-        .map(|&t| td.plan.tile(t).map(|tile| tile.rect))
-        .collect::<Result<_, _>>()?;
-
+    let rects = affected.rects(&td.plan)?;
     // Retired instruments lose their placements/routes first, so their
     // resources are genuinely free for the new connections.
-    crate::flow::drop_stale_physical_state(td);
+    drop_stale_physical_state(td);
 
     // ----- Place only the added logic ------------------------------
-    let added_logic: Vec<CellId> = added
-        .iter()
-        .copied()
-        .filter(|&c| td.netlist.cell(c).is_ok_and(netlist::Cell::is_logic))
-        .collect();
+    let new_logic: Vec<CellId> = added_logic(&td.netlist, added).collect();
     let placeable = added
         .iter()
         .any(|&c| td.netlist.cell(c).is_ok() && td.placement.loc_of(c).is_none());
     if placeable {
-        let mut constraints = Constraints::free();
-        for (id, _) in td.netlist.cells() {
-            if td.placement.loc_of(id).is_some() {
-                constraints.lock(id);
-            }
-        }
-        for &c in &added_logic {
-            constraints.confine_any(c, rects.clone());
-        }
-        let out = place::run_placer(
-            &td.netlist,
-            &td.device,
-            &constraints,
-            Some(std::mem::take(&mut td.placement)),
-            &td.options.placer,
-        )?;
-        spent.place(&out);
-        td.placement = out.placement;
+        place_moved(td, &new_logic, &rects, spent)?;
     }
 
     // ----- Minimal routing work list --------------------------------
@@ -474,133 +381,62 @@ fn attempt_incremental_inner(
     Ok(EcoPhysicalOutcome {
         effort: spent.effort,
         cg_iterations: spent.cg_iterations,
-        affected,
-        replaced_cells: added_logic.len(),
+        affected: affected.clone(),
+        replaced_cells: new_logic.len(),
         rerouted_nets: touched.len(),
         kept_routes: true,
         confined: true,
     })
 }
 
-/// One clear/re-place/re-route attempt on an explicit tile set.
-///
-/// On error the caller restores the design from its snapshots; the
-/// work spent is returned alongside so it can be charged.
-fn attempt(
+/// Rung 2: clear the affected tiles and re-place-and-route them, with
+/// every interface to the rest of the design locked.
+fn clearing_rung(
     td: &mut TiledDesign,
-    tiles: &[crate::tile::TileId],
+    affected: &AffectedSet,
     added: &[CellId],
-    extra_clbs: usize,
-) -> Result<EcoPhysicalOutcome, (TilingError, Spent)> {
-    let mut spent = Spent::default();
-    attempt_inner(td, tiles, added, extra_clbs, &mut spent).map_err(|e| (e, spent))
-}
-
-fn attempt_inner(
-    td: &mut TiledDesign,
-    tiles: &[crate::tile::TileId],
-    added: &[CellId],
-    extra_clbs: usize,
     spent: &mut Spent,
 ) -> Result<EcoPhysicalOutcome, TilingError> {
-    let mut free_clbs = 0;
-    for &t in tiles {
-        free_clbs += td.plan.usage(t, &td.placement)?.free_clbs();
-    }
-    let affected = AffectedSet {
-        tiles: tiles.to_vec(),
-        needed_clbs: extra_clbs,
-        free_clbs,
-        fits: free_clbs >= extra_clbs,
-    };
-    let rects: Vec<fpga::Rect> = affected
-        .tiles
-        .iter()
-        .map(|&t| td.plan.tile(t).map(|tile| tile.rect))
-        .collect::<Result<_, _>>()?;
-    let region = RegionSet::from_tiles(&td.device, &td.plan, &affected.tiles);
+    let rects = affected.rects(&td.plan)?;
+    let region = RegionSet::from_rects(&td.device, &rects);
 
-    // ----- Clear the affected tiles -------------------------------
+    // ----- Clear and re-place the affected tiles -------------------
     // Remove stale placements/routes of netlist-deleted objects
     // (retired instruments) anywhere.
-    crate::flow::drop_stale_physical_state(td);
-    // Unplace all logic inside the affected tiles.
-    let mut to_replace: Vec<CellId> = Vec::new();
+    drop_stale_physical_state(td);
+    // All logic inside the affected tiles plus the added logic goes
+    // into the cleared region; new ports go to free pads (constrained
+    // by site type, not region).
+    let mut moved: Vec<CellId> = Vec::new();
     for &t in &affected.tiles {
-        to_replace.extend(td.plan.cells_in_tile(t, &td.netlist, &td.placement)?);
+        moved.extend(td.plan.cells_in_tile(t, &td.netlist, &td.placement)?);
     }
-    for &c in &to_replace {
-        let _ = td.placement.unplace(c);
-    }
-    // Added cells: logic goes into the cleared region; new ports go to
-    // free pads (constrained by site type, not region).
-    let mut added_logic: Vec<CellId> = Vec::new();
-    let mut added_io = 0usize;
-    for &c in added {
-        match td.netlist.cell(c) {
-            Ok(cell) if cell.is_logic() => added_logic.push(c),
-            Ok(_) => added_io += 1,
-            Err(_) => {}
-        }
-    }
-    to_replace.extend(added_logic.iter().copied());
+    moved.extend(added_logic(&td.netlist, added));
+    place_moved(td, &moved, &rects, spent)?;
 
-    // ----- Constrained placement ----------------------------------
-    let mut constraints = Constraints::free();
-    let replace_set: BTreeSet<CellId> = to_replace.iter().copied().collect();
-    for (id, _) in td.netlist.cells() {
-        if !replace_set.contains(&id) {
-            // Added IO cells are unplaced and unlocked (they go to
-            // pads); everything else placed outside stays put.
-            if td.placement.loc_of(id).is_some() {
-                constraints.lock(id);
-            }
-        }
-    }
-    for &c in &to_replace {
-        constraints.confine_any(c, rects.clone());
-    }
-    let out = place::run_placer(
-        &td.netlist,
-        &td.device,
-        &constraints,
-        Some(std::mem::take(&mut td.placement)),
-        &td.options.placer,
-    )?;
-    spent.place(&out);
-    td.placement = out.placement;
-    let _ = added_io;
-
-    // Coarse-granularity path: when the cleared region covers a large
-    // share of the device, confined negotiation (hundreds of nets
-    // threading between locked outer trees) costs more than simply
-    // re-routing the whole design — the paper observes that at ~1/4
-    // design size tiling's purpose is "effectively eliminated" (§6.1).
-    // Placement stayed confined; routing falls back to a clean full
-    // pass, which also bounds effort by the non-tiled flow's.
+    // Coarse branch: when the cleared region covers a large share of
+    // the device, confined negotiation (hundreds of nets threading
+    // between locked outer trees) costs more than simply re-routing
+    // the whole design — the paper observes that at ~1/4 design size
+    // tiling's purpose is "effectively eliminated" (§6.1). Placement
+    // stayed confined; routing takes one full re-route, which also
+    // bounds effort by the non-tiled flow's.
     let region_share = region.area() as f64 / td.device.num_clbs() as f64;
     if region_share >= 0.20 {
-        let nets: Vec<NetId> = td.routing.iter().map(|(n, _)| n).collect();
-        for n in nets {
-            td.routing.clear_route(n);
-        }
-        let stats = route::route_design(
+        full_reroute(
             &td.netlist,
-            &td.placement,
             &td.rrg,
+            &td.placement,
             &mut td.routing,
             &td.options.router,
+            spent,
         )?;
-        spent.effort.route_expansions += stats.expansions;
-        let all: Vec<NetId> = td.netlist.nets().map(|(id, _)| id).collect();
-        let n_rerouted = all.len();
-        route::normalize_routes(&td.netlist, &td.placement, &td.rrg, &mut td.routing, all);
         return Ok(EcoPhysicalOutcome {
             effort: spent.effort,
             cg_iterations: spent.cg_iterations,
-            affected,
-            replaced_cells: to_replace.len(),
-            rerouted_nets: n_rerouted,
+            affected: affected.clone(),
+            replaced_cells: moved.len(),
+            rerouted_nets: td.netlist.nets().count(),
             kept_routes: false,
             confined: false,
         });
@@ -611,6 +447,12 @@ fn attempt_inner(
     let mut masked_requests: Vec<ConnectionRequest> = Vec::new();
     let mut free_requests: Vec<ConnectionRequest> = Vec::new();
     let mut rerouted = BTreeSet::new();
+    let inside = |loc: fpga::BelLoc| match loc {
+        fpga::BelLoc::Clb { coord, .. } => {
+            region.contains_clamped(i32::from(coord.x), i32::from(coord.y))
+        }
+        fpga::BelLoc::Iob(_) => false,
+    };
 
     let net_ids: Vec<NetId> = td.netlist.nets().map(|(id, _)| id).collect();
     for net_id in net_ids {
@@ -622,12 +464,7 @@ fn attempt_inner(
         let Some(driver_loc) = td.placement.loc_of(driver) else {
             continue;
         };
-        let driver_inside = match driver_loc {
-            fpga::BelLoc::Clb { coord, .. } => {
-                region.contains_clamped(i32::from(coord.x), i32::from(coord.y))
-            }
-            fpga::BelLoc::Iob(_) => false,
-        };
+        let driver_inside = inside(driver_loc);
 
         // Current pin nodes for each sink.
         let mut inside_pins: Vec<NodeId> = Vec::new();
@@ -637,13 +474,7 @@ fn attempt_inner(
                 continue;
             };
             let pin = td.rrg.sink_node(loc, s.pin);
-            let inside = match loc {
-                fpga::BelLoc::Clb { coord, .. } => {
-                    region.contains_clamped(i32::from(coord.x), i32::from(coord.y))
-                }
-                fpga::BelLoc::Iob(_) => false,
-            };
-            if inside {
+            if inside(loc) {
                 inside_pins.push(pin);
             } else {
                 outside_pins.push(pin);
@@ -805,12 +636,135 @@ fn attempt_inner(
     Ok(EcoPhysicalOutcome {
         effort: spent.effort,
         cg_iterations: spent.cg_iterations,
-        affected,
-        replaced_cells: to_replace.len(),
+        affected: affected.clone(),
+        replaced_cells: moved.len(),
         rerouted_nets: rerouted.len(),
         kept_routes: false,
         confined: true,
     })
+}
+
+/// Rung 3: one full re-route from the current placement — "the
+/// resulting CAD tool effort will never exceed that required by a
+/// non-tiled approach" (§6.1).
+fn full_reroute_rung(
+    td: &mut TiledDesign,
+    affected: AffectedSet,
+    spent: &mut Spent,
+) -> Result<EcoPhysicalOutcome, TilingError> {
+    // The last resort gets a patient schedule: it replaces the entire
+    // iteration, so spending double the iterations here is still far
+    // cheaper than failing.
+    let router = RouteOptions {
+        max_iterations: td.options.router.max_iterations * 2,
+        stall_limit: td.options.router.stall_limit * 2,
+        ..td.options.router.clone()
+    };
+    full_reroute(
+        &td.netlist,
+        &td.rrg,
+        &td.placement,
+        &mut td.routing,
+        &router,
+        spent,
+    )?;
+    Ok(EcoPhysicalOutcome {
+        effort: spent.effort,
+        cg_iterations: spent.cg_iterations,
+        // Free CLBs are counted on the re-placed tiles, which already
+        // hold the added logic, so the request is reported as fitting.
+        affected: AffectedSet {
+            fits: true,
+            ..AffectedSet::of_tiles(
+                &td.plan,
+                &td.placement,
+                affected.tiles,
+                affected.needed_clbs,
+            )?
+        },
+        replaced_cells: td.netlist.cells().filter(|(_, c)| c.is_logic()).count(),
+        rerouted_nets: td.routing.num_routed(),
+        kept_routes: false,
+        confined: false,
+    })
+}
+
+/// The added cells that need a CLB site (new pads find their own).
+pub(crate) fn added_logic<'a>(
+    netlist: &'a Netlist,
+    added: &'a [CellId],
+) -> impl Iterator<Item = CellId> + 'a {
+    added
+        .iter()
+        .copied()
+        .filter(|&c| netlist.cell(c).is_ok_and(netlist::Cell::is_logic))
+}
+
+/// The one place step: unplaces `moved`, locks every other placed
+/// cell, confines `moved` to `region` (any of its rectangles; an empty
+/// region leaves them free) and re-places them on the current
+/// placement. Unplaced cells outside `moved` — added pads — are
+/// neither locked nor confined, so they go to free pad sites.
+pub(crate) fn place_moved(
+    td: &mut TiledDesign,
+    moved: &[CellId],
+    region: &[Rect],
+    spent: &mut Spent,
+) -> Result<(), TilingError> {
+    let mut placement = std::mem::take(&mut td.placement);
+    for &c in moved {
+        let _ = placement.unplace(c);
+    }
+    let mut constraints = Constraints::free();
+    for (id, _) in td.netlist.cells() {
+        if placement.loc_of(id).is_some() {
+            constraints.lock(id);
+        }
+    }
+    if !region.is_empty() {
+        for &c in moved {
+            constraints.confine_any(c, region.to_vec());
+        }
+    }
+    let out = place::run_placer(
+        &td.netlist,
+        &td.device,
+        &constraints,
+        Some(placement),
+        &td.options.placer,
+    )?;
+    spent.place(&out);
+    td.placement = out.placement;
+    Ok(())
+}
+
+/// The one full re-route: clears every route in `routing`, routes
+/// every net of the placed design, and normalizes every net's tree to
+/// one source-to-sink path per sink, in sink order (timing indexes the
+/// paths by sink, and the next incremental ECO reads a path that does
+/// not start at the driver as a re-sourced net).
+pub(crate) fn full_reroute(
+    netlist: &Netlist,
+    rrg: &RoutingGraph,
+    placement: &Placement,
+    routing: &mut Routing,
+    options: &RouteOptions,
+    spent: &mut Spent,
+) -> Result<(), TilingError> {
+    let routed: Vec<NetId> = routing.iter().map(|(n, _)| n).collect();
+    for n in routed {
+        routing.clear_route(n);
+    }
+    let stats = route::route_design(netlist, placement, rrg, routing, options)?;
+    spent.effort.route_expansions += stats.expansions;
+    route::normalize_routes(
+        netlist,
+        placement,
+        rrg,
+        routing,
+        netlist.nets().map(|(id, _)| id),
+    );
+    Ok(())
 }
 
 #[cfg(test)]
@@ -823,6 +777,137 @@ mod tests {
     fn tiled_9sym() -> TiledDesign {
         let b = PaperDesign::NineSym.generate().unwrap();
         implement(b.netlist, b.hierarchy, TilingOptions::fast(3)).unwrap()
+    }
+
+    /// 9sym at `fast(37)` and its middle LUT. One tile is 17% of this
+    /// device, under the coarse branch's fifth, so tile clearing on
+    /// the middle LUT's tile runs the masked and free passes.
+    fn tiled_9sym_37() -> (TiledDesign, CellId) {
+        let b = PaperDesign::NineSym.generate().unwrap();
+        let td = implement(b.netlist, b.hierarchy, TilingOptions::fast(37)).unwrap();
+        let luts: Vec<CellId> = td
+            .netlist
+            .cells()
+            .filter(|(_, c)| c.lut_function().is_some())
+            .map(|(id, _)| id)
+            .collect();
+        let victim = luts[luts.len() / 2];
+        (td, victim)
+    }
+
+    fn complement(td: &mut TiledDesign, victim: CellId) {
+        let tt = *td.netlist.cell(victim).unwrap().lut_function().unwrap();
+        td.netlist
+            .set_lut_function(victim, tt.complement())
+            .unwrap();
+    }
+
+    /// Runs rung 2 alone on the change, as the ladder would after a
+    /// failed incremental attempt, and checks it stayed confined and
+    /// left everything outside the cleared tiles as it was.
+    fn clear_tiles_only(
+        base: &TiledDesign,
+        td: &mut TiledDesign,
+        seeds: &[CellId],
+        added: &[CellId],
+    ) -> EcoPhysicalOutcome {
+        let affected = affected_by(td, seeds, added).unwrap();
+        let out = clearing_rung(td, &affected, added, &mut Spent::default()).unwrap();
+        assert!(out.confined, "tile clearing slid onto the coarse branch");
+        assert!(td.routing.is_feasible());
+        let findings = crate::preflight::audit_confined_eco(
+            td,
+            &out.affected.tiles,
+            &base.placement,
+            &base.routing,
+        );
+        assert!(findings.is_empty(), "confinement violated: {findings:?}");
+        out
+    }
+
+    #[test]
+    fn tile_clearing_reroutes_the_tile_where_incremental_reroutes_nothing() {
+        // The incremental rung keeps every surviving route installed, so
+        // a function-only change re-routes nothing; tile clearing pays
+        // for every net crossing the cleared tile.
+        let (base, victim) = tiled_9sym_37();
+        let mut td = base.clone();
+        complement(&mut td, victim);
+        let inc = replace_and_route(&mut td, &[victim], &[]).unwrap();
+        assert_eq!(
+            inc.rerouted_nets, 0,
+            "function-only ECO must keep all routes"
+        );
+        assert_eq!(inc.effort.route_expansions, 0);
+
+        let mut td = base.clone();
+        complement(&mut td, victim);
+        let full = clear_tiles_only(&base, &mut td, &[victim], &[]);
+        assert!(
+            full.rerouted_nets > 0,
+            "tile clearing re-routes the tile's nets"
+        );
+        assert!(inc.rerouted_nets < full.rerouted_nets);
+    }
+
+    #[test]
+    fn tile_clearing_reroutes_more_than_incremental_for_a_tap() {
+        // An incremental tap re-routes the tapped net plus the new tap
+        // cells' nets — a handful, not a tile.
+        let (base, victim) = tiled_9sym_37();
+        let tap = |td: &mut TiledDesign| {
+            let net = td.netlist.cell_output(victim).unwrap();
+            sim::testlogic::insert_observation_tap(&mut td.netlist, net, "cmp_tap", true)
+                .unwrap()
+                .added
+        };
+        let mut td = base.clone();
+        let added = tap(&mut td);
+        let inc = replace_and_route(&mut td, &[victim], &added).unwrap();
+        assert!(td.routing.is_feasible());
+        td.netlist.validate().unwrap();
+
+        let mut td = base.clone();
+        let added = tap(&mut td);
+        let full = clear_tiles_only(&base, &mut td, &[victim], &added);
+        td.netlist.validate().unwrap();
+        assert!(inc.rerouted_nets >= 1);
+        assert!(
+            inc.rerouted_nets < full.rerouted_nets,
+            "incremental tap re-routed {} nets, tile clearing {}",
+            inc.rerouted_nets,
+            full.rerouted_nets
+        );
+        assert!(inc.effort.route_expansions < full.effort.route_expansions);
+    }
+
+    #[test]
+    fn full_reroute_rung_leaves_trees_the_next_eco_can_keep() {
+        // Rung 3 re-routes every net. PathFinder's raw trees root branch
+        // paths mid-tree, which the next incremental ECO reads as a
+        // re-sourced net and re-routes (74 nets on this design), so the
+        // rung normalizes every tree.
+        let (mut td, victim) = tiled_9sym_37();
+        let affected = affected_by(&td, &[victim], &[]).unwrap();
+        let out = full_reroute_rung(&mut td, affected, &mut Spent::default()).unwrap();
+        assert!(!out.confined && !out.kept_routes);
+        assert!(out.effort.route_expansions > 0);
+        assert_eq!(out.rerouted_nets, td.routing.num_routed());
+        assert!(td.routing.is_feasible());
+        for (net_id, tree) in td.routing.iter() {
+            let net = td.netlist.net(net_id).unwrap();
+            let Some(driver) = net.driver else { continue };
+            let src = td.rrg.source_node(td.placement.loc_of(driver).unwrap());
+            assert!(
+                tree.paths.iter().all(|p| p.first() == Some(&src)),
+                "net {net_id} has a path that does not start at its driver"
+            );
+        }
+
+        complement(&mut td, victim);
+        let next = replace_and_route(&mut td, &[victim], &[]).unwrap();
+        assert_eq!(next.rerouted_nets, 0);
+        assert_eq!(next.effort.route_expansions, 0);
     }
 
     #[test]

@@ -182,11 +182,6 @@ impl EffortLedger {
         self.phases.iter().map(|p| p.ecos).sum()
     }
 
-    /// Total tiles cleared (with multiplicity) across all phases.
-    pub fn total_tiles_cleared(&self) -> usize {
-        self.phases.iter().map(|p| p.tiles_cleared).sum()
-    }
-
     /// Folds another ledger into this one (campaign aggregation).
     pub fn merge(&mut self, other: &EffortLedger) {
         for (mine, theirs) in self.phases.iter_mut().zip(&other.phases) {
@@ -254,7 +249,6 @@ mod tests {
         b.charge(Phase::Confirm, eco, 4);
         b.merge(&a);
         assert_eq!(b.total_ecos(), 4);
-        assert_eq!(b.total_tiles_cleared(), 8);
         let text = b.to_string();
         for phase in Phase::ALL {
             assert!(text.contains(phase.name()), "missing {phase} in {text}");

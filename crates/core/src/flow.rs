@@ -31,12 +31,6 @@ pub struct TilingOptions {
     /// Move cells out of over-full tiles after partitioning so every
     /// tile keeps slack (paper step 5 is per-tile, not just global).
     pub enforce_tile_slack: bool,
-    /// Try the truly incremental ECO path first: keep every surviving
-    /// placement and route installed, place only added logic, and
-    /// route only the missing connections (seeding the router with the
-    /// surviving trees). Falls back to tile-clearing on congestion or
-    /// placement failure. Disable to always clear affected tiles.
-    pub incremental_routing: bool,
 }
 
 impl Default for TilingOptions {
@@ -48,7 +42,6 @@ impl Default for TilingOptions {
             placer: PlacerConfig::default(),
             router: RouteOptions::default(),
             enforce_tile_slack: true,
-            incremental_routing: true,
         }
     }
 }

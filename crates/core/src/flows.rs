@@ -10,7 +10,8 @@
 //! * [`FullReplaceFlow`] re-places-and-routes the whole design;
 //! * [`IncrementalFlow`] re-implements an inflated window around the
 //!   change;
-//! * [`QuickEcoFlow`] re-implements at functional-block granularity.
+//! * [`QuickEcoFlow`] re-implements at functional-block granularity,
+//!   which for the paper's experiments is the whole design.
 //!
 //! [`crate::session::DebugSession`] drives an arbitrary
 //! `&mut dyn ReimplFlow` through a whole debugging campaign, which is
@@ -19,15 +20,18 @@
 
 use std::collections::BTreeSet;
 
-use fpga::{NodeId, Placement, Rect, Routing};
+use fpga::{NodeId, Rect, Routing};
 use netlist::{CellId, NetId};
 use place::Constraints;
 
 use crate::affected::AffectedSet;
-use crate::eco_flow::{replace_and_route, EcoPhysicalOutcome};
+use crate::eco_flow::{
+    added_logic, full_reroute, or_restore, place_moved, replace_and_route, EcoPhysicalOutcome,
+    Spent,
+};
 use crate::effort::CadEffort;
 use crate::error::TilingError;
-use crate::flow::TiledDesign;
+use crate::flow::{drop_stale_physical_state, TiledDesign};
 
 /// A physical re-implementation flow.
 ///
@@ -35,7 +39,7 @@ use crate::flow::TiledDesign;
 /// after a successful call, placement and routing are consistent with
 /// the (already edited) netlist, so a debug session can keep iterating
 /// on the same design through any flow. Callers that only want the
-/// *cost* of a flow run it on a clone (see [`crate::baselines`]).
+/// *cost* of a flow run it on a clone (see [`flow_effort`]).
 ///
 /// ```no_run
 /// use tiling::flows::{standard_flows, ReimplFlow};
@@ -134,33 +138,27 @@ impl ReimplFlow for FullReplaceFlow {
             None,
             &td.options.placer,
         )?;
+        let mut spent = Spent::default();
+        spent.place(&out);
+        // Commit only once routing succeeded, so a failed call leaves
+        // the design as it was.
         let mut routing = Routing::new(td.rrg.num_nodes());
-        let stats = route::route_design(
+        full_reroute(
             &td.netlist,
-            &out.placement,
             &td.rrg,
+            &out.placement,
             &mut routing,
             &td.options.router,
+            &mut spent,
         )?;
         td.placement = out.placement;
         td.routing = routing;
-        let all_nets: Vec<NetId> = td.netlist.nets().map(|(id, _)| id).collect();
-        route::normalize_routes(
-            &td.netlist,
-            &td.placement,
-            &td.rrg,
-            &mut td.routing,
-            all_nets,
-        );
-        let replaced = td.netlist.cells().filter(|(_, c)| c.is_logic()).count();
+        let all_tiles = td.plan.iter().map(|(id, _)| id).collect();
         Ok(EcoPhysicalOutcome {
-            effort: CadEffort {
-                place_moves: out.moves_evaluated,
-                route_expansions: stats.expansions,
-            },
-            cg_iterations: out.cg_iterations,
-            affected: whole_design_affected(td)?,
-            replaced_cells: replaced,
+            effort: spent.effort,
+            cg_iterations: spent.cg_iterations,
+            affected: AffectedSet::of_tiles(&td.plan, &td.placement, all_tiles, 0)?,
+            replaced_cells: td.netlist.cells().filter(|(_, c)| c.is_logic()).count(),
             rerouted_nets: td.routing.num_routed(),
             kept_routes: false,
             confined: false,
@@ -195,17 +193,12 @@ impl ReimplFlow for IncrementalFlow {
     ) -> Result<EcoPhysicalOutcome, TilingError> {
         // Window: bounding box of the tiles the change maps to,
         // inflated by the margin.
-        let affected = AffectedSet::compute(&td.plan, &td.placement, seeds, Self::EXTRA_CLBS)?;
-        let mut bbox: Option<Rect> = None;
-        for &t in &affected.tiles {
-            let r = td.plan.tile(t)?.rect;
-            bbox = Some(match bbox {
-                None => r,
-                Some(b) => b.union(&r),
-            });
-        }
         let b = td.device.bounds();
-        let bbox = bbox.unwrap_or(b);
+        let bbox = AffectedSet::compute(&td.plan, &td.placement, seeds, Self::EXTRA_CLBS)?
+            .rects(&td.plan)?
+            .into_iter()
+            .reduce(|bbox, r| bbox.union(&r))
+            .unwrap_or(b);
         let window = Rect::new(
             bbox.x0.saturating_sub(Self::MARGIN),
             bbox.y0.saturating_sub(Self::MARGIN),
@@ -230,25 +223,11 @@ impl ReimplFlow for IncrementalFlow {
 }
 
 /// Quick_ECO: change tracking stops at the netlist level, so the
-/// re-implemented unit is the *functional block* — the hierarchy
-/// children of the root. For the paper's experiments "each design
-/// will be considered the size of one functional block" (§6), which
-/// `whole_design_as_block` reproduces; with `false` the real hierarchy
-/// blocks of our generators are used instead.
-#[derive(Debug, Clone, Copy)]
-pub struct QuickEcoFlow {
-    /// Treat the whole design as one functional block (the paper's
-    /// experimental setting).
-    pub whole_design_as_block: bool,
-}
-
-impl Default for QuickEcoFlow {
-    fn default() -> Self {
-        Self {
-            whole_design_as_block: true,
-        }
-    }
-}
+/// re-implemented unit is the *functional block*. For the paper's
+/// experiments "each design will be considered the size of one
+/// functional block" (§6), so every logic cell is re-placed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct QuickEcoFlow;
 
 impl ReimplFlow for QuickEcoFlow {
     fn name(&self) -> &'static str {
@@ -258,32 +237,15 @@ impl ReimplFlow for QuickEcoFlow {
     fn reimplement(
         &mut self,
         td: &mut TiledDesign,
-        seeds: &[CellId],
+        _seeds: &[CellId],
         added: &[CellId],
     ) -> Result<EcoPhysicalOutcome, TilingError> {
-        let movable: Vec<CellId> = if self.whole_design_as_block {
-            td.netlist
-                .cells()
-                .filter(|(_, c)| c.is_logic())
-                .map(|(id, _)| id)
-                .collect()
-        } else {
-            let mut blocks = BTreeSet::new();
-            for &s in seeds {
-                if let Some(b) = td.hierarchy.functional_block_of(s) {
-                    blocks.insert(b);
-                }
-            }
-            let mut cells = BTreeSet::new();
-            for b in blocks {
-                for c in td.hierarchy.subtree_cells(b)? {
-                    if td.netlist.cell(c).map(|cc| cc.is_logic()).unwrap_or(false) {
-                        cells.insert(c);
-                    }
-                }
-            }
-            cells.into_iter().collect()
-        };
+        let movable: Vec<CellId> = td
+            .netlist
+            .cells()
+            .filter(|(_, c)| c.is_logic())
+            .map(|(id, _)| id)
+            .collect();
         reimplement_subset(td, &movable, added, None)
     }
 }
@@ -295,24 +257,25 @@ pub fn standard_flows() -> Vec<Box<dyn ReimplFlow>> {
         Box::new(TiledFlow),
         Box::new(FullReplaceFlow),
         Box::new(IncrementalFlow),
-        Box::new(QuickEcoFlow::default()),
+        Box::new(QuickEcoFlow),
     ]
 }
 
-/// `AffectedSet` covering every tile (the non-tiled flows disturb the
-/// entire device).
-fn whole_design_affected(td: &TiledDesign) -> Result<AffectedSet, TilingError> {
-    let tiles: Vec<crate::tile::TileId> = td.plan.iter().map(|(id, _)| id).collect();
-    let mut free_clbs = 0;
-    for &t in &tiles {
-        free_clbs += td.plan.usage(t, &td.placement)?.free_clbs();
-    }
-    Ok(AffectedSet {
-        tiles,
-        needed_clbs: 0,
-        free_clbs,
-        fits: true,
-    })
+/// Prices `flow` on a clone of the design: the clone is
+/// re-implemented, the caller's design is untouched, and only the
+/// effort is returned — the CAD effort the flow spends on the same
+/// change the tiled flow handled.
+///
+/// # Errors
+///
+/// Propagates placement/routing failures.
+pub fn flow_effort(
+    td: &TiledDesign,
+    flow: &mut dyn ReimplFlow,
+    seeds: &[CellId],
+) -> Result<CadEffort, TilingError> {
+    let mut trial = td.clone();
+    Ok(flow.reimplement(&mut trial, seeds, &[])?.effort)
 }
 
 /// Re-places `movable` plus any added logic (optionally confined to a
@@ -328,163 +291,115 @@ fn reimplement_subset(
     added: &[CellId],
     window: Option<Rect>,
 ) -> Result<EcoPhysicalOutcome, TilingError> {
-    let placement_snapshot = td.placement.clone();
-    let routing_snapshot = td.routing.clone();
-    reimplement_subset_inner(td, movable, added, window).inspect_err(|_| {
-        td.placement = placement_snapshot;
-        td.routing = routing_snapshot;
-    })
-}
+    or_restore(td, |td, _| {
+        // Drop stale placements/routes of netlist-deleted objects
+        // (retired instruments) — shared with the tiled flow.
+        drop_stale_physical_state(td);
 
-fn reimplement_subset_inner(
-    td: &mut TiledDesign,
-    movable: &[CellId],
-    added: &[CellId],
-    window: Option<Rect>,
-) -> Result<EcoPhysicalOutcome, TilingError> {
-    // Drop stale placements/routes of netlist-deleted objects
-    // (retired instruments) — shared with the tiled flow.
-    crate::flow::drop_stale_physical_state(td);
+        // Moved set: the flow's movable selection plus added logic
+        // (added IO cells go to free pads, constrained by site type,
+        // not window).
+        let mut moved: BTreeSet<CellId> = movable.iter().copied().collect();
+        moved.extend(added_logic(&td.netlist, added));
+        let mut spent = Spent::default();
+        let moved_cells: Vec<CellId> = moved.iter().copied().collect();
+        place_moved(td, &moved_cells, window.as_slice(), &mut spent)?;
 
-    // Moved set: the flow's movable selection plus added logic (added
-    // IO cells go to free pads, constrained by site type, not window).
-    let mut moved: BTreeSet<CellId> = movable.iter().copied().collect();
-    for &c in added {
-        if td.netlist.cell(c).map(|cc| cc.is_logic()).unwrap_or(false) {
-            moved.insert(c);
-        }
-    }
-
-    let mut placement: Placement = std::mem::take(&mut td.placement);
-    for &c in &moved {
-        let _ = placement.unplace(c);
-    }
-    let mut constraints = Constraints::free();
-    for (id, _) in td.netlist.cells() {
-        if moved.contains(&id) {
-            if let Some(w) = window {
-                constraints.confine(id, w);
+        // Re-route, from scratch, every net incident to a moved cell
+        // plus any net whose tree became stale (a terminal no longer
+        // matches a live placed sink — e.g. a path to a retired
+        // observation pad).
+        let mut work: BTreeSet<NetId> = BTreeSet::new();
+        for (net_id, net) in td.netlist.nets() {
+            let mut touched = net.driver.map(|d| moved.contains(&d)).unwrap_or(false);
+            touched |= net.sinks.iter().any(|s| moved.contains(&s.cell));
+            if !touched {
+                if let Some(tree) = td.routing.route(net_id) {
+                    let live_pins: BTreeSet<NodeId> = net
+                        .sinks
+                        .iter()
+                        .filter_map(|s| {
+                            td.placement
+                                .loc_of(s.cell)
+                                .map(|l| td.rrg.sink_node(l, s.pin))
+                        })
+                        .collect();
+                    touched = tree.paths.iter().any(|p| {
+                        let last = *p.last().expect("paths are non-empty");
+                        let is_wire = matches!(
+                            td.rrg.node(last),
+                            fpga::NodeKind::ChanX { .. } | fpga::NodeKind::ChanY { .. }
+                        );
+                        !is_wire && !live_pins.contains(&last)
+                    });
+                } else {
+                    // Unrouted net with live placed terminals: a new
+                    // connection (observation tap, control point) whose
+                    // cells did not need to move.
+                    touched = net.driver.is_some() && !net.sinks.is_empty();
+                }
             }
-        } else if placement.loc_of(id).is_some() {
-            constraints.lock(id);
-        }
-    }
-    let out = place::run_placer(
-        &td.netlist,
-        &td.device,
-        &constraints,
-        Some(placement),
-        &td.options.placer,
-    )?;
-    td.placement = out.placement;
-    let mut effort = CadEffort {
-        place_moves: out.moves_evaluated,
-        route_expansions: 0,
-    };
-    let cg_iterations = out.cg_iterations;
-
-    // Re-route, from scratch, every net incident to a moved cell plus
-    // any net whose tree became stale (a terminal no longer matches a
-    // live placed sink — e.g. a path to a retired observation pad).
-    let mut work: BTreeSet<NetId> = BTreeSet::new();
-    for (net_id, net) in td.netlist.nets() {
-        let mut touched = net.driver.map(|d| moved.contains(&d)).unwrap_or(false);
-        touched |= net.sinks.iter().any(|s| moved.contains(&s.cell));
-        if !touched {
-            if let Some(tree) = td.routing.route(net_id) {
-                let live_pins: BTreeSet<NodeId> = net
-                    .sinks
-                    .iter()
-                    .filter_map(|s| {
-                        td.placement
-                            .loc_of(s.cell)
-                            .map(|l| td.rrg.sink_node(l, s.pin))
-                    })
-                    .collect();
-                touched = tree.paths.iter().any(|p| {
-                    let last = *p.last().expect("paths are non-empty");
-                    let is_wire = matches!(
-                        td.rrg.node(last),
-                        fpga::NodeKind::ChanX { .. } | fpga::NodeKind::ChanY { .. }
-                    );
-                    !is_wire && !live_pins.contains(&last)
-                });
-            } else {
-                // Unrouted net with live placed terminals: a new
-                // connection (observation tap, control point) whose
-                // cells did not need to move.
-                touched = net.driver.is_some() && !net.sinks.is_empty();
+            if touched {
+                work.insert(net_id);
             }
         }
-        if touched {
-            work.insert(net_id);
+        for &n in &work {
+            td.routing.clear_route(n);
         }
-    }
-    for &n in &work {
-        td.routing.clear_route(n);
-    }
-    let mut requests = Vec::with_capacity(work.len());
-    for &net_id in &work {
-        let net = td.netlist.net(net_id)?;
-        let Some(driver) = net.driver else { continue };
-        let Some(src_loc) = td.placement.loc_of(driver) else {
-            continue;
+        let mut requests = Vec::with_capacity(work.len());
+        for &net_id in &work {
+            let net = td.netlist.net(net_id)?;
+            let Some(driver) = net.driver else { continue };
+            let Some(src_loc) = td.placement.loc_of(driver) else {
+                continue;
+            };
+            let mut sinks = Vec::new();
+            for s in &net.sinks {
+                if let Some(loc) = td.placement.loc_of(s.cell) {
+                    sinks.push(td.rrg.sink_node(loc, s.pin));
+                }
+            }
+            if sinks.is_empty() {
+                continue;
+            }
+            requests.push(route::ConnectionRequest {
+                net: net_id,
+                source: td.rrg.source_node(src_loc),
+                sinks,
+            });
+        }
+        if !requests.is_empty() {
+            let stats = route::route(&td.rrg, &requests, &mut td.routing, &td.options.router)?;
+            spent.effort.route_expansions += stats.expansions;
+        }
+        route::normalize_routes(
+            &td.netlist,
+            &td.placement,
+            &td.rrg,
+            &mut td.routing,
+            work.iter().copied(),
+        );
+
+        // Affected tiles: those overlapping the window, or all of them
+        // when the flow has no spatial confinement.
+        let tiles: Vec<crate::tile::TileId> = match window {
+            Some(w) => td
+                .plan
+                .iter()
+                .filter(|(_, t)| t.rect.intersects(&w))
+                .map(|(id, _)| id)
+                .collect(),
+            None => td.plan.iter().map(|(id, _)| id).collect(),
         };
-        let mut sinks = Vec::new();
-        for s in &net.sinks {
-            if let Some(loc) = td.placement.loc_of(s.cell) {
-                sinks.push(td.rrg.sink_node(loc, s.pin));
-            }
-        }
-        if sinks.is_empty() {
-            continue;
-        }
-        requests.push(route::ConnectionRequest {
-            net: net_id,
-            source: td.rrg.source_node(src_loc),
-            sinks,
-        });
-    }
-    if !requests.is_empty() {
-        let stats = route::route(&td.rrg, &requests, &mut td.routing, &td.options.router)?;
-        effort.route_expansions = stats.expansions;
-    }
-    route::normalize_routes(
-        &td.netlist,
-        &td.placement,
-        &td.rrg,
-        &mut td.routing,
-        work.iter().copied(),
-    );
-
-    // Affected tiles: those overlapping the window, or all of them
-    // when the flow has no spatial confinement.
-    let tiles: Vec<crate::tile::TileId> = match window {
-        Some(w) => td
-            .plan
-            .iter()
-            .filter(|(_, t)| t.rect.intersects(&w))
-            .map(|(id, _)| id)
-            .collect(),
-        None => td.plan.iter().map(|(id, _)| id).collect(),
-    };
-    let mut free_clbs = 0;
-    for &t in &tiles {
-        free_clbs += td.plan.usage(t, &td.placement)?.free_clbs();
-    }
-    Ok(EcoPhysicalOutcome {
-        effort,
-        cg_iterations,
-        affected: AffectedSet {
-            tiles,
-            needed_clbs: 0,
-            free_clbs,
-            fits: true,
-        },
-        replaced_cells: moved.len(),
-        rerouted_nets: work.len(),
-        kept_routes: false,
-        confined: false,
+        Ok(EcoPhysicalOutcome {
+            effort: spent.effort,
+            cg_iterations: spent.cg_iterations,
+            affected: AffectedSet::of_tiles(&td.plan, &td.placement, tiles, 0)?,
+            replaced_cells: moved.len(),
+            rerouted_nets: work.len(),
+            kept_routes: false,
+            confined: false,
+        })
     })
 }
 
@@ -554,5 +469,65 @@ mod tests {
             .reimplement(&mut tiled_td, &[victim], &[])
             .unwrap();
         assert!(tiled.affected.tiles.len() < tiled_td.plan.len());
+    }
+
+    #[test]
+    fn tiling_beats_the_baselines_on_a_small_change() {
+        let b = PaperDesign::NineSym.generate().unwrap();
+        let mut td = implement(b.netlist, b.hierarchy, TilingOptions::fast(21)).unwrap();
+        let victim = victim_of(&td);
+        let tt = td
+            .netlist
+            .cell(victim)
+            .unwrap()
+            .lut_function()
+            .unwrap()
+            .complement();
+        td.netlist.set_lut_function(victim, tt).unwrap();
+
+        // All four flows priced through the one trait, on the same
+        // change (the Figure 5 harness shape).
+        let mut efforts = std::collections::HashMap::new();
+        for mut flow in standard_flows() {
+            let name = flow.name();
+            let effort = flow_effort(&td, flow.as_mut(), &[victim]).unwrap();
+            efforts.insert(name, effort);
+        }
+        let full = efforts["full"];
+        let quick = efforts["quick_eco"];
+        let incr = efforts["incremental"];
+
+        // The tiled flow commits for real (the state the next debug
+        // step iterates on).
+        let tiled = TiledFlow
+            .reimplement(&mut td, &[victim], &[])
+            .unwrap()
+            .effort;
+        assert_eq!(
+            efforts["tiled"].total(),
+            tiled.total(),
+            "probe and committed tiled run disagree"
+        );
+
+        assert!(
+            full.total() > tiled.total(),
+            "full {} vs tiled {}",
+            full,
+            tiled
+        );
+        assert!(
+            quick.total() > tiled.total(),
+            "quick {} vs tiled {}",
+            quick,
+            tiled
+        );
+        assert!(
+            incr.total() >= tiled.total(),
+            "incr {} vs tiled {}",
+            incr,
+            tiled
+        );
+        // And the orderings the paper reports: full >= quick(whole) >= incremental.
+        assert!(full.total() >= incr.total());
     }
 }

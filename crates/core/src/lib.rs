@@ -19,9 +19,9 @@
 //!    physical flow ([`flows`]) — the tiled flow clears only the
 //!    affected tiles ([`eco_flow`]);
 //! 3. compare the CAD effort against the non-tiled alternatives
-//!    (the same [`flows`] behind one trait; [`baselines`] prices them
-//!    on clones): full re-place-and-route, incremental, and Quick_ECO
-//!    functional-block granularity.
+//!    (the same [`flows`] behind one trait; [`flow_effort`] prices
+//!    them on clones): full re-place-and-route, incremental, and
+//!    Quick_ECO functional-block granularity.
 //!
 //! [`testpoints`] computes the paper's Figure 3 / Figure 4 quantities
 //! (tiles affected by logic insertion; maximum test-logic size per
@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod affected;
-pub mod baselines;
 pub mod diagnosis;
 pub mod eco_flow;
 pub mod effort;
@@ -52,7 +51,6 @@ pub mod tile;
 pub use drc;
 
 pub use affected::AffectedSet;
-pub use baselines::flow_effort;
 pub use diagnosis::{
     cluster_failures, collect_responses, fsm_merge_witnesses, merge_fsm_clusters, traced_responses,
     ConePartition, EvidenceBase, EvidenceStats, FailureCluster, FaultAttribution,
@@ -63,7 +61,8 @@ pub use effort::{CadEffort, EffortLedger, Phase};
 pub use error::TilingError;
 pub use flow::{implement, TiledDesign, TilingOptions};
 pub use flows::{
-    standard_flows, FullReplaceFlow, IncrementalFlow, QuickEcoFlow, ReimplFlow, TiledFlow,
+    flow_effort, standard_flows, FullReplaceFlow, IncrementalFlow, QuickEcoFlow, ReimplFlow,
+    TiledFlow,
 };
 pub use partition::partition;
 pub use preflight::{audit_confined_eco, check_design, preflight, tile_views};

@@ -60,28 +60,6 @@ pub fn partition(
     TilePlan::from_rects(device, rects)
 }
 
-/// Uniform partition into `rows × cols` equal-as-possible tiles
-/// (ablation baseline: no cut-cost minimization).
-pub fn uniform_partition(device: &Device, rows: usize, cols: usize) -> TilePlan {
-    let (w, h) = (device.width() as usize, device.height() as usize);
-    let rows = rows.clamp(1, (h / 2).max(1));
-    let cols = cols.clamp(1, (w / 2).max(1));
-    let xcuts = even_cuts(w, cols);
-    let ycuts = even_cuts(h, rows);
-    let mut rects = Vec::with_capacity(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            rects.push(Rect::new(
-                xcuts[c] as u16,
-                ycuts[r] as u16,
-                (xcuts[c + 1] - 1) as u16,
-                (ycuts[r + 1] - 1) as u16,
-            ));
-        }
-    }
-    TilePlan::from_rects(device, rects)
-}
-
 fn even_cuts(len: usize, parts: usize) -> Vec<usize> {
     (0..=parts).map(|i| i * len / parts).collect()
 }
@@ -201,15 +179,6 @@ mod tests {
     use super::*;
     use fpga::{BelLoc, ClbSlot};
     use netlist::TruthTable;
-
-    #[test]
-    fn uniform_partition_covers() {
-        let dev = Device::new(7, 5, 4, 2).unwrap();
-        let plan = uniform_partition(&dev, 2, 3);
-        assert_eq!(plan.len(), 6);
-        let total: usize = plan.iter().map(|(_, t)| t.rect.area()).sum();
-        assert_eq!(total, 35);
-    }
 
     #[test]
     fn partition_prefers_low_cut_lines() {

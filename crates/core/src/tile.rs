@@ -263,14 +263,6 @@ impl TilePlan {
         }
         cut
     }
-
-    /// Average tile size in CLBs.
-    pub fn mean_tile_clbs(&self) -> f64 {
-        if self.tiles.is_empty() {
-            return 0.0;
-        }
-        self.tiles.iter().map(|t| t.rect.area()).sum::<usize>() as f64 / self.tiles.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -296,7 +288,6 @@ mod tests {
         assert_eq!(plan.tile_of_coord(Coord::new(0, 0)), Some(TileId(0)));
         assert_eq!(plan.tile_of_coord(Coord::new(3, 3)), Some(TileId(3)));
         assert_eq!(plan.tile_of_coord(Coord::new(4, 0)), None);
-        assert_eq!(plan.mean_tile_clbs(), 4.0);
     }
 
     #[test]

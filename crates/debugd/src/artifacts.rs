@@ -62,7 +62,6 @@ pub fn implement_options(design: PaperDesign, target_tiles: usize, seed: u64) ->
             ..Default::default()
         },
         enforce_tile_slack: true,
-        incremental_routing: true,
     }
 }
 

@@ -119,7 +119,7 @@ impl FlowKind {
             Self::Tiled => Box::new(TiledFlow),
             Self::FullReplace => Box::new(FullReplaceFlow),
             Self::Incremental => Box::new(IncrementalFlow),
-            Self::QuickEco => Box::new(QuickEcoFlow::default()),
+            Self::QuickEco => Box::new(QuickEcoFlow),
         }
     }
 }

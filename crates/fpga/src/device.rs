@@ -194,11 +194,6 @@ impl Device {
         2 * self.num_clbs()
     }
 
-    /// Total flip-flop slots (two per CLB).
-    pub fn ff_capacity(&self) -> usize {
-        2 * self.num_clbs()
-    }
-
     /// Total IOB sites.
     pub fn io_capacity(&self) -> usize {
         2 * (self.width as usize + self.height as usize) * self.iobs_per_pos as usize
@@ -282,7 +277,6 @@ mod tests {
         let d = Device::new(8, 6, 8, 2).unwrap();
         assert_eq!(d.num_clbs(), 48);
         assert_eq!(d.lut_capacity(), 96);
-        assert_eq!(d.ff_capacity(), 96);
         assert_eq!(d.io_capacity(), 56);
         assert_eq!(d.bounds(), Rect::new(0, 0, 7, 5));
     }

@@ -181,34 +181,12 @@ impl Hierarchy {
             .ok_or(NetlistError::UnknownHierarchyNode(node.index()))
     }
 
-    /// All cells in the subtree rooted at `node`.
-    ///
-    /// This is the §5.1 back-annotation trace: a change at `node`
-    /// perturbs exactly these cells.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnknownHierarchyNode`] for bad ids.
-    pub fn subtree_cells(&self, node: HierarchyNodeId) -> Result<Vec<CellId>, NetlistError> {
-        let mut out = Vec::new();
-        let mut stack = vec![node];
-        while let Some(id) = stack.pop() {
-            let n = self
-                .nodes
-                .get(id.index())
-                .ok_or(NetlistError::UnknownHierarchyNode(id.index()))?;
-            out.extend_from_slice(&n.cells);
-            stack.extend_from_slice(&n.children);
-        }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
-    }
-
     /// The *functional block* of a cell: the ancestor that is a direct
     /// child of the root (or the root itself for top-level cells).
     ///
-    /// This is the granularity at which `Quick_ECO` operates.
+    /// This is the granularity at which the paper's `Quick_ECO`
+    /// operates (its experiments, and `QuickEcoFlow`, take the whole
+    /// design as one block).
     pub fn functional_block_of(&self, cell: CellId) -> Option<HierarchyNodeId> {
         let mut cur = self.node_of_cell(cell)?;
         loop {
@@ -251,16 +229,6 @@ mod tests {
         let (h, _, adder, _) = sample();
         assert_eq!(h.path(adder).unwrap(), "top/alu/adder");
         assert_eq!(h.path(h.root()).unwrap(), "top");
-    }
-
-    #[test]
-    fn subtree_collects_descendant_cells() {
-        let (h, alu, _, _) = sample();
-        assert_eq!(
-            h.subtree_cells(alu).unwrap(),
-            vec![CellId::new(0), CellId::new(1)]
-        );
-        assert_eq!(h.subtree_cells(h.root()).unwrap().len(), 3);
     }
 
     #[test]

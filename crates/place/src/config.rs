@@ -77,13 +77,6 @@ impl PlacerConfig {
             ..Self::default()
         }
     }
-
-    /// The same schedule driven by the other engine — used by the
-    /// flow bench to price both engines on identical budgets.
-    pub fn with_engine(mut self, engine: PlaceEngine) -> Self {
-        self.engine = engine;
-        self
-    }
 }
 
 /// Placement constraints: locked cells and per-cell region boxes.
@@ -145,11 +138,6 @@ impl Constraints {
     pub fn region_of(&self, cell: CellId) -> Option<&[Rect]> {
         self.regions.get(&cell).map(Vec::as_slice)
     }
-
-    /// Number of locked cells.
-    pub fn num_locked(&self) -> usize {
-        self.locked.len()
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +150,6 @@ mod tests {
         c.lock(CellId::new(0));
         c.lock_all([CellId::new(1), CellId::new(2)]);
         c.confine(CellId::new(5), Rect::new(1, 1, 2, 2));
-        assert_eq!(c.num_locked(), 3);
         assert!(c.is_locked(CellId::new(2)));
         assert!(!c.is_locked(CellId::new(5)));
         assert_eq!(

@@ -218,12 +218,10 @@ mod tests {
         let (mut sa_cost, mut an_cost) = (0.0f64, 0.0f64);
         let (mut sa_moves, mut an_moves) = (0u64, 0u64);
         for seed in [0, 2, 4] {
-            let mk = |engine| {
-                PlacerConfig {
-                    seed,
-                    ..PlacerConfig::default()
-                }
-                .with_engine(engine)
+            let mk = |engine| PlacerConfig {
+                seed,
+                engine,
+                ..PlacerConfig::default()
             };
             let sa_out = run_placer(
                 &nl,
