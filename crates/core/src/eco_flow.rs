@@ -271,94 +271,38 @@ fn incremental_rung(
     // ----- Minimal routing work list --------------------------------
     // A net needs work iff its installed tree no longer matches its
     // terminals. Everything else stays untouched — including nets
-    // threading through the affected tiles.
+    // threading through the affected tiles. Almost every net is
+    // settled, and the settled test reads it in place.
     let mut requests: Vec<ConnectionRequest> = Vec::new();
     let mut touched: BTreeSet<NetId> = BTreeSet::new();
-    let net_ids: Vec<NetId> = td.netlist.nets().map(|(id, _)| id).collect();
-    for net_id in net_ids {
-        let net = td.netlist.net(net_id)?.clone();
-        let Some(driver) = net.driver else {
-            if td.routing.route(net_id).is_some() {
-                td.routing.clear_route(net_id);
-                touched.insert(net_id);
-            }
+    let unsettled: Vec<NetId> = td
+        .netlist
+        .nets()
+        .map(|(id, _)| id)
+        .filter(|&id| {
+            let skip = settled(td, id);
+            // Debug builds prove the skip: the full comparison would
+            // have touched nothing.
+            debug_assert!(
+                !skip || matches!(net_repair(td, id), Ok(None)),
+                "settled net {id} needs repair"
+            );
+            !skip
+        })
+        .collect();
+    for net_id in unsettled {
+        let Some(repair) = net_repair(td, net_id)? else {
             continue;
         };
-        let Some(driver_loc) = td.placement.loc_of(driver) else {
-            continue;
-        };
-        let source = td.rrg.source_node(driver_loc);
-        let mut pins: Vec<NodeId> = net
-            .sinks
-            .iter()
-            .filter_map(|s| {
-                td.placement
-                    .loc_of(s.cell)
-                    .map(|loc| td.rrg.sink_node(loc, s.pin))
-            })
-            .collect();
-        pins.sort_unstable();
-        pins.dedup();
-        let tree = td.routing.route(net_id).cloned();
-        let Some(tree) = tree else {
-            if !pins.is_empty() {
-                requests.push(ConnectionRequest {
-                    net: net_id,
-                    source,
-                    sinks: pins,
-                });
-                touched.insert(net_id);
-            }
-            continue;
-        };
-        if tree.paths.iter().any(|p| p.first() != Some(&source)) {
-            // Driver replaced or re-sourced: the tree's root is stale,
-            // so the whole net reroutes (its wires are freed first).
+        if repair.rip {
             td.routing.clear_route(net_id);
-            touched.insert(net_id);
-            if !pins.is_empty() {
-                requests.push(ConnectionRequest {
-                    net: net_id,
-                    source,
-                    sinks: pins,
-                });
+            if !repair.keep.is_empty() {
+                td.routing
+                    .set_route(net_id, RouteTree { paths: repair.keep });
             }
-            continue;
         }
-        let pin_set: BTreeSet<NodeId> = pins.iter().copied().collect();
-        let endpoints: BTreeSet<NodeId> = tree
-            .paths
-            .iter()
-            .filter_map(|p| p.last().copied())
-            .collect();
-        let missing: Vec<NodeId> = pins
-            .iter()
-            .copied()
-            .filter(|p| !endpoints.contains(p))
-            .collect();
-        let keep: Vec<Vec<NodeId>> = tree
-            .paths
-            .iter()
-            .filter(|p| p.last().is_some_and(|l| pin_set.contains(l)))
-            .cloned()
-            .collect();
-        if keep.len() < tree.paths.len() {
-            // A sink retired (e.g. a removed observation tap): strip
-            // its path so the wires are freed instead of squatting.
-            td.routing.clear_route(net_id);
-            if !keep.is_empty() {
-                td.routing.set_route(net_id, RouteTree { paths: keep });
-            }
-            touched.insert(net_id);
-        }
-        if !missing.is_empty() {
-            requests.push(ConnectionRequest {
-                net: net_id,
-                source,
-                sinks: missing,
-            });
-            touched.insert(net_id);
-        }
+        requests.extend(repair.grow);
+        touched.insert(net_id);
     }
 
     // ----- One free routing pass ------------------------------------
@@ -387,6 +331,114 @@ fn incremental_rung(
         kept_routes: true,
         confined: true,
     })
+}
+
+/// True when `net_id`'s installed tree is one path per sink, in sink
+/// order, each from the driver's source pin to that sink's pin. Such a
+/// tree has no missing pin, no path to strip and no stale root, so
+/// [`net_repair`] would leave it alone; this test reads it in place.
+fn settled(td: &TiledDesign, net_id: NetId) -> bool {
+    let (Ok(net), Some(tree)) = (td.netlist.net(net_id), td.routing.route(net_id)) else {
+        return false;
+    };
+    let Some(driver_loc) = net.driver.and_then(|d| td.placement.loc_of(d)) else {
+        return false;
+    };
+    let source = td.rrg.source_node(driver_loc);
+    tree.paths.len() == net.sinks.len()
+        && net.sinks.iter().zip(&tree.paths).all(|(s, path)| {
+            td.placement.loc_of(s.cell).is_some_and(|loc| {
+                path.first() == Some(&source) && path.last() == Some(&td.rrg.sink_node(loc, s.pin))
+            })
+        })
+}
+
+/// How the incremental rung changes one net whose tree no longer
+/// matches its terminals.
+#[derive(Debug)]
+struct NetRepair {
+    /// Rip the installed tree, then reinstall `keep` (when non-empty).
+    rip: bool,
+    /// The source-connected paths that still end on a live sink pin.
+    keep: Vec<Vec<NodeId>>,
+    /// The connections the router must grow.
+    grow: Option<ConnectionRequest>,
+}
+
+/// Compares `net_id`'s installed tree with its terminals: `None` when
+/// nothing is to be done. A net without a driver loses its tree; a
+/// driver replaced or re-sourced reroutes the whole net; a retired
+/// sink's path is stripped; missing sink pins are grown from the kept
+/// tree.
+fn net_repair(td: &TiledDesign, net_id: NetId) -> Result<Option<NetRepair>, TilingError> {
+    let net = td.netlist.net(net_id)?;
+    let Some(driver) = net.driver else {
+        return Ok(td.routing.route(net_id).is_some().then(|| NetRepair {
+            rip: true,
+            keep: Vec::new(),
+            grow: None,
+        }));
+    };
+    let Some(driver_loc) = td.placement.loc_of(driver) else {
+        return Ok(None);
+    };
+    let source = td.rrg.source_node(driver_loc);
+    let mut pins: Vec<NodeId> = net
+        .sinks
+        .iter()
+        .filter_map(|s| {
+            td.placement
+                .loc_of(s.cell)
+                .map(|loc| td.rrg.sink_node(loc, s.pin))
+        })
+        .collect();
+    pins.sort_unstable();
+    pins.dedup();
+    let request = |sinks: Vec<NodeId>| {
+        (!sinks.is_empty()).then_some(ConnectionRequest {
+            net: net_id,
+            source,
+            sinks,
+        })
+    };
+    let Some(tree) = td.routing.route(net_id) else {
+        return Ok(request(pins).map(|grow| NetRepair {
+            rip: false,
+            keep: Vec::new(),
+            grow: Some(grow),
+        }));
+    };
+    if tree.paths.iter().any(|p| p.first() != Some(&source)) {
+        // Driver replaced or re-sourced: the tree's root is stale,
+        // so the whole net reroutes (its wires are freed first).
+        return Ok(Some(NetRepair {
+            rip: true,
+            keep: Vec::new(),
+            grow: request(pins),
+        }));
+    }
+    let pin_set: BTreeSet<NodeId> = pins.iter().copied().collect();
+    let endpoints: BTreeSet<NodeId> = tree
+        .paths
+        .iter()
+        .filter_map(|p| p.last().copied())
+        .collect();
+    let missing: Vec<NodeId> = pins
+        .iter()
+        .copied()
+        .filter(|p| !endpoints.contains(p))
+        .collect();
+    let keep: Vec<Vec<NodeId>> = tree
+        .paths
+        .iter()
+        .filter(|p| p.last().is_some_and(|l| pin_set.contains(l)))
+        .cloned()
+        .collect();
+    // A sink retired (e.g. a removed observation tap): strip its path
+    // so the wires are freed instead of squatting.
+    let rip = keep.len() < tree.paths.len();
+    let grow = request(missing);
+    Ok((rip || grow.is_some()).then_some(NetRepair { rip, keep, grow }))
 }
 
 /// Rung 2: clear the affected tiles and re-place-and-route them, with

@@ -163,6 +163,7 @@ impl BelLoc {
     }
 
     /// The CLB coordinate, if this is a CLB slot.
+    #[inline]
     pub fn coord(&self) -> Option<Coord> {
         match self {
             Self::Clb { coord, .. } => Some(*coord),
@@ -174,6 +175,7 @@ impl BelLoc {
     ///
     /// IOBs map to the nearest CLB coordinate on their side, clamped
     /// to a `width × height` grid.
+    #[inline]
     pub fn proxy_coord(&self, width: u16, height: u16) -> Coord {
         match self {
             Self::Clb { coord, .. } => *coord,

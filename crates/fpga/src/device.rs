@@ -46,7 +46,6 @@ pub const MAX_EDGE: u16 = 256;
 /// use fpga::Device;
 /// let dev = Device::new(10, 10, 8, 2)?;
 /// assert_eq!(dev.num_clbs(), 100);
-/// assert_eq!(dev.lut_capacity(), 200);
 /// assert_eq!(dev.io_capacity(), 80);
 /// # Ok::<(), fpga::DeviceError>(())
 /// ```
@@ -189,11 +188,6 @@ impl Device {
         self.width as usize * self.height as usize
     }
 
-    /// Total LUT slots (two per CLB).
-    pub fn lut_capacity(&self) -> usize {
-        2 * self.num_clbs()
-    }
-
     /// Total IOB sites.
     pub fn io_capacity(&self) -> usize {
         2 * (self.width as usize + self.height as usize) * self.iobs_per_pos as usize
@@ -227,7 +221,8 @@ impl Device {
         self.clb_coords().flat_map(|c| self.clb_slots(c))
     }
 
-    /// Iterates over all IOB sites, sides in N/S/E/W order.
+    /// Iterates over all IOB sites: sides in N/S/E/W order, then
+    /// position along the side, then pad.
     pub fn iob_sites(&self) -> impl Iterator<Item = IobSite> + '_ {
         let w = self.width;
         let h = self.height;
@@ -239,6 +234,34 @@ impl Device {
             };
             (0..len).flat_map(move |pos| (0..k).map(move |kk| IobSite { side, pos, k: kk }))
         })
+    }
+
+    /// The `i`-th element of [`Device::iob_sites`], without walking
+    /// the perimeter; `None` from [`Device::io_capacity`] on.
+    ///
+    /// ```
+    /// use fpga::Device;
+    /// let dev = Device::new(5, 4, 8, 2)?;
+    /// let sites: Vec<_> = dev.iob_sites().collect();
+    /// assert_eq!(dev.iob_site(13), Some(sites[13]));
+    /// assert_eq!(dev.iob_site(dev.io_capacity()), None);
+    /// # Ok::<(), fpga::DeviceError>(())
+    /// ```
+    pub fn iob_site(&self, i: usize) -> Option<IobSite> {
+        let per_pos = usize::from(self.iobs_per_pos);
+        let (mut pos, k) = (i / per_pos, i % per_pos);
+        for side in IobSide::ALL {
+            let len = usize::from(self.side_len(side));
+            if pos < len {
+                return Some(IobSite {
+                    side,
+                    pos: pos as u16,
+                    k: k as u8,
+                });
+            }
+            pos -= len;
+        }
+        None
     }
 
     /// Number of positions along the given side.
@@ -276,7 +299,6 @@ mod tests {
     fn capacities() {
         let d = Device::new(8, 6, 8, 2).unwrap();
         assert_eq!(d.num_clbs(), 48);
-        assert_eq!(d.lut_capacity(), 96);
         assert_eq!(d.io_capacity(), 56);
         assert_eq!(d.bounds(), Rect::new(0, 0, 7, 5));
     }

@@ -14,7 +14,9 @@
 //! * [`placedb::Placement`] — which netlist cell sits on which BEL;
 //! * [`routedb::Routing`] — per-net route trees over RRG nodes;
 //! * [`timing`] — a unit-delay-per-resource model and static timing
-//!   analysis, used for Table 1's timing-overhead column.
+//!   analysis, used for Table 1's timing-overhead column;
+//! * [`hash`] — the fixed hasher behind the placer's and router's
+//!   per-move lookups.
 //!
 //! The model is *not* bit-exact Xilinx silicon: delays are idealized
 //! and switch patterns simplified (disjoint switch boxes, full
@@ -27,6 +29,7 @@
 pub mod bel;
 pub mod coords;
 pub mod device;
+pub mod hash;
 pub mod placedb;
 pub mod routedb;
 pub mod rrg;
@@ -35,6 +38,7 @@ pub mod timing;
 pub use bel::{BelLoc, ClbSlot, IobSide, IobSite};
 pub use coords::{Coord, Rect};
 pub use device::{Device, DeviceError};
+pub use hash::{FxHashMap, FxHashSet};
 pub use placedb::Placement;
 pub use routedb::{RouteTree, Routing};
 pub use rrg::{NodeId, NodeKind, RoutingGraph};

@@ -1,12 +1,12 @@
 //! Placement database: which netlist cell occupies which BEL.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use netlist::CellId;
 
 use crate::bel::BelLoc;
+use crate::hash::FxHashMap;
 
 /// Errors from placement bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +44,7 @@ impl Error for PlacementError {}
 #[derive(Debug, Clone, Default)]
 pub struct Placement {
     locs: Vec<Option<BelLoc>>,
-    occ: HashMap<BelLoc, CellId>,
+    occ: FxHashMap<BelLoc, CellId>,
 }
 
 impl Placement {
@@ -52,7 +52,7 @@ impl Placement {
     pub fn new(num_cells: usize) -> Self {
         Self {
             locs: vec![None; num_cells],
-            occ: HashMap::new(),
+            occ: FxHashMap::default(),
         }
     }
 
@@ -67,11 +67,13 @@ impl Placement {
     }
 
     /// Location of a cell.
+    #[inline]
     pub fn loc_of(&self, cell: CellId) -> Option<BelLoc> {
         self.locs.get(cell.index()).copied().flatten()
     }
 
     /// Cell at a location.
+    #[inline]
     pub fn cell_at(&self, loc: BelLoc) -> Option<CellId> {
         self.occ.get(&loc).copied()
     }

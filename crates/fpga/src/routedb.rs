@@ -24,6 +24,16 @@ impl RouteTree {
         self.paths.iter().flatten().copied().collect()
     }
 
+    /// The distinct nodes, in ascending order: what [`Self::nodes`]
+    /// holds, gathered without building a set (installing and ripping
+    /// a route walk them on every router iteration).
+    fn distinct_nodes(&self) -> Vec<NodeId> {
+        let mut nodes: Vec<NodeId> = self.paths.iter().flatten().copied().collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
+    }
+
     /// Total wire length (distinct nodes, a proxy for segments used).
     pub fn wirelength(&self) -> usize {
         self.nodes().len()
@@ -78,6 +88,7 @@ impl Routing {
     }
 
     /// Occupancy count of a node.
+    #[inline]
     pub fn occupancy(&self, node: NodeId) -> u16 {
         self.occupancy.get(node.index()).copied().unwrap_or(0)
     }
@@ -88,7 +99,7 @@ impl Routing {
         if net.index() >= self.routes.len() {
             self.routes.resize(net.index() + 1, None);
         }
-        for node in tree.nodes() {
+        for node in tree.distinct_nodes() {
             self.occupancy[node.index()] += 1;
         }
         self.routes[net.index()] = Some(tree);
@@ -99,7 +110,7 @@ impl Routing {
     /// Returns the removed tree, if any.
     pub fn clear_route(&mut self, net: NetId) -> Option<RouteTree> {
         let tree = self.routes.get_mut(net.index())?.take()?;
-        for node in tree.nodes() {
+        for node in tree.distinct_nodes() {
             let o = &mut self.occupancy[node.index()];
             *o = o.saturating_sub(1);
         }
@@ -213,6 +224,16 @@ mod tests {
         r.clear_route(NetId::new(0));
         assert_eq!(r.occupancy(NodeId::default_for_test(1)), 0);
         assert!(r.is_feasible());
+    }
+
+    #[test]
+    fn distinct_nodes_are_the_node_set_in_order() {
+        let tree = RouteTree {
+            paths: vec![ids(&[7, 2, 9]), ids(&[7, 2, 4]), ids(&[7, 1])],
+        };
+        let set: Vec<NodeId> = tree.nodes().into_iter().collect();
+        assert_eq!(tree.distinct_nodes(), set);
+        assert_eq!(RouteTree::default().distinct_nodes(), Vec::new());
     }
 
     #[test]

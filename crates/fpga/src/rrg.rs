@@ -126,6 +126,46 @@ pub mod delay {
     pub const IOB: f64 = 0.90;
 }
 
+/// Division of node ids by one of the graph's fixed dimensions, done
+/// as a multiply and a shift: decoding an id is on the router's inner
+/// loop, and a hardware divide costs several times as much.
+///
+/// For a divisor `d ≥ 2` and `c = ⌈2⁶⁴ / d⌉`, `⌊c · n / 2⁶⁴⌋ = ⌊n / d⌋`
+/// for every 32-bit `n` (Lemire, Kaser and Kurz, "Faster Remainder by
+/// Direct Computation", 2019); node ids are 32-bit.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: usize,
+    /// `⌈2⁶⁴ / d⌉`, or 0 when `d` is 1.
+    c: u64,
+}
+
+impl Divisor {
+    fn new(d: usize) -> Self {
+        let d32 = u32::try_from(d).expect("graph dimensions fit 32 bits");
+        assert!(d32 > 0, "graph dimensions are positive");
+        Self {
+            d,
+            c: if d32 == 1 {
+                0
+            } else {
+                u64::MAX / u64::from(d32) + 1
+            },
+        }
+    }
+
+    /// `(n / d, n % d)` for a node-id-sized `n`.
+    fn div_rem(self, n: usize) -> (usize, usize) {
+        if self.c == 0 {
+            return (n, 0);
+        }
+        let n32 = n as u32;
+        debug_assert_eq!(n32 as usize, n, "node ids are 32-bit");
+        let q = ((u128::from(self.c) * u128::from(n32)) >> 64) as usize;
+        (q, n - q * self.d)
+    }
+}
+
 /// The routing-resource graph of a [`Device`].
 ///
 /// ```
@@ -150,6 +190,10 @@ pub struct RoutingGraph {
     opin_base: usize,
     iob_base: usize,
     total: usize,
+    div_w: Divisor,
+    div_h: Divisor,
+    div_t: Divisor,
+    div_k: Divisor,
 }
 
 impl NodeId {
@@ -188,6 +232,10 @@ impl RoutingGraph {
             opin_base,
             iob_base,
             total: iob_base + n_iob,
+            div_w: Divisor::new(w),
+            div_h: Divisor::new(h),
+            div_t: Divisor::new(t),
+            div_k: Divisor::new(k),
         }
     }
 
@@ -310,41 +358,40 @@ impl RoutingGraph {
     /// # Panics
     ///
     /// Panics if the id is out of range for this graph.
+    #[inline]
     pub fn node(&self, id: NodeId) -> NodeKind {
         let i = id.index();
         assert!(i < self.total, "node id out of range");
         if i < self.chany_base {
-            let r = i - self.chanx_base;
-            let t = r % self.t;
-            let xy = r / self.t;
+            let (xy, t) = self.div_t.div_rem(i - self.chanx_base);
+            let (y, x) = self.div_w.div_rem(xy);
             NodeKind::ChanX {
-                x: (xy % self.w) as u16,
-                y: (xy / self.w) as u16,
+                x: x as u16,
+                y: y as u16,
                 t: t as u16,
             }
         } else if i < self.ipin_base {
-            let r = i - self.chany_base;
-            let t = r % self.t;
-            let xy = r / self.t;
+            let (xy, t) = self.div_t.div_rem(i - self.chany_base);
+            let (x, y) = self.div_h.div_rem(xy);
             NodeKind::ChanY {
-                x: (xy / self.h) as u16,
-                y: (xy % self.h) as u16,
+                x: x as u16,
+                y: y as u16,
                 t: t as u16,
             }
         } else if i < self.opin_base {
             let r = i - self.ipin_base;
             let p = r % CLB_IN_PINS;
-            let xy = r / CLB_IN_PINS;
+            let (y, x) = self.div_w.div_rem(r / CLB_IN_PINS);
             NodeKind::IPin {
-                coord: Coord::new((xy % self.w) as u16, (xy / self.w) as u16),
+                coord: Coord::new(x as u16, y as u16),
                 pin: p as u8,
             }
         } else if i < self.iob_base {
             let r = i - self.opin_base;
             let s = r % CLB_OUT_PINS;
-            let xy = r / CLB_OUT_PINS;
+            let (y, x) = self.div_w.div_rem(r / CLB_OUT_PINS);
             NodeKind::OPin {
-                coord: Coord::new((xy % self.w) as u16, (xy / self.w) as u16),
+                coord: Coord::new(x as u16, y as u16),
                 slot: ClbSlot::from_index(s),
             }
         } else {
@@ -361,30 +408,52 @@ impl RoutingGraph {
             } else {
                 (IobSide::West, r - east)
             };
+            let (pos, k) = self.div_k.div_rem(r);
             NodeKind::Iob(IobSite {
                 side,
-                pos: (r / self.k) as u16,
-                k: (r % self.k) as u8,
+                pos: pos as u16,
+                k: k as u8,
             })
         }
     }
 
-    /// Intrinsic traversal delay of a node, in nanoseconds.
+    /// Intrinsic traversal delay of a node, in nanoseconds. It depends
+    /// on the node's kind only, which its id range gives without
+    /// decoding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range for this graph.
+    #[inline]
     pub fn intrinsic_delay(&self, id: NodeId) -> f64 {
-        match self.node(id) {
-            NodeKind::ChanX { .. } | NodeKind::ChanY { .. } => delay::WIRE,
-            NodeKind::IPin { .. } => delay::IPIN,
-            NodeKind::OPin { .. } => delay::OPIN,
-            NodeKind::Iob(_) => delay::IOB,
+        let i = id.index();
+        assert!(i < self.total, "node id out of range");
+        if i < self.ipin_base {
+            delay::WIRE
+        } else if i < self.opin_base {
+            delay::IPIN
+        } else if i < self.iob_base {
+            delay::OPIN
+        } else {
+            delay::IOB
         }
     }
 
+    /// True if `id` is a CLB input pin: a terminal node, with no
+    /// outgoing edges. The id range tells without decoding.
+    #[inline]
+    pub fn is_ipin(&self, id: NodeId) -> bool {
+        (self.ipin_base..self.opin_base).contains(&id.index())
+    }
+
     /// Base congestion cost of a node (PathFinder `b_n`).
+    #[inline]
     pub fn base_cost(&self, id: NodeId) -> f64 {
         self.intrinsic_delay(id)
     }
 
     /// Geometric center of a node in CLB-grid units, for A* heuristics.
+    #[inline]
     pub fn center(&self, id: NodeId) -> (f32, f32) {
         match self.node(id) {
             NodeKind::ChanX { x, y, .. } => (x as f32 + 0.5, y as f32 - 0.5),
@@ -595,6 +664,49 @@ mod tests {
                 NodeKind::Iob(site) => g.iob(site),
             };
             assert_eq!(re, id, "roundtrip failed for {kind}");
+        }
+    }
+
+    #[test]
+    fn decoding_by_multiplication_matches_division() {
+        // Every shape with a dimension of 1 (the divisor the multiply
+        // cannot carry) and a few wider ones: each id decodes to the
+        // node it encodes, and the kind tests read the same kind.
+        for (w, h, t, k) in [
+            (1, 1, 1, 1),
+            (1, 3, 2, 1),
+            (3, 1, 1, 2),
+            (5, 4, 7, 2),
+            (24, 17, 12, 3),
+        ] {
+            let g = RoutingGraph::new(&Device::new(w, h, t, k).unwrap());
+            for i in 0..g.num_nodes() {
+                let id = NodeId(i as u32);
+                let kind = g.node(id);
+                let re = match kind {
+                    NodeKind::ChanX { x, y, t } => g.chanx(x, y, t),
+                    NodeKind::ChanY { x, y, t } => g.chany(x, y, t),
+                    NodeKind::IPin { coord, pin } => g.ipin(coord, pin),
+                    NodeKind::OPin { coord, slot } => g.opin(coord, slot),
+                    NodeKind::Iob(site) => g.iob(site),
+                };
+                assert_eq!(re, id, "{w}x{h}, {t} tracks, {k} pads: {kind}");
+                assert_eq!(g.is_ipin(id), matches!(kind, NodeKind::IPin { .. }));
+                let delay = match kind {
+                    NodeKind::ChanX { .. } | NodeKind::ChanY { .. } => delay::WIRE,
+                    NodeKind::IPin { .. } => delay::IPIN,
+                    NodeKind::OPin { .. } => delay::OPIN,
+                    NodeKind::Iob(_) => delay::IOB,
+                };
+                assert_eq!(g.intrinsic_delay(id), delay);
+            }
+        }
+        // The quotient and remainder are exact over the 32-bit range.
+        for d in 1..=70 {
+            let div = Divisor::new(d);
+            for n in (0..5_000).chain([u32::MAX as usize - 1, u32::MAX as usize]) {
+                assert_eq!(div.div_rem(n), (n / d, n % d), "{n} / {d}");
+            }
         }
     }
 

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use fpga::{Device, Placement};
-use netlist::{CellId, Netlist};
+use netlist::{CellId, NetId, Netlist};
 
 use crate::config::Constraints;
 use crate::initial::clip;
@@ -71,10 +71,20 @@ pub(crate) fn solve_quadratic(
     };
 
     // Assemble triplets. Star centers get variables after the movable
-    // block, discovered on the fly.
+    // block, discovered on the fly. Only nets with a movable terminal
+    // add springs, so only the movable cells' nets are visited, in
+    // ascending id order (the order of `nl.nets()`): the system and
+    // its sums are exactly those of a walk over every net.
+    let mut nets: Vec<NetId> = movable
+        .iter()
+        .filter_map(|&c| nl.cell(c).ok())
+        .flat_map(|cell| cell.inputs.iter().copied().chain(cell.output))
+        .collect();
+    nets.sort_unstable();
+    nets.dedup();
     let mut builder = SystemBuilder::new(n_mov);
-    for (net, n) in nl.nets() {
-        let _ = net;
+    for net in nets {
+        let Ok(n) = nl.net(net) else { continue };
         // Distinct terminal cells, split movable / fixed-placed.
         let mut terms: Vec<CellId> = Vec::with_capacity(n.sinks.len() + 1);
         if let Some(d) = n.driver {

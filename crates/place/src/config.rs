@@ -1,8 +1,6 @@
 //! Placer configuration and physical constraints.
 
-use std::collections::{HashMap, HashSet};
-
-use fpga::Rect;
+use fpga::{FxHashMap, FxHashSet, Rect};
 use netlist::CellId;
 
 /// Which engine [`crate::run_placer`] dispatches to.
@@ -93,8 +91,9 @@ impl PlacerConfig {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Constraints {
-    locked: HashSet<CellId>,
-    regions: HashMap<CellId, Vec<Rect>>,
+    // Probed on every annealing move; never iterated.
+    locked: FxHashSet<CellId>,
+    regions: FxHashMap<CellId, Vec<Rect>>,
 }
 
 impl Constraints {

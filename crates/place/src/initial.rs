@@ -70,16 +70,16 @@ pub(crate) fn find_free(
     let kind = &nl.cell(cell).map_err(PlaceError::Netlist)?.kind;
     match kind {
         CellKind::Input | CellKind::Output => {
-            let sites: Vec<_> = device.iob_sites().collect();
             // Random probes, then linear sweep.
+            let sites = device.io_capacity();
             for _ in 0..64 {
-                let s = sites[rng.gen_range(0..sites.len())];
-                if placement.is_free(BelLoc::Iob(s)) {
-                    return Ok(BelLoc::Iob(s));
+                let probe = device.iob_site(rng.gen_range(0..sites)).map(BelLoc::Iob);
+                if let Some(loc) = probe.filter(|&l| placement.is_free(l)) {
+                    return Ok(loc);
                 }
             }
-            sites
-                .into_iter()
+            device
+                .iob_sites()
                 .map(BelLoc::Iob)
                 .find(|&l| placement.is_free(l))
                 .ok_or(PlaceError::NoSpace(cell))

@@ -157,24 +157,25 @@ pub(crate) fn anneal(
     seed: u64,
     schedule: Schedule,
 ) -> Result<PlaceOutcome, PlaceError> {
-    let movable: Vec<CellId> = nl
-        .cells()
-        .filter(|(id, _)| !constraints.is_locked(*id))
-        .map(|(id, _)| id)
-        .collect();
-
-    // Nets incident to each cell, with the cell's terminal
+    // Nets incident to each movable cell, with the cell's terminal
     // multiplicity on the net (HPWL counts every sink occurrence, so
-    // a cell sinking a net twice moves two bounding-box points).
+    // a cell sinking a net twice moves two bounding-box points). A
+    // move reads the lists of the moved cell and of the occupant it
+    // displaces, which is unlocked and so movable too; locked cells
+    // get none.
+    let mut movable: Vec<CellId> = Vec::new();
     let mut incident: Vec<Vec<(NetId, u32)>> = vec![Vec::new(); nl.cell_capacity()];
+    let mut nets: Vec<NetId> = Vec::new();
     for (id, cell) in nl.cells() {
-        let mut nets: Vec<NetId> = cell.inputs.clone();
-        if let Some(o) = cell.output {
-            nets.push(o);
+        if constraints.is_locked(id) {
+            continue;
         }
+        movable.push(id);
+        nets.clear();
+        nets.extend(cell.inputs.iter().copied().chain(cell.output));
         nets.sort_unstable();
         let with_mult = &mut incident[id.index()];
-        for n in nets {
+        for &n in &nets {
             match with_mult.last_mut() {
                 Some((last, m)) if *last == n => *m += 1,
                 _ => with_mult.push((n, 1)),
@@ -557,8 +558,8 @@ impl Annealer<'_> {
         match kind {
             CellKind::Input | CellKind::Output => {
                 // IOBs move along the perimeter freely.
-                let sites: Vec<_> = self.device.iob_sites().collect();
-                Some(BelLoc::Iob(sites[self.rng.gen_range(0..sites.len())]))
+                let i = self.rng.gen_range(0..self.device.io_capacity());
+                self.device.iob_site(i).map(BelLoc::Iob)
             }
             CellKind::Lut(_) | CellKind::Ff { .. } => {
                 let c = cur.coord()?;
@@ -682,6 +683,59 @@ mod tests {
             assert!(
                 (total - out.cost).abs() < 1e-6,
                 "seed {seed}: cached total {} != scanned {total}",
+                out.cost
+            );
+        }
+    }
+
+    /// The shape of an ECO: every cell locked but three, so the
+    /// annealer builds incident-net lists for those three only. The
+    /// cached cost must still agree with a full scan.
+    #[test]
+    fn bbox_cache_matches_scan_with_most_cells_locked() {
+        // `dbl` sinks `anet` twice; `y` is a pad on a net no other
+        // movable cell shares; `u5` is a LUT.
+        let mut nl = Netlist::new("mostly_locked");
+        let a = nl.add_input("a").unwrap();
+        let anet = nl.cell_output(a).unwrap();
+        let mut last = anet;
+        for i in 0..10 {
+            let u = nl
+                .add_lut(format!("u{i}"), TruthTable::and(2), &[anet, last])
+                .unwrap();
+            last = nl.cell_output(u).unwrap();
+        }
+        let d = nl
+            .add_lut("dbl", TruthTable::and(2), &[anet, anet])
+            .unwrap();
+        nl.add_output("yd", nl.cell_output(d).unwrap()).unwrap();
+        nl.add_output("y", last).unwrap();
+        let free = [d, nl.find_cell("y").unwrap(), nl.find_cell("u5").unwrap()];
+
+        let dev = Device::new(6, 6, 4, 2).unwrap();
+        let mut cons = Constraints::free();
+        cons.lock_all(nl.cells().map(|(id, _)| id).filter(|id| !free.contains(id)));
+        for seed in [3, 17, 99] {
+            let mut init = Placement::new(nl.cell_capacity());
+            initial_place(&nl, &dev, &Constraints::free(), &mut init, seed).unwrap();
+            let out = place(
+                &nl,
+                &dev,
+                &cons,
+                Some(init.clone()),
+                &PlacerConfig::fast(seed),
+            )
+            .unwrap();
+            assert!(out.moves_accepted > 0, "seed {seed}: nothing moved");
+            for (id, loc) in init.iter() {
+                if !free.contains(&id) {
+                    assert_eq!(out.placement.loc_of(id), Some(loc), "locked {id} moved");
+                }
+            }
+            let scanned = total_wirelength_cost(&nl, &dev, &out.placement);
+            assert!(
+                (scanned - out.cost).abs() < 1e-6,
+                "seed {seed}: cached total {} != scanned {scanned}",
                 out.cost
             );
         }

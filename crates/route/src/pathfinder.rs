@@ -348,26 +348,77 @@ impl PartialOrd for Entry {
     }
 }
 
-/// Reusable A* state with generation-stamped visit arrays.
+impl Entry {
+    /// True if the heap pops `self` before `other`: smaller f, then
+    /// smaller node.
+    fn precedes(&self, other: &Self) -> bool {
+        self > other
+    }
+}
+
+/// A relaxation of an input pin that is not the target.
+///
+/// Input pins have no outgoing edges, so popping one only counts an
+/// expansion (when the entry is not stale) and changes nothing else.
+/// Such entries are kept out of the heap, and [`AStar::pin_expansions`]
+/// counts afterwards the ones the heap would have popped, in its order.
+#[derive(Debug, Clone, Copy)]
+struct PinEntry {
+    f: f64,
+    node: u32,
+    /// Heap pops made before it was pushed.
+    after: u32,
+}
+
+impl PinEntry {
+    /// The heap entry it stands for.
+    fn entry(&self) -> Entry {
+        Entry {
+            f: self.f,
+            node: self.node,
+        }
+    }
+}
+
+/// Reusable A* state with generation-stamped visit arrays: a node's
+/// entries are valid when its `stamp` is the search's generation.
 struct AStar {
     g: Vec<f64>,
+    /// The heuristic's distance term, a pure function of the node and
+    /// the target: computed once per search instead of on every pop.
+    dist: Vec<f32>,
     prev: Vec<u32>,
     stamp: Vec<u32>,
+    /// The node's newest entry in `pins`, or `NO_PIN`.
+    pin: Vec<u32>,
     generation: u32,
     heap: BinaryHeap<Entry>,
+    /// This search's heap pops, stale ones included, in order.
+    pops: Vec<Entry>,
+    /// This search's input-pin relaxations, in order.
+    pins: Vec<PinEntry>,
+    /// `(k, j)` for each of `pins[k]` whose node already had an entry
+    /// this search, `pins[j]` the newest of those; in order of `k`.
+    undercuts: Vec<(u32, u32)>,
     nbrs: Vec<NodeId>,
 }
 
 const NO_PREV: u32 = u32::MAX;
+const NO_PIN: u32 = u32::MAX;
 
 impl AStar {
     fn new(n: usize) -> Self {
         Self {
             g: vec![0.0; n],
+            dist: vec![0.0; n],
             prev: vec![NO_PREV; n],
             stamp: vec![0; n],
+            pin: vec![NO_PIN; n],
             generation: 0,
             heap: BinaryHeap::new(),
+            pops: Vec::new(),
+            pins: Vec::new(),
+            undercuts: Vec::new(),
             nbrs: Vec::new(),
         }
     }
@@ -408,11 +459,15 @@ impl AStar {
             self.generation = 1;
         }
         self.heap.clear();
+        self.pops.clear();
+        self.pins.clear();
+        self.undercuts.clear();
         let (tx, ty) = rrg.center(target);
-        let h_of = |rrg: &RoutingGraph, node: NodeId| -> f64 {
+        let dist_of = |rrg: &RoutingGraph, node: NodeId| -> f32 {
             let (x, y) = rrg.center(node);
-            options.astar_weight * 0.55 * ((x - tx).abs() + (y - ty).abs()) as f64
+            (x - tx).abs() + (y - ty).abs()
         };
+        let h = |dist: f32| options.astar_weight * 0.55 * f64::from(dist);
         // Seed the wavefront. Seeds are free (already paid for). Under
         // a mask, a seed that is outside it *and* has no in-mask
         // neighbour can never contribute — dropping those keeps large
@@ -433,25 +488,31 @@ impl AStar {
             }
             self.stamp[i] = self.generation;
             self.g[i] = 0.0;
+            self.dist[i] = dist_of(rrg, s);
             self.prev[i] = NO_PREV;
+            self.pin[i] = NO_PIN;
             self.heap.push(Entry {
-                f: h_of(rrg, s),
+                f: h(self.dist[i]),
                 node: s.index() as u32,
             });
         }
         // Re-pops of stale heap entries are filtered by comparing the
-        // entry's f against the node's current g + h.
-        while let Some(Entry { f, node }) = self.heap.pop() {
+        // entry's f against the node's current g + h. Every pop, stale
+        // or not, is recorded: `pin_expansions` places the input-pin
+        // entries kept off the heap among them.
+        while let Some(popped) = self.heap.pop() {
+            let Entry { f, node } = popped;
+            self.pops.push(popped);
             let ni = node as usize;
             let nid = NodeId::default_for_test(node);
             // Stale heap entry?
-            let (x, y) = rrg.center(nid);
-            let h_cur = options.astar_weight * 0.55 * ((x - tx).abs() + (y - ty).abs()) as f64;
-            if f > self.g[ni] + h_cur + 1e-9 {
+            let g_here = self.g[ni];
+            if f > g_here + h(self.dist[ni]) + 1e-9 {
                 continue;
             }
             *expansions += 1;
             if nid == target {
+                *expansions += self.pin_expansions(true);
                 return Some(self.trace(nid));
             }
             rrg.neighbors(nid, &mut self.nbrs);
@@ -475,20 +536,99 @@ impl AStar {
                     }
                 }
                 let step = Self::node_cost(rrg, routing, hist, pres, m);
-                let cand = self.g[ni] + step;
-                if self.stamp[mi] != self.generation || cand + 1e-12 < self.g[mi] {
-                    self.stamp[mi] = self.generation;
+                let cand = g_here + step;
+                let first_visit = self.stamp[mi] != self.generation;
+                if first_visit || cand + 1e-12 < self.g[mi] {
+                    if first_visit {
+                        self.stamp[mi] = self.generation;
+                        self.dist[mi] = dist_of(rrg, m);
+                        self.pin[mi] = NO_PIN;
+                    }
                     self.g[mi] = cand;
                     self.prev[mi] = node;
-                    self.heap.push(Entry {
-                        f: cand + h_of(rrg, m),
+                    let entry = Entry {
+                        f: cand + h(self.dist[mi]),
                         node: mi as u32,
-                    });
+                    };
+                    // A pin other than the target has no edges to
+                    // relax: it stays off the heap (see `PinEntry`).
+                    if m != target && rrg.is_ipin(m) {
+                        let k = self.pins.len() as u32;
+                        if self.pin[mi] != NO_PIN {
+                            self.undercuts.push((k, self.pin[mi]));
+                        }
+                        self.pins.push(PinEntry {
+                            f: entry.f,
+                            node: entry.node,
+                            after: self.pops.len() as u32,
+                        });
+                        self.pin[mi] = k;
+                    } else {
+                        self.heap.push(entry);
+                    }
                 }
             }
             self.nbrs = neighbors;
         }
+        *expansions += self.pin_expansions(false);
         None
+    }
+
+    /// The expansions the heap would have made of this search's
+    /// input-pin entries. `reached` says the search stopped when it
+    /// popped its target, the last of `pops`; otherwise the heap ran
+    /// dry, so it popped every entry.
+    ///
+    /// An entry pushed after `after` pops is popped just before the
+    /// first later pop that it precedes in heap order; if there is none
+    /// before the search stopped, it is never popped. It counts unless
+    /// it is stale when popped: its f exceeds by more than 1e-9 the f
+    /// of its node's newest entry pushed by that moment, which is the
+    /// heap's own stale test (an entry's f is the node's g then plus
+    /// its h).
+    fn pin_expansions(&self, reached: bool) -> u64 {
+        let end = self.pops.len();
+        let mut count = 0;
+        // Walked backwards, the pins' `after` only falls, so one sweep
+        // down `pops` keeps `last`: of `pops[t..]`, the pop the heap
+        // order puts last.
+        let mut t = end;
+        let mut last: Option<Entry> = None;
+        for (i, pin) in self.pins.iter().enumerate().rev() {
+            let after = pin.after as usize;
+            while t > after {
+                t -= 1;
+                let pop = self.pops[t];
+                match last {
+                    Some(l) if !l.precedes(&pop) => {}
+                    _ => last = Some(pop),
+                }
+            }
+            let entry = pin.entry();
+            if reached && !last.is_some_and(|l| entry.precedes(&l)) {
+                continue;
+            }
+            let mut newest = self.pin[pin.node as usize] as usize;
+            if newest == i {
+                // The node's newest entry: nothing undercut it.
+                count += 1;
+                continue;
+            }
+            let popped_at = (after..end)
+                .find(|&t| entry.precedes(&self.pops[t]))
+                .unwrap_or(end);
+            while self.pins[newest].after as usize > popped_at {
+                let k = self
+                    .undercuts
+                    .binary_search_by_key(&(newest as u32), |&(k, _)| k)
+                    .expect("every entry newer than another of its node is an undercut");
+                newest = self.undercuts[k].1 as usize;
+            }
+            if pin.f <= self.pins[newest].f + 1e-9 {
+                count += 1;
+            }
+        }
+        count
     }
 
     fn trace(&self, target: NodeId) -> Vec<NodeId> {
@@ -780,6 +920,187 @@ mod tests {
                 .unwrap();
         assert!(routing.is_feasible());
         assert!(stats.iterations >= 1);
+    }
+
+    /// The search as it was before input pins were kept off the heap:
+    /// every entry on one heap, the heuristic recomputed at each pop.
+    /// Returns the path and the expansions it counted.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_search(
+        rrg: &RoutingGraph,
+        routing: &Routing,
+        locked_occ: &[u16],
+        own_frag: &[bool],
+        own_seed: &[bool],
+        hist: &[f32],
+        options: &RouteOptions,
+        pres: f64,
+        seeds: &[NodeId],
+        target: NodeId,
+    ) -> (Option<Vec<NodeId>>, u64) {
+        let n = rrg.num_nodes();
+        let (mut g, mut prev, mut seen) = (vec![0.0; n], vec![NO_PREV; n], vec![false; n]);
+        let mut heap = BinaryHeap::new();
+        let mut nbrs = Vec::new();
+        let mut expansions = 0;
+        let (tx, ty) = rrg.center(target);
+        let h_of = |node: NodeId| -> f64 {
+            let (x, y) = rrg.center(node);
+            options.astar_weight * 0.55 * ((x - tx).abs() + (y - ty).abs()) as f64
+        };
+        for &s in seeds {
+            let i = s.index();
+            if seen[i] {
+                continue;
+            }
+            if let Some(mask) = &options.allowed {
+                if !mask[i] {
+                    rrg.neighbors(s, &mut nbrs);
+                    if !nbrs.iter().any(|m| mask[m.index()] || *m == target) {
+                        continue;
+                    }
+                }
+            }
+            seen[i] = true;
+            g[i] = 0.0;
+            heap.push(Entry {
+                f: h_of(s),
+                node: i as u32,
+            });
+        }
+        while let Some(Entry { f, node }) = heap.pop() {
+            let ni = node as usize;
+            let nid = NodeId::default_for_test(node);
+            if f > g[ni] + h_of(nid) + 1e-9 {
+                continue;
+            }
+            expansions += 1;
+            if nid == target {
+                let mut path = vec![nid];
+                let mut cur = node;
+                while prev[cur as usize] != NO_PREV {
+                    cur = prev[cur as usize];
+                    path.push(NodeId::default_for_test(cur));
+                }
+                path.reverse();
+                return (Some(path), expansions);
+            }
+            rrg.neighbors(nid, &mut nbrs);
+            for &m in &nbrs {
+                let mi = m.index();
+                if m != target {
+                    if let Some(mask) = &options.allowed {
+                        if !mask[mi] {
+                            continue;
+                        }
+                    }
+                    if own_frag[mi] || (locked_occ[mi] > 0 && !own_seed[mi]) {
+                        continue;
+                    }
+                }
+                let cand = g[ni] + AStar::node_cost(rrg, routing, hist, pres, m);
+                if !seen[mi] || cand + 1e-12 < g[mi] {
+                    seen[mi] = true;
+                    g[mi] = cand;
+                    prev[mi] = node;
+                    heap.push(Entry {
+                        f: cand + h_of(m),
+                        node: mi as u32,
+                    });
+                }
+            }
+        }
+        (None, expansions)
+    }
+
+    #[test]
+    fn search_matches_the_single_heap_search() {
+        // Random congestion, history, locks, masks, seeds and targets
+        // on small devices: the search with input pins kept off the
+        // heap returns the same path and counts the same expansions.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |bound: usize| -> usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let (mut searches, mut unreached, mut undercut_pins) = (0, 0, 0);
+        for _ in 0..40 {
+            let dev = Device::new(
+                1 + next(6) as u16,
+                1 + next(6) as u16,
+                1 + next(4) as u16,
+                1 + next(2) as u8,
+            )
+            .unwrap();
+            let rrg = RoutingGraph::new(&dev);
+            let n = rrg.num_nodes();
+            let node = |i: usize| NodeId::default_for_test(i as u32);
+            let mut routing = Routing::new(n);
+            for net in 0..next(8) {
+                let path: Vec<NodeId> = (0..1 + next(12)).map(|_| node(next(n))).collect();
+                routing.set_route(NetId::new(net), RouteTree { paths: vec![path] });
+            }
+            let hist: Vec<f32> = (0..n)
+                .map(|_| {
+                    if next(4) == 0 {
+                        next(5) as f32 * 0.5
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let locked_occ: Vec<u16> = (0..n).map(|_| u16::from(next(10) == 0)).collect();
+            let own_seed: Vec<bool> = (0..n).map(|_| next(3) == 0).collect();
+            let own_frag: Vec<bool> = (0..n).map(|_| next(25) == 0).collect();
+            let options = RouteOptions {
+                astar_weight: [1.0, 1.15, 1.6, 3.0][next(4)],
+                allowed: (next(3) == 0).then(|| (0..n).map(|_| next(5) != 0).collect()),
+                ..RouteOptions::default()
+            };
+            let mut astar = AStar::new(n);
+            for _ in 0..25 {
+                let pres = [0.6, 4.0, 300.0][next(3)];
+                let seeds: Vec<NodeId> = (0..1 + next(20)).map(|_| node(next(n))).collect();
+                let target = node(next(n));
+                let (want, want_expansions) = reference_search(
+                    &rrg,
+                    &routing,
+                    &locked_occ,
+                    &own_frag,
+                    &own_seed,
+                    &hist,
+                    &options,
+                    pres,
+                    &seeds,
+                    target,
+                );
+                let mut expansions = 0;
+                let got = astar.search(
+                    &rrg,
+                    &routing,
+                    &locked_occ,
+                    &own_frag,
+                    &own_seed,
+                    &hist,
+                    &options,
+                    pres,
+                    &seeds,
+                    target,
+                    &mut expansions,
+                );
+                assert_eq!(got, want, "path to {target} from {seeds:?}");
+                assert_eq!(expansions, want_expansions, "expansions to {target}");
+                searches += 1;
+                unreached += usize::from(got.is_none());
+                undercut_pins += astar.undercuts.len();
+            }
+        }
+        // The cases the pin count must get right all occurred.
+        assert_eq!(searches, 1000);
+        assert!(unreached > 0, "no search ran its heap dry");
+        assert!(undercut_pins > 0, "no pin was relaxed twice in one search");
     }
 
     #[test]

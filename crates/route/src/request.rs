@@ -96,7 +96,6 @@ pub fn normalize_routes(
     routing: &mut Routing,
     nets: impl IntoIterator<Item = NetId>,
 ) {
-    use std::collections::HashMap;
     for net_id in nets {
         let Ok(net) = nl.net(net_id) else { continue };
         let Some(driver) = net.driver else { continue };
@@ -107,7 +106,7 @@ pub fn normalize_routes(
         let Some(tree) = routing.route(net_id) else {
             continue;
         };
-        let mut pred: HashMap<fpga::NodeId, fpga::NodeId> = HashMap::new();
+        let mut pred: fpga::FxHashMap<fpga::NodeId, fpga::NodeId> = fpga::FxHashMap::default();
         for path in &tree.paths {
             for w in path.windows(2) {
                 pred.entry(w[1]).or_insert(w[0]);

@@ -139,6 +139,23 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Indexed pad sites (the placer draws pad moves by index)
+// ---------------------------------------------------------------------
+
+proptest! {
+    #[test]
+    fn iob_site_index_matches_iob_sites(w in 1u16..=24, h in 1u16..=24, k in 1u8..=3) {
+        let dev = Device::new(w, h, 4, k).unwrap();
+        let sites: Vec<fpga::IobSite> = dev.iob_sites().collect();
+        prop_assert_eq!(dev.io_capacity(), sites.len());
+        let indexed: Vec<Option<fpga::IobSite>> =
+            (0..dev.io_capacity()).map(|i| dev.iob_site(i)).collect();
+        prop_assert_eq!(indexed, sites.into_iter().map(Some).collect::<Vec<_>>());
+        prop_assert_eq!(dev.iob_site(dev.io_capacity()), None);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Placement invariants under random constraints
 // ---------------------------------------------------------------------
 
