@@ -1,329 +1,59 @@
-//! Scoped work-stealing parallelism on `std::thread::scope` — the
+//! Order-preserving parallel map on `std::thread::scope` — the
 //! offline stand-in for the *role* rayon would play in this
 //! workspace (no crates.io access; see `compat/README.md`).
 //!
-//! Three entry points:
+//! Every parallel caller in the workspace hands over a finished batch
+//! (a fleet's campaigns, a sweep's grid cells), so one primitive
+//! serves them all: [`map`] runs `f` over the items on
+//! `min(workers, items)` scoped threads that take the next item from
+//! one shared cursor, and returns the results in input order.
+//! `workers <= 1` runs the same loop on the calling thread, the serial
+//! reference path.
 //!
-//! * [`join`] — run two closures, the second on its own scoped
-//!   thread, and return both results;
-//! * [`scope`] — a fixed-size work-stealing worker pool whose tasks
-//!   may borrow the caller's stack (`'env`), spawned dynamically
-//!   while the scope body runs;
-//! * [`map`] — order-preserving parallel map over an owned `Vec`.
-//!
-//! The pool is deliberately tiny and `unsafe`-free: each worker owns
-//! a deque behind a mutex, [`Scope::spawn`] deals tasks round-robin,
-//! idle workers steal from the front of their neighbours' deques
-//! (FIFO steal order keeps big early tasks moving first), and a
-//! single condvar parks idle workers. Tasks cannot themselves spawn
-//! into the scope — nested parallelism opens a nested [`scope`] or
-//! [`join`], which is how the diagnosis kernels use it under a
-//! campaign fleet.
-//!
-//! A panicking task never poisons the pool: the worker catches the
-//! unwind, keeps draining its queue, and the first payload is
-//! re-raised from [`scope`] *after* every remaining task has run —
-//! so a fleet survives one bad campaign, finishes the rest, and the
-//! caller still sees the failure. [`scope_with_stats`] additionally
-//! reports per-worker busy time, task/steal/panic counts, and the
-//! peak queue depth — the raw material for fleet telemetry.
+//! A panicking item never abandons its siblings: each item runs under
+//! `catch_unwind`, every other item still runs, and only then is the
+//! panic of the lowest panicking index re-raised. So a fleet survives
+//! one bad campaign, finishes the rest, and the caller still sees the
+//! failure. [`map_with_stats`] also returns each worker's busy
+//! intervals ([`PoolStats`]), the raw material for fleet telemetry
+//! and trace worker tracks.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// A queued unit of work: boxed so it can borrow the scope's
-/// environment.
-type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-/// Worker-visible shared state guarded by one mutex (queue contents
-/// live in per-worker mutexes; this tracks only the counters the
-/// condvar protocol needs).
-#[derive(Debug, Default)]
-struct State {
-    /// Tasks pushed but not yet claimed by a worker.
-    queued: usize,
-    /// Tasks claimed and currently executing.
-    running: usize,
-    /// Set once the scope body has returned and the pool drained.
-    shutdown: bool,
-    /// High-water mark of `queued` (telemetry).
-    peak_queued: usize,
-}
-
-/// Everything the workers and the scope handle share.
-struct Registry<'env> {
-    /// One deque per worker; owners pop the back, thieves the front.
-    queues: Vec<Mutex<VecDeque<Task<'env>>>>,
-    state: Mutex<State>,
-    signal: Condvar,
-    /// Round-robin dealing cursor for [`Scope::spawn`].
-    next: AtomicUsize,
-    /// Tasks stolen from a non-owner queue (telemetry).
-    steals: AtomicUsize,
-    /// Panic payloads captured from tasks, re-raised after the drain.
-    panics: Mutex<Vec<Box<dyn std::any::Any + Send>>>,
-}
-
-impl<'env> Registry<'env> {
-    fn new(workers: usize) -> Self {
-        Self {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            state: Mutex::new(State::default()),
-            signal: Condvar::new(),
-            next: AtomicUsize::new(0),
-            steals: AtomicUsize::new(0),
-            panics: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Pushes a task (round-robin) and wakes one parked worker.
-    fn push(&self, task: Task<'env>) {
-        let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        self.queues[slot].lock().unwrap().push_back(task);
-        let mut st = self.state.lock().unwrap();
-        st.queued += 1;
-        st.peak_queued = st.peak_queued.max(st.queued);
-        drop(st);
-        self.signal.notify_one();
-    }
-
-    /// Claims one task for worker `w`: own queue from the back,
-    /// otherwise steal a neighbour's front. Blocks on the condvar
-    /// while the pool is empty; returns `None` on shutdown.
-    fn claim(&self, w: usize) -> Option<Task<'env>> {
-        {
-            let mut st = self.state.lock().unwrap();
-            loop {
-                if st.queued > 0 {
-                    st.queued -= 1;
-                    st.running += 1;
-                    break;
-                }
-                if st.shutdown {
-                    return None;
-                }
-                st = self.signal.wait(st).unwrap();
-            }
-        }
-        // A claim ticket is held: at least one pushed task is
-        // unclaimed somewhere. Scan until it (or a sibling)
-        // appears — pushes land in their queue *before* `queued`
-        // is bumped, so this terminates.
-        loop {
-            if let Some(task) = self.queues[w].lock().unwrap().pop_back() {
-                return Some(task);
-            }
-            let mut found = None;
-            for (v, q) in self.queues.iter().enumerate() {
-                if v == w {
-                    continue;
-                }
-                if let Some(task) = q.lock().unwrap().pop_front() {
-                    found = Some(task);
-                    break;
-                }
-            }
-            if let Some(task) = found {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(task);
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Marks one claimed task finished and wakes the drain waiter.
-    fn finish(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.running -= 1;
-        if st.queued == 0 && st.running == 0 {
-            drop(st);
-            self.signal.notify_all();
-        }
-    }
-
-    /// Blocks until no task is queued or running.
-    fn wait_idle(&self) {
-        let mut st = self.state.lock().unwrap();
-        while st.queued > 0 || st.running > 0 {
-            st = self.signal.wait(st).unwrap();
-        }
-    }
-
-    /// Releases every worker from [`claim`](Self::claim).
-    fn shutdown(&self) {
-        self.state.lock().unwrap().shutdown = true;
-        self.signal.notify_all();
-    }
-}
-
-/// Handle for spawning tasks into a running [`scope`].
-pub struct Scope<'reg, 'env> {
-    registry: &'reg Registry<'env>,
-}
-
-impl<'reg, 'env> Scope<'reg, 'env> {
-    /// Queues `task` for the worker pool. Tasks run in work-stealing
-    /// order (no FIFO guarantee across the pool); a panicking task is
-    /// recorded and re-raised by [`scope`] after the drain.
-    pub fn spawn(&self, task: impl FnOnce() + Send + 'env) {
-        self.registry.push(Box::new(task));
-    }
-
-    /// `(queued, running)` snapshot — fleet telemetry samples this as
-    /// its queue-depth gauge.
-    pub fn pending(&self) -> (usize, usize) {
-        let st = self.registry.state.lock().unwrap();
-        (st.queued, st.running)
-    }
-}
-
-/// What one [`scope_with_stats`] run observed — the raw material for
-/// fleet telemetry (worker utilization, queue depth, steal rate).
+/// What one [`map_with_stats`] run observed. Task counts, busy time
+/// and utilization all derive from the busy segments.
 #[derive(Debug, Clone, Default)]
 pub struct PoolStats {
-    /// Tasks executed, per worker.
-    pub tasks_per_worker: Vec<usize>,
-    /// Time spent inside tasks, per worker.
-    pub busy_per_worker: Vec<Duration>,
-    /// Wall-clock from pool start to full drain.
+    /// Wall-clock from the map's start until every item had run.
     pub wall: Duration,
-    /// Tasks claimed from a non-owner queue.
-    pub steals: usize,
-    /// Tasks that panicked (their payloads were re-raised).
-    pub panics: usize,
-    /// High-water mark of the queued-task count.
-    pub peak_queued: usize,
-    /// Per-worker `(start, end)` busy intervals, offsets from pool
-    /// start — the raw material tracing reconstructs worker tracks
-    /// from (one interval per executed task, in execution order).
+    /// Per-worker `(start, end)` busy intervals, offsets from the
+    /// map's start: one interval per item the worker ran, in the order
+    /// it ran them.
     pub busy_segments: Vec<Vec<(Duration, Duration)>>,
 }
 
 impl PoolStats {
-    /// Mean fraction of the wall time workers spent executing tasks.
-    pub fn utilization(&self) -> f64 {
-        if self.busy_per_worker.is_empty() || self.wall.is_zero() {
-            return 0.0;
-        }
-        let busy: f64 = self.busy_per_worker.iter().map(Duration::as_secs_f64).sum();
-        busy / (self.wall.as_secs_f64() * self.busy_per_worker.len() as f64)
-    }
-
-    /// Total time spent inside tasks, summed over workers.
+    /// Total time spent inside items, summed over workers.
     pub fn busy_total(&self) -> Duration {
-        self.busy_per_worker.iter().sum()
-    }
-}
-
-/// Runs `f` with a [`Scope`] backed by `workers` work-stealing
-/// threads, waits for every spawned task to finish, and returns `f`'s
-/// result. Tasks may borrow anything that outlives the `scope` call.
-///
-/// If any task panicked, the first payload is re-raised — after all
-/// remaining tasks have run to completion, so sibling work is never
-/// abandoned.
-///
-/// ```
-/// let items = [1u64, 2, 3, 4];
-/// let sum = std::sync::atomic::AtomicU64::new(0);
-/// parallel::scope(2, |s| {
-///     for &x in &items {
-///         let sum = &sum;
-///         s.spawn(move || {
-///             sum.fetch_add(x * x, std::sync::atomic::Ordering::Relaxed);
-///         });
-///     }
-/// });
-/// assert_eq!(sum.into_inner(), 30);
-/// ```
-pub fn scope<'env, R>(workers: usize, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
-    scope_with_stats(workers, f).0
-}
-
-/// [`scope`] plus the pool's [`PoolStats`].
-pub fn scope_with_stats<'env, R>(
-    workers: usize,
-    f: impl FnOnce(&Scope<'_, 'env>) -> R,
-) -> (R, PoolStats) {
-    let workers = workers.max(1);
-    let registry = Registry::new(workers);
-    let tasks: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
-    let busy: Vec<Mutex<Duration>> = (0..workers).map(|_| Mutex::new(Duration::ZERO)).collect();
-    let segments: Vec<Mutex<Vec<(Duration, Duration)>>> =
-        (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-    let start = Instant::now();
-    let result = std::thread::scope(|ts| {
-        for w in 0..workers {
-            let registry = &registry;
-            let tasks = &tasks;
-            let busy = &busy;
-            let segments = &segments;
-            ts.spawn(move || {
-                while let Some(task) = registry.claim(w) {
-                    let seg_start = start.elapsed();
-                    let t0 = Instant::now();
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-                        registry.panics.lock().unwrap().push(payload);
-                    }
-                    *busy[w].lock().unwrap() += t0.elapsed();
-                    segments[w]
-                        .lock()
-                        .unwrap()
-                        .push((seg_start, start.elapsed()));
-                    tasks[w].fetch_add(1, Ordering::Relaxed);
-                    registry.finish();
-                }
-            });
-        }
-        let r = f(&Scope {
-            registry: &registry,
-        });
-        registry.wait_idle();
-        registry.shutdown();
-        r
-    });
-    let panics = std::mem::take(&mut *registry.panics.lock().unwrap());
-    let stats = PoolStats {
-        tasks_per_worker: tasks.iter().map(|t| t.load(Ordering::Relaxed)).collect(),
-        busy_per_worker: busy.iter().map(|b| *b.lock().unwrap()).collect(),
-        wall: start.elapsed(),
-        steals: registry.steals.load(Ordering::Relaxed),
-        panics: panics.len(),
-        peak_queued: registry.state.lock().unwrap().peak_queued,
-        busy_segments: segments
+        self.busy_segments
             .iter()
-            .map(|s| std::mem::take(&mut *s.lock().unwrap()))
-            .collect(),
-    };
-    if let Some(first) = panics.into_iter().next() {
-        resume_unwind(first);
+            .flatten()
+            .map(|&(start, end)| end.saturating_sub(start))
+            .sum()
     }
-    (result, stats)
 }
 
-/// Runs `a` inline and `b` on a scoped thread, returning both results
-/// (rayon-style `join`). A panic on either side propagates.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = hb.join().unwrap_or_else(|p| resume_unwind(p));
-        (ra, rb)
-    })
-}
-
-/// Order-preserving parallel map: applies `f` to every item on a
-/// `workers`-wide [`scope`], returning results in input order.
-/// `workers <= 1` (or one item) runs inline with no threads — the
-/// bit-identical serial reference path.
+/// Order-preserving parallel map: applies `f` to every item on
+/// `min(workers, items.len())` threads and returns the results in
+/// input order. `workers <= 1` (or at most one item) runs inline on
+/// the calling thread.
+///
+/// # Panics
+///
+/// Re-raises the panic of the lowest-indexed item that panicked, after
+/// every other item has run.
 pub fn map<T, R>(workers: usize, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
 where
     T: Send,
@@ -332,9 +62,12 @@ where
     map_with_stats(workers, items, f).0
 }
 
-/// [`map`] plus the pool's [`PoolStats`]. The inline (`workers <= 1`
-/// or single-item) path synthesizes one-worker stats so telemetry
-/// derived from them stays well-defined.
+/// [`map`] plus the run's [`PoolStats`] (returned only when no item
+/// panicked).
+///
+/// # Panics
+///
+/// As [`map`].
 pub fn map_with_stats<T, R>(
     workers: usize,
     items: Vec<T>,
@@ -345,37 +78,59 @@ where
     R: Send,
 {
     let n = items.len();
-    if workers <= 1 || n <= 1 {
-        let start = Instant::now();
-        let results: Vec<R> = items.into_iter().map(f).collect();
-        let wall = start.elapsed();
-        let stats = PoolStats {
-            tasks_per_worker: vec![n],
-            busy_per_worker: vec![wall],
-            wall,
-            steals: 0,
-            panics: 0,
-            peak_queued: usize::from(n > 0),
-            busy_segments: vec![if n > 0 {
-                vec![(Duration::ZERO, wall)]
-            } else {
-                Vec::new()
-            }],
-        };
-        return (results, stats);
-    }
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let f = &f;
-    let ((), stats) = scope_with_stats(workers.min(n), |s| {
-        for (item, slot) in items.into_iter().zip(slots.iter_mut()) {
-            s.spawn(move || *slot = Some(f(item)));
+    let width = workers.min(n).max(1);
+    let cursor = Mutex::new(items.into_iter().enumerate());
+    let start = Instant::now();
+    // One worker: claim the next item, run it, record its interval
+    // and its result (or panic) under its input index.
+    let work = || {
+        let mut done = Vec::new();
+        let mut segments = Vec::new();
+        loop {
+            let Some((i, item)) = cursor
+                .lock()
+                .expect("the cursor lock is never held while an item runs")
+                .next()
+            else {
+                break;
+            };
+            let begin = start.elapsed();
+            done.push((i, catch_unwind(AssertUnwindSafe(|| f(item)))));
+            segments.push((begin, start.elapsed()));
         }
-    });
+        (done, segments)
+    };
+    let per_worker = if width == 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..width).map(|_| s.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("a worker catches every item's panic"))
+                .collect()
+        })
+    };
+    let wall = start.elapsed();
+    let mut slots: Vec<Option<std::thread::Result<R>>> = (0..n).map(|_| None).collect();
+    let mut busy_segments = Vec::with_capacity(width);
+    for (done, segments) in per_worker {
+        for (i, result) in done {
+            slots[i] = Some(result);
+        }
+        busy_segments.push(segments);
+    }
     let results = slots
         .into_iter()
-        .map(|r| r.expect("scope drained every task"))
+        .map(|slot| {
+            slot.expect("the cursor hands out every item")
+                .unwrap_or_else(|payload| resume_unwind(payload))
+        })
         .collect();
+    let stats = PoolStats {
+        wall,
+        busy_segments,
+    };
     (results, stats)
 }
 
@@ -396,101 +151,84 @@ pub fn default_workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const WIDTHS: [usize; 4] = [1, 2, 4, 9];
+    const SIZES: [usize; 3] = [0, 1, 100];
 
     #[test]
-    fn map_preserves_order_and_results() {
-        for workers in [1, 2, 4, 9] {
-            let out = map(workers, (0u64..100).collect(), |x| x * x);
-            assert_eq!(out, (0u64..100).map(|x| x * x).collect::<Vec<_>>());
+    fn results_come_back_in_input_order() {
+        for workers in WIDTHS {
+            for n in SIZES {
+                let out = map(workers, (0..n).collect(), |x| x * x);
+                assert_eq!(out, (0..n).map(|x| x * x).collect::<Vec<_>>());
+            }
         }
     }
 
     #[test]
-    fn scope_runs_borrowing_tasks() {
-        let total = AtomicU64::new(0);
-        let data: Vec<u64> = (1..=64).collect();
-        let total = &total;
-        scope(4, |s| {
-            for &x in &data {
-                s.spawn(move || {
-                    total.fetch_add(x, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 64 * 65 / 2);
-    }
-
-    #[test]
-    fn uneven_tasks_get_stolen() {
-        // One long task dealt to worker 0 plus many short ones: with
-        // round-robin dealing and stealing, the short tasks all run
-        // even while the long one occupies its owner.
-        let done = AtomicUsize::new(0);
-        let (_, stats) = scope_with_stats(4, |s| {
-            s.spawn(|| {
-                std::thread::sleep(Duration::from_millis(30));
-                done.fetch_add(1, Ordering::Relaxed);
-            });
-            for _ in 0..63 {
-                s.spawn(|| {
-                    done.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(done.load(Ordering::Relaxed), 64);
-        assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), 64);
-        assert_eq!(stats.panics, 0);
-        assert!(stats.peak_queued >= 1);
-    }
-
-    #[test]
-    fn panicking_task_drains_then_propagates() {
-        let done = AtomicUsize::new(0);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            scope(2, |s| {
-                s.spawn(|| panic!("injected worker panic"));
-                for _ in 0..40 {
-                    s.spawn(|| {
-                        done.fetch_add(1, Ordering::Relaxed);
-                    });
+    fn each_item_leaves_one_busy_segment() {
+        for workers in WIDTHS {
+            for n in SIZES {
+                let (_, stats) = map_with_stats(workers, (0..n).collect(), |x: usize| x + 1);
+                assert_eq!(stats.busy_segments.len(), workers.min(n).max(1));
+                let segments: Vec<_> = stats.busy_segments.iter().flatten().collect();
+                assert_eq!(segments.len(), n, "width {workers}, {n} items");
+                for &&(begin, end) in &segments {
+                    assert!(begin <= end && end <= stats.wall);
                 }
-            });
-        }));
-        assert!(caught.is_err(), "scope must re-raise the task panic");
-        // Every sibling task still ran: the queue was drained, not
-        // abandoned, before the panic propagated.
-        assert_eq!(done.load(Ordering::Relaxed), 40);
-    }
-
-    #[test]
-    fn join_returns_both_and_nests() {
-        let (a, (b, c)) = join(|| 1 + 1, || join(|| 2 + 2, || 3 + 3));
-        assert_eq!((a, b, c), (2, 4, 6));
-    }
-
-    #[test]
-    fn map_runs_inside_scope_tasks() {
-        // Nested parallelism: campaign tasks open their own inner
-        // pools (fault-sim batches) without deadlocking the outer one.
-        let outer = map(3, vec![10u64, 20, 30], |base| {
-            map(2, (0..8u64).collect(), |k| base + k)
-                .iter()
-                .sum::<u64>()
-        });
-        assert_eq!(outer, vec![108, 188, 268]);
-    }
-
-    #[test]
-    fn stats_report_utilization() {
-        let (_, stats) = scope_with_stats(2, |s| {
-            for _ in 0..8 {
-                s.spawn(|| std::thread::sleep(Duration::from_millis(2)));
+                assert!(stats.busy_total() <= stats.wall * stats.busy_segments.len() as u32);
             }
-        });
-        assert!(stats.utilization() > 0.0);
-        assert!(stats.wall >= Duration::from_millis(2));
-        assert_eq!(stats.busy_per_worker.len(), 2);
+        }
+    }
+
+    #[test]
+    fn a_panic_is_re_raised_after_every_other_item_ran() {
+        for workers in WIDTHS {
+            for (n, at) in [(1, 0), (100, 0), (100, 57), (100, 99)] {
+                let ran = AtomicUsize::new(0);
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    map(workers, (0..n).collect(), |i: usize| {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                        assert_ne!(i, at, "injected panic");
+                        i
+                    })
+                }));
+                let payload = caught.expect_err("the item's panic must reach the caller");
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .expect("assert_ne! payload");
+                assert!(msg.contains("injected panic"), "{msg}");
+                assert_eq!(ran.load(Ordering::Relaxed), n, "width {workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_lowest_panicking_index_wins() {
+        for workers in WIDTHS {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                map(workers, (0..100).collect(), |i: usize| {
+                    if i % 30 == 29 {
+                        panic!("item {i}");
+                    }
+                })
+            }));
+            let payload = caught.expect_err("panics reach the caller");
+            assert_eq!(payload.downcast_ref::<String>().unwrap(), "item 29");
+        }
+    }
+
+    #[test]
+    fn a_map_nests_inside_a_map_task() {
+        for workers in WIDTHS {
+            let outer = map(workers, vec![10u64, 20, 30], |base| {
+                map(workers, (0..8u64).collect(), |k| base + k)
+                    .iter()
+                    .sum::<u64>()
+            });
+            assert_eq!(outer, vec![108, 188, 268]);
+        }
     }
 
     #[test]
@@ -498,93 +236,32 @@ mod tests {
         assert!(default_workers() >= 1);
     }
 
-    /// Handcrafted stats = a deterministic fake clock: the aggregation
-    /// math (utilization, busy totals) must be exact arithmetic over
-    /// the recorded durations, independent of any real timer.
+    /// Handcrafted stats = a deterministic fake clock: the busy total
+    /// must be exact arithmetic over the recorded segments,
+    /// independent of any real timer.
     #[test]
-    fn utilization_math_is_exact_over_fake_clock_durations() {
+    fn busy_total_is_exact_over_fake_clock_durations() {
         let stats = PoolStats {
-            tasks_per_worker: vec![3, 1],
-            busy_per_worker: vec![Duration::from_millis(60), Duration::from_millis(20)],
             wall: Duration::from_millis(100),
-            steals: 2,
-            panics: 0,
-            peak_queued: 4,
             busy_segments: vec![
                 vec![(Duration::ZERO, Duration::from_millis(60))],
                 vec![(Duration::from_millis(10), Duration::from_millis(30))],
             ],
         };
-        // (60 + 20) ms busy over 100 ms x 2 workers = 0.4 exactly.
-        assert!((stats.utilization() - 0.4).abs() < 1e-12);
         assert_eq!(stats.busy_total(), Duration::from_millis(80));
-        assert_eq!(stats.steals, 2);
-        assert_eq!(stats.peak_queued, 4);
-        // Segment totals agree with the per-worker busy durations.
-        let seg_busy: Duration = stats
-            .busy_segments
-            .iter()
-            .flatten()
-            .map(|(s, e)| *e - *s)
-            .sum();
-        assert_eq!(seg_busy, Duration::from_millis(80));
     }
 
     #[test]
-    fn utilization_degenerate_cases_are_zero() {
-        let empty = PoolStats::default();
-        assert_eq!(empty.utilization(), 0.0);
-        let zero_wall = PoolStats {
-            tasks_per_worker: vec![1],
-            busy_per_worker: vec![Duration::from_millis(5)],
-            wall: Duration::ZERO,
-            ..Default::default()
-        };
-        assert_eq!(zero_wall.utilization(), 0.0);
-    }
-
-    /// The `workers <= 1` inline map path never touches the pool: it
-    /// must synthesize one-worker stats with zero steals and a single
-    /// busy segment spanning the whole wall time.
-    #[test]
-    fn inline_map_path_reports_zero_steals_and_one_segment() {
-        let (out, stats) = map_with_stats(1, (0u64..16).collect(), |x| x + 1);
-        assert_eq!(out, (1u64..17).collect::<Vec<_>>());
-        assert_eq!(stats.steals, 0, "inline path cannot steal");
-        assert_eq!(stats.panics, 0);
-        assert_eq!(stats.tasks_per_worker, vec![16]);
-        assert_eq!(stats.peak_queued, 1);
-        assert_eq!(stats.busy_per_worker.len(), 1);
-        assert_eq!(stats.busy_per_worker[0], stats.wall);
-        assert_eq!(stats.busy_segments.len(), 1);
-        assert_eq!(stats.busy_segments[0], vec![(Duration::ZERO, stats.wall)]);
-        // Single-item inputs take the inline path at any width.
-        let (_, single) = map_with_stats(8, vec![41u64], |x| x + 1);
-        assert_eq!(single.steals, 0);
-        assert_eq!(single.tasks_per_worker, vec![1]);
-        // ... and so does the empty input.
-        let (none, empty) = map_with_stats(8, Vec::<u64>::new(), |x| x + 1);
-        assert!(none.is_empty());
-        assert_eq!(empty.peak_queued, 0);
-        assert_eq!(empty.busy_segments, vec![Vec::new()]);
-    }
-
-    #[test]
-    fn pooled_runs_record_busy_segments_per_worker() {
-        let (_, stats) = scope_with_stats(3, |s| {
-            for _ in 0..9 {
-                s.spawn(|| std::thread::sleep(Duration::from_millis(1)));
-            }
-        });
-        assert_eq!(stats.busy_segments.len(), 3);
-        let segs: usize = stats.busy_segments.iter().map(Vec::len).sum();
-        assert_eq!(segs, 9, "one busy segment per executed task");
-        for (w, segments) in stats.busy_segments.iter().enumerate() {
-            assert_eq!(segments.len(), stats.tasks_per_worker[w]);
-            for &(start, end) in segments {
-                assert!(start <= end);
-                assert!(end <= stats.wall + Duration::from_millis(50));
-            }
+    fn items_that_take_time_leave_busy_time() {
+        for workers in WIDTHS {
+            let (_, stats) = map_with_stats(workers, vec![(); 4], |()| {
+                std::thread::sleep(Duration::from_millis(1));
+            });
+            assert!(
+                stats.busy_total() >= Duration::from_millis(4),
+                "width {workers}"
+            );
+            assert!(stats.wall >= Duration::from_millis(1), "width {workers}");
         }
     }
 }

@@ -29,9 +29,9 @@
 //! serial, plus cluster/localization counts — so the performance
 //! trajectory is tracked across PRs instead of living only in stdout.
 //!
-//! The design×k grid fans out over the `parallel` work-stealing
-//! pool (one task per grid cell, implements shared per design);
-//! campaigns are deterministic, so the pooled sweep's JSON is
+//! The design×k grid fans out over `parallel::map` (one item per
+//! grid cell, implements shared per design); campaigns are
+//! deterministic, so the pooled sweep's JSON is
 //! byte-identical to a serial one — pass `--check-serial` to re-run
 //! the grid on one worker and assert exactly that (CI does, in quick
 //! mode).
@@ -42,7 +42,7 @@
 //!
 //! Pass `--trace <base>` to record the sweep through the `obs` layer:
 //! `<base>.trace.json` (Chrome trace-event JSON, one track per grid
-//! cell plus one per pool worker — loadable at ui.perfetto.dev),
+//! cell plus one per worker — loadable at ui.perfetto.dev),
 //! `<base>.trace.jsonl` (raw span rows), and `<base>.metrics.prom`
 //! (Prometheus text exposition of the counters every session records:
 //! per-phase effort, evidence, simulation, placement and routing
@@ -141,8 +141,8 @@ fn run_cell(
     })
 }
 
-/// Sweeps the whole design×k grid on a `workers`-wide pool: one
-/// implement per design (itself fanned out), then one pool task per
+/// Sweeps the whole design×k grid on `workers` threads: one
+/// implement per design (itself fanned out), then one map item per
 /// grid cell. Row order is design-major, k-minor — identical to the
 /// old serial loop, because `parallel::map` preserves input order.
 fn sweep(
@@ -163,7 +163,7 @@ fn sweep(
         .flat_map(|d| (1..=max_k).map(move |k| (d, k)))
         .collect();
     // One trace track per grid cell, allocated up front in job order
-    // so track ids stay deterministic however the pool schedules.
+    // so track ids stay deterministic however the workers schedule.
     let tracks: Option<Vec<TrackId>> = observe.map(|(tracer, _)| {
         jobs.iter()
             .map(|&(d, k)| tracer.track(&format!("{} k={k}", designs[d].name())))

@@ -337,25 +337,6 @@ impl<'a> FaultAttribution<'a> {
     ///
     /// Propagates fault-simulation failures.
     pub fn prime(&mut self, candidates: &[CellId]) -> Result<(), NetlistError> {
-        self.prime_with_workers(candidates, parallel::default_workers())
-    }
-
-    /// [`prime`](Self::prime) with an explicit worker count: with more
-    /// than one worker and more than one sweep unit, the candidate
-    /// fault-sims fan out over a [`parallel`] work-stealing pool, one
-    /// fresh [`PackedSimulator`] per in-flight unit (the engines are
-    /// cheap to compile next to the sweeps they run). Results are
-    /// merged in unit order, so the cache — and everything scored
-    /// from it — is bit-identical to a serial prime.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fault-simulation failures.
-    pub fn prime_with_workers(
-        &mut self,
-        candidates: &[CellId],
-        workers: usize,
-    ) -> Result<(), NetlistError> {
         let mut luts: Vec<CellId> = Vec::new();
         for &c in candidates {
             if self.cache.contains_key(&c) || luts.contains(&c) {
@@ -373,42 +354,16 @@ impl<'a> FaultAttribution<'a> {
                 self.cache.insert(c, vec![false; self.trace.num_outputs()]);
             }
         }
-        // One sweep unit = one packed pass: a 64-machine batch on
-        // sequential designs, one pattern-parallel candidate on
-        // combinational ones.
-        let units: Vec<Vec<CellId>> = if self.sequential {
-            luts.chunks(LANES).map(<[CellId]>::to_vec).collect()
-        } else {
-            luts.iter().map(|&c| vec![c]).collect()
-        };
-        if workers > 1 && units.len() > 1 {
-            let golden = self.golden;
-            let sequential = self.sequential;
-            let trace = self.trace;
-            let swept = parallel::map(workers.min(units.len()), units, |unit| {
-                let mut psim = PackedSimulator::new(golden)?;
-                if sequential {
-                    sweep_candidate_batch(&mut psim, trace, &unit)
-                } else {
-                    sweep_candidate_patterns(&mut psim, trace, unit[0])
-                        .map(|mask| vec![(unit[0], mask)])
-                }
-            });
-            for unit in swept {
-                for (c, mask) in unit? {
+        if self.sequential {
+            for batch in luts.chunks(LANES) {
+                for (c, mask) in sweep_candidate_batch(&mut self.psim, self.trace, batch)? {
                     self.cache.insert(c, mask);
                 }
             }
         } else {
-            for unit in units {
-                if self.sequential {
-                    for (c, mask) in sweep_candidate_batch(&mut self.psim, self.trace, &unit)? {
-                        self.cache.insert(c, mask);
-                    }
-                } else {
-                    let mask = sweep_candidate_patterns(&mut self.psim, self.trace, unit[0])?;
-                    self.cache.insert(unit[0], mask);
-                }
+            for c in luts {
+                let mask = sweep_candidate_patterns(&mut self.psim, self.trace, c)?;
+                self.cache.insert(c, mask);
             }
         }
         Ok(())
@@ -454,12 +409,6 @@ impl<'a> FaultAttribution<'a> {
 /// all 64 lanes carry the complemented machine, patterns chunk
 /// through the lanes. Returns the predicted failing-PO mask in PO
 /// order; the sweep's work is added to `trace`.
-///
-/// A free function (rather than a method) so [`prime_with_workers`]
-/// can run it against worker-local engines without borrowing the
-/// whole attribution state.
-///
-/// [`prime_with_workers`]: FaultAttribution::prime_with_workers
 fn sweep_candidate_patterns(
     psim: &mut PackedSimulator<'_>,
     trace: &GoldenTrace,

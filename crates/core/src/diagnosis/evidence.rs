@@ -199,12 +199,6 @@ impl ObservationWindow {
         Self::flat(EvidenceBase::WHOLE_SWEEP)
     }
 
-    /// A causal window ending at `end`: each suspect judged over
-    /// `[0, end - ffdepth(suspect -> outputs)]`.
-    pub fn causal(golden: &Netlist, outputs: &[CellId], end: usize) -> Self {
-        Self::from_depths(end, causal_depths(golden, outputs))
-    }
-
     /// A causal window over a precomputed depth table (e.g. derived
     /// from [`EvidenceBase::cluster_depths`], avoiding a second graph
     /// traversal per cluster).

@@ -1329,12 +1329,12 @@ impl<'a> DebugSession<'a> {
 }
 
 // Compile-time `Send` regression gate (static_assertions-style): the
-// campaign fleet (`debugd`, `parallel::scope`) moves sessions, their
-// evidence, and whole tiled designs across worker threads. A change
-// that makes any of these `!Send` — an `Rc` slipping into a cone, a
-// non-`Send` trait object behind a session box — must fail *this
-// compile*, not deadlock or refuse to build the fleet three crates
-// downstream.
+// campaign fleet (`debugd::run_batch` on `parallel::map`) runs whole
+// campaigns on worker threads, and their designs, outcomes, reports
+// and errors cross back to the caller. A change that makes any of
+// these `!Send` — an `Rc` slipping into a cone, a non-`Send` trait
+// object behind a session box — must fail *this compile*, not refuse
+// to build the fleet three crates downstream.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<TiledDesign>();

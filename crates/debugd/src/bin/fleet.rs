@@ -3,7 +3,7 @@
 //!
 //! Builds a mixed campaign batch (designs × strategies × flows ×
 //! error budgets), runs it twice through the orchestrator — once on
-//! one worker (the serial reference) and once on the host's pool —
+//! one worker (the serial reference) and once on every host core —
 //! asserts the report documents are **byte-identical** across the
 //! two runs, and emits:
 //!
@@ -15,8 +15,8 @@
 //!   `tiling::effort`): wall-clock on any particular host is not
 //!   reproducible, these schedules are, so this is the section CI's
 //!   freshness gate compares byte-for-byte across regenerations.
-//! * a **measured** section: wall-clock, campaigns/sec, worker
-//!   utilization and steal counts on the host that ran the bench,
+//! * a **measured** section: wall-clock, campaigns/sec and worker
+//!   utilization on the host that ran the bench,
 //!   plus projected campaigns/sec per worker count (the modeled
 //!   makespans anchored by the measured effort-units/sec rate).
 //!
@@ -25,7 +25,7 @@
 //! quick results go to `BENCH_fleet.quick.json`, which is
 //! gitignored). Pass `--trace <base>` to also emit `<base>.trace.json`
 //! (Chrome trace-event JSON, loadable in Perfetto: per-campaign phase
-//! spans plus one track per pool worker), `<base>.trace.jsonl`,
+//! spans plus one track per worker), `<base>.trace.jsonl`,
 //! `<base>.metrics.prom` (the pooled run's metrics exposition) and
 //! `<base>.metrics.serial.prom` (the serial reference's) — whose
 //! deterministic sections this bin asserts byte-identical on every
@@ -339,7 +339,6 @@ fn render_json(
         "    \"worker_utilization\": {:.4},",
         pool_telemetry.worker_utilization
     );
-    let _ = writeln!(out, "    \"steals\": {},", pool_telemetry.steals);
     let projected = CURVE
         .iter()
         .map(|&w| {

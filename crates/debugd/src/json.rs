@@ -5,7 +5,7 @@
 //! protocol is deliberately small: requests and reports are flat
 //! objects of strings, numbers, bools, and short arrays. This module
 //! covers exactly the JSON subset those need (full string escapes,
-//! `f64` numbers, arbitrarily nested arrays/objects) and nothing
+//! `f64` numbers, arrays/objects nested up to 64 deep) and nothing
 //! more — no comments, no trailing commas, no BOM handling.
 
 use std::collections::BTreeMap;
@@ -100,6 +100,11 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deep arrays and objects may nest. Requests, reports and
+/// telemetry nest at most 3 deep; the bound keeps a hostile request
+/// file from overflowing the parser's stack.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 ///
 /// # Errors
@@ -108,21 +113,24 @@ impl std::error::Error for ParseError {}
 /// subset described in the module docs.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("end of input"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -134,7 +142,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -153,7 +161,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &'static str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             true
         } else {
@@ -167,11 +175,26 @@ impl Parser<'_> {
             Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("a JSON value")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("shallower nesting"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -248,9 +271,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("4 hex digits"))?;
                             // Surrogate pairs are out of scope for the
@@ -265,11 +287,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str,
-                    // so boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("valid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("a character"))?;
+                    // Every step before this one advanced over whole
+                    // characters, so `pos` is a char boundary.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("a character"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -288,12 +312,14 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let s =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| self.err("digits"))?;
-        s.parse::<f64>().map(Value::Num).map_err(|_| ParseError {
-            at: start,
-            expected: "a number",
-        })
+        // Only ASCII was consumed, so both ends are char boundaries.
+        self.text[start..self.pos]
+            .parse::<f64>()
+            .map(Value::Num)
+            .map_err(|_| ParseError {
+                at: start,
+                expected: "a number",
+            })
     }
 }
 
@@ -349,8 +375,21 @@ mod tests {
     #[test]
     fn escape_round_trips_through_parse() {
         let nasty = "line1\nline2\t\"quoted\" back\\slash \u{1} end";
-        let doc = format!("{{\"v\": \"{}\"}}", escape(nasty));
-        let v = parse(&doc).unwrap();
-        assert_eq!(v.get("v").unwrap().as_str(), Some(nasty));
+        let long = "aé€😀\"\n".repeat(20_000);
+        for s in [nasty, &long] {
+            let doc = format!("{{\"v\": \"{}\"}}", escape(s));
+            let v = parse(&doc).unwrap();
+            assert_eq!(v.get("v").unwrap().as_str(), Some(s));
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        assert_eq!(parse(&deep).unwrap_err().expected, "shallower nesting");
+        let objects = "{\"k\": ".repeat(MAX_DEPTH + 1);
+        assert_eq!(parse(&objects).unwrap_err().expected, "shallower nesting");
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
     }
 }

@@ -4,8 +4,8 @@
 //! paying only tiled re-place-and-route per iteration) is wrapped
 //! here as a service: clients submit *campaign requests* — design,
 //! error budget, localization strategy, physical flow, stimulus —
-//! and the orchestrator executes hundreds of them concurrently on a
-//! work-stealing pool, sharing each design's implemented artifact
+//! and the orchestrator executes hundreds of them side by side with
+//! one parallel map, sharing each design's implemented artifact
 //! (netlist, routing graph, tile plan) as [`std::sync::Arc`]s across
 //! every campaign that requests it.
 //!
@@ -19,14 +19,14 @@
 //!   distinct (design, tiles, seed) implement once, share it forever.
 //! * [`campaign`] — one request → one `DebugSession` campaign →
 //!   a deterministic report document plus a `DebugEvent` stream.
-//! * [`orchestrator`] — [`orchestrator::run_batch`] fans campaigns
-//!   over the pool (panics caught per-campaign, queue always
-//!   drained); [`orchestrator::serve`] wraps it in the
+//! * [`orchestrator`] — [`orchestrator::run_batch`] maps campaigns
+//!   over worker threads (panics caught per campaign, every campaign
+//!   always runs); [`orchestrator::serve`] wraps it in the
 //!   requests-dir/reports-dir file-queue protocol the `debugd` bin
 //!   speaks.
 //! * [`telemetry`] — fleet-wide counters: campaigns/sec, per-phase
-//!   effort ledgers, tap/ECO distributions, queue depth, worker
-//!   utilization, artifact-cache hits.
+//!   effort ledgers, tap/ECO distributions, worker utilization,
+//!   artifact-cache hits.
 //!
 //! Determinism contract: everything campaign-scoped (reports, event
 //! streams) is bit-identical whatever the worker count; wall-clock

@@ -4,17 +4,18 @@
 //!
 //! Takes a slice of parsed requests, resolves each request's design
 //! artifact through the shared [`ArtifactStore`] (building every
-//! distinct artifact exactly once), then fans the campaigns out over
-//! a [`parallel`] work-stealing pool. Results come back **in request
-//! order** regardless of worker count, and each campaign's report
-//! document is deterministic, so `run_batch(.., workers = 64)` and
-//! `run_batch(.., workers = 1)` produce byte-identical reports — the
-//! fleet determinism tests pin this down.
+//! distinct artifact exactly once), then maps the campaigns over
+//! `workers` threads with [`parallel::map_with_stats`]. Results come
+//! back **in request order** regardless of worker count, and each
+//! campaign's report document is deterministic, so
+//! `run_batch(.., workers = 64)` and `run_batch(.., workers = 1)`
+//! produce byte-identical reports — the fleet determinism tests pin
+//! this down.
 //!
 //! A panicking campaign (pipeline bug, or the `inject_panic` test
-//! hook) is caught *inside* its worker task: the pool never sees the
-//! panic, the queue drains normally, and the campaign reports status
-//! `"panicked"` with the payload.
+//! hook) is caught *inside* its map item: the map never sees the
+//! panic, every other campaign still runs, and the campaign reports
+//! status `"panicked"` with the payload.
 //!
 //! ## File-queue path ([`serve`])
 //!
@@ -31,8 +32,9 @@
 //! ```
 //!
 //! Requests are picked up in filename order (so clients can encode
-//! priority), parsed, and batch-executed; unparseable files get a
-//! `"rejected"` report named after the file stem.
+//! priority), parsed, and batch-executed; a file that is not UTF-8,
+//! does not parse or fails validation gets a `"rejected"` report
+//! named after the file stem.
 
 use std::fs;
 use std::io;
@@ -46,7 +48,7 @@ use obs::{MetricsRegistry, Tracer, TrackId};
 use crate::artifacts::ArtifactStore;
 use crate::campaign::{failure_result, run_campaign_observed, CampaignResult, CampaignStatus};
 use crate::json::escape;
-use crate::request::CampaignRequest;
+use crate::request::{CampaignRequest, RequestError};
 use crate::telemetry::FleetTelemetry;
 
 /// One batch's outcome: per-campaign results in request order, plus
@@ -70,8 +72,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Executes a batch of campaigns over `workers` work-stealing
-/// threads, sharing design artifacts through `store`.
+/// Executes a batch of campaigns over `workers` threads, sharing
+/// design artifacts through `store`.
 ///
 /// Artifact resolution happens up front (once per distinct key, not
 /// once per campaign); campaigns whose artifact fails to build report
@@ -92,12 +94,13 @@ pub fn run_batch(
 /// `session_phase_*`, `evidence_*`, `sim_*`, `place_*`, `route_*`,
 /// `artifact_*`, the `campaign_taps`/`campaign_ecos` histograms) land
 /// in the registry's deterministic section and are byte-identical
-/// whatever the worker count; wall-clock, steals, and queue depth go
-/// to the measured section. Each campaign's session records its own
-/// work, so the section also stays exact while other batches run in
-/// the same process. With a tracer, every campaign gets its own track (request
-/// order) carrying its per-phase spans, and one track per pool worker
-/// is reconstructed from the pool's busy segments.
+/// whatever the worker count; wall-clock, worker busy time and the
+/// worker count go to the measured section. Each campaign's session
+/// records its own work, so the section also stays exact while other
+/// batches run in the same process. With a tracer, every campaign
+/// gets its own track (request order) carrying its per-phase spans,
+/// and one track per worker is reconstructed from the map's busy
+/// segments.
 pub fn run_batch_observed(
     store: &ArtifactStore,
     requests: &[CampaignRequest],
@@ -126,7 +129,7 @@ pub fn run_batch_observed(
         })
         .collect();
     // Per-campaign tracks are allocated up front, in request order,
-    // so track ids are deterministic however the pool schedules.
+    // so track ids are deterministic however the workers schedule.
     let tracks: Option<Vec<TrackId>> = tracer.map(|t| {
         requests
             .iter()
@@ -152,8 +155,9 @@ pub fn run_batch_observed(
                 Vec::new(),
             ),
             (Ok(()), Some(Ok(artifact))) => {
-                // Catch panics here, inside the task: the pool keeps
-                // draining and the failure becomes a reported result.
+                // Catch panics here, inside the item: the other
+                // campaigns run on and the failure becomes a reported
+                // result.
                 match catch_unwind(AssertUnwindSafe(|| {
                     run_campaign_observed(artifact, req, Some(registry), trace)
                 })) {
@@ -193,9 +197,7 @@ pub fn run_batch_observed(
         &[],
         u64::try_from(stats.busy_total().as_micros()).unwrap_or(u64::MAX),
     );
-    registry.measured_add("fleet_steals_total", &[], stats.steals as u64);
-    registry.measured_max("fleet_peak_queued", &[], stats.peak_queued as u64);
-    registry.measured_max("fleet_workers", &[], stats.tasks_per_worker.len() as u64);
+    registry.measured_max("fleet_workers", &[], stats.busy_segments.len() as u64);
     if let Some(t) = tracer {
         t.pool_tracks("worker", &stats, t0_us);
     }
@@ -206,7 +208,7 @@ pub fn run_batch_observed(
 /// `serve` configuration.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker-pool width per batch.
+    /// Worker threads per batch.
     pub workers: usize,
     /// Process the requests present now, then exit (no polling).
     pub once: bool,
@@ -268,14 +270,16 @@ pub fn serve(root: &Path, opts: &ServeOptions) -> io::Result<ServeSummary> {
         files.sort();
         let mut batch: Vec<CampaignRequest> = Vec::new();
         for path in &files {
-            let text = fs::read_to_string(path)?;
-            // Shape first (parse), then ranges (validate): either way
-            // the file yields a structured `"rejected"` report instead
-            // of a batch slot.
-            match CampaignRequest::from_json(&text).and_then(|req| {
-                req.validate()?;
-                Ok(req)
-            }) {
+            // Text first (UTF-8), then shape (parse), then ranges
+            // (validate): any failure yields a structured `"rejected"`
+            // report instead of a batch slot.
+            match String::from_utf8(fs::read(path)?)
+                .map_err(|e| RequestError(e.to_string()))
+                .and_then(|text| CampaignRequest::from_json(&text))
+                .and_then(|req| {
+                    req.validate()?;
+                    Ok(req)
+                }) {
                 Ok(req) => batch.push(req),
                 Err(e) => {
                     summary.rejected += 1;

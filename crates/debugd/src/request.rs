@@ -337,13 +337,27 @@ impl CampaignRequest {
     /// is occupied: field *ranges* a well-formed request can still get
     /// wrong. Parse-time checks ([`Self::from_json`]) own shape and
     /// enum names; this owns what "in range" means for the service —
-    /// a tile count the design's CLB budget cannot fill, a stimulus
-    /// or error budget past the service caps.
+    /// an id that cannot name a report file, a tile count the design's
+    /// CLB budget cannot fill, a stimulus or error budget past the
+    /// service caps.
     ///
     /// # Errors
     ///
     /// [`RequestError`] naming the offending field and bound.
     pub fn validate(&self) -> Result<(), RequestError> {
+        // The id names `reports/<id>.json` and `events/<id>.jsonl`, so
+        // it must be one plain file-name component.
+        const MAX_ID: usize = 128;
+        let plain = |c: char| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-');
+        if matches!(self.id.as_str(), "" | "." | "..")
+            || self.id.len() > MAX_ID
+            || !self.id.chars().all(plain)
+        {
+            return Err(RequestError(format!(
+                "\"id\" {:?} must be 1..={MAX_ID} characters of [A-Za-z0-9._-], not . or ..",
+                self.id
+            )));
+        }
         // One tile per paper CLB is already degenerate; past it the
         // partitioner cannot even assign every tile a cell.
         let max_tiles = self.design.paper_clbs();
@@ -449,5 +463,33 @@ mod tests {
         let e = CampaignRequest::from_json(r#"{"id": "a", "design": "9sym", "error_seeds": []}"#)
             .unwrap_err();
         assert!(e.0.contains("error_seeds"), "{e}");
+    }
+
+    #[test]
+    fn ids_must_be_plain_file_names() {
+        let with_id = |id: &str| CampaignRequest {
+            id: id.into(),
+            ..Default::default()
+        };
+        for id in ["comb-tiled-7-00001", "MIPS_R2000-00", "c00", "v1.2", "..."] {
+            assert!(with_id(id).validate().is_ok(), "{id}");
+        }
+        let long = "x".repeat(129);
+        for id in [
+            "",
+            ".",
+            "..",
+            "../escape",
+            "a/b",
+            "/abs",
+            "a\\b",
+            "sp ace",
+            "é",
+            &long,
+        ] {
+            let e = with_id(id).validate().unwrap_err();
+            assert!(e.0.contains("\"id\""), "{id}: {e}");
+        }
+        assert!(with_id(&"x".repeat(128)).validate().is_ok());
     }
 }

@@ -26,20 +26,16 @@ pub struct FleetTelemetry {
     pub completed: usize,
     /// ... that failed with a pipeline error.
     pub failed: usize,
-    /// ... whose worker panicked (caught, queue drained).
+    /// ... that panicked (caught; the rest of the batch still ran).
     pub panicked: usize,
     /// Campaigns rejected before reaching a worker (bad requests).
     pub rejected: usize,
-    /// Worker-pool width the batch ran at.
+    /// Worker threads the batch ran on.
     pub workers: usize,
     /// Wall-clock spent executing batches.
     pub wall: Duration,
     /// Mean fraction of wall time workers spent inside campaigns.
     pub worker_utilization: f64,
-    /// Tasks claimed from a non-owner queue (work-stealing traffic).
-    pub steals: usize,
-    /// High-water mark of queued campaigns.
-    pub peak_queued: usize,
     /// Artifacts built (implement runs paid).
     pub artifact_builds: usize,
     /// Artifact cache hits (implement runs saved).
@@ -55,8 +51,8 @@ pub struct FleetTelemetry {
 impl FleetTelemetry {
     /// Projects the telemetry document out of a metrics snapshot: the
     /// deterministic counters rebuild the campaign/status/phase-ledger
-    /// numbers, the measured series supply wall-clock, utilization,
-    /// steals, and queue depth.
+    /// numbers, the measured series supply wall-clock and
+    /// utilization.
     pub fn from_snapshot(snap: &MetricsSnapshot) -> Self {
         let workers = snap.value_u64("fleet_workers", &[]) as usize;
         let wall_us = snap.value_u64("fleet_wall_microseconds_total", &[]);
@@ -93,8 +89,6 @@ impl FleetTelemetry {
             workers,
             wall: Duration::from_micros(wall_us),
             worker_utilization,
-            steals: snap.value_u64("fleet_steals_total", &[]) as usize,
-            peak_queued: snap.value_u64("fleet_peak_queued", &[]) as usize,
             artifact_builds: snap.value_u64("artifact_builds_total", &[]) as usize,
             artifact_hits: snap.value_u64("artifact_hits_total", &[]) as usize,
             ledger,
@@ -133,8 +127,6 @@ impl FleetTelemetry {
             "  \"worker_utilization\": {:.4},",
             self.worker_utilization
         );
-        let _ = writeln!(out, "  \"steals\": {},", self.steals);
-        let _ = writeln!(out, "  \"queue_peak\": {},", self.peak_queued);
         let _ = writeln!(out, "  \"artifact_builds\": {},", self.artifact_builds);
         let _ = writeln!(out, "  \"artifact_hits\": {},", self.artifact_hits);
         out.push_str("  \"phase_effort_units\": {");

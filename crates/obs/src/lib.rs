@@ -7,7 +7,7 @@
 //! * [`Tracer`] — scoped spans with **dual timestamps** (deterministic
 //!   effort units + measured wall-clock), exported as Chrome
 //!   trace-event JSON (Perfetto-loadable) and JSONL, including one
-//!   track per pool worker reconstructed from
+//!   track per map worker reconstructed from
 //!   [`parallel::PoolStats`] busy segments.
 //! * [`MetricsRegistry`] — counters/gauges/histograms with label
 //!   sets, `BTreeMap`-ordered so renders are byte-stable, with a
@@ -17,8 +17,8 @@
 //!
 //! The rule of the house: **wall-clock never feeds a deterministic
 //! series**. Effort units, ECO counts, cache hits, and event counts
-//! are deterministic; durations, utilization, and steal counts live
-//! behind [`MEASURED_MARKER`].
+//! are deterministic; durations and utilization live behind
+//! [`MEASURED_MARKER`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,7 +12,7 @@
 //! * **deterministic** — effort units, ECO counts, cache hit/miss,
 //!   anything derived from seeds and algorithms. These must be
 //!   byte-identical between serial and pooled runs.
-//! * **measured** — wall-clock, steal counts, utilization. These are
+//! * **measured** — wall-clock, busy time, utilization. These are
 //!   rendered *after* a marker line ([`MEASURED_MARKER`]) so consumers
 //!   can split the exposition and byte-compare only the prefix.
 //!
@@ -134,7 +134,7 @@ struct Series {
 
 /// Thread-safe metrics registry (one mutex; recording is rare next to
 /// the work being measured). `&MetricsRegistry` is `Sync`, so sessions
-/// running on pool workers can all record into the fleet's registry.
+/// running on map workers can all record into the fleet's registry.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     inner: Mutex<BTreeMap<SeriesKey, Series>>,
@@ -213,7 +213,7 @@ impl MetricsRegistry {
         );
     }
 
-    /// Adds `v` to a **measured** counter (wall-clock sums, steals).
+    /// Adds `v` to a **measured** counter (wall-clock sums).
     pub fn measured_add(&self, name: &str, labels: &[(&str, &str)], v: u64) {
         self.upsert(
             name,

@@ -11,7 +11,7 @@
 //!
 //! Spans live on *tracks*. A track is usually one campaign or one
 //! bench cell; [`Tracer::pool_tracks`] additionally reconstructs one
-//! track per pool worker from the busy segments
+//! track per map worker from the busy segments
 //! [`parallel::PoolStats`] records, so a fleet trace shows both views:
 //! what each campaign did, and what each worker ran.
 
@@ -111,7 +111,7 @@ impl Tracer {
     }
 
     /// Records a span with explicit start/duration — used to
-    /// reconstruct spans measured elsewhere (pool busy segments).
+    /// reconstruct spans measured elsewhere (map busy segments).
     pub fn add_span_at(
         &self,
         track: TrackId,
@@ -131,9 +131,9 @@ impl Tracer {
         });
     }
 
-    /// Reconstructs one track per pool worker from the busy segments a
+    /// Reconstructs one track per map worker from the busy segments a
     /// [`PoolStats`] recorded. `offset_us` is the tracer timestamp at
-    /// which the pool started (segments are pool-relative).
+    /// which the map started (segments are relative to it).
     pub fn pool_tracks(&self, prefix: &str, stats: &PoolStats, offset_us: u64) {
         for (w, segments) in stats.busy_segments.iter().enumerate() {
             let track = self.track(&format!("{prefix} {w}"));
@@ -283,12 +283,7 @@ mod tests {
     fn pool_tracks_reconstruct_worker_lanes() {
         let t = Tracer::new();
         let stats = PoolStats {
-            tasks_per_worker: vec![2, 1],
-            busy_per_worker: vec![Duration::from_micros(30), Duration::from_micros(10)],
             wall: Duration::from_micros(50),
-            steals: 1,
-            panics: 0,
-            peak_queued: 3,
             busy_segments: vec![
                 vec![
                     (Duration::from_micros(0), Duration::from_micros(20)),

@@ -2,11 +2,11 @@
 //!
 //! * **Determinism:** N campaigns over shared artifacts produce
 //!   bit-identical report documents and event streams whether they
-//!   run serially or fanned out over the work-stealing pool.
-//! * **Fault containment:** a panicking worker task (injected via
-//!   the request-level test hook) is caught, the queue drains, and
-//!   the failure is *reported* — the orchestrator neither hangs nor
-//!   loses sibling campaigns.
+//!   run serially or fanned out over worker threads.
+//! * **Fault containment:** a panicking campaign (injected via the
+//!   request-level test hook) is caught, every other campaign still
+//!   runs, and the failure is *reported* — the orchestrator neither
+//!   hangs nor loses sibling campaigns.
 //! * **Protocol:** the file-queue server round-trips requests into
 //!   reports, event streams, archives, and telemetry.
 //!
@@ -91,7 +91,7 @@ fn injected_panic_is_drained_and_reported() {
     requests[2].inject_panic = true;
     requests[2].id = "poisoned".into();
     let outcome = run_batch(store(), &requests, 3);
-    // The queue drained: every campaign has a result, in order.
+    // Every campaign has a result, in order.
     assert_eq!(outcome.results.len(), requests.len());
     for (req, res) in requests.iter().zip(&outcome.results) {
         assert_eq!(req.id, res.id);
@@ -154,6 +154,66 @@ fn file_queue_serves_reports_events_and_telemetry() {
     assert!(!root.join("requests/01-ok.json").exists());
     assert!(root.join("archive/01-ok.json").exists());
     assert!(root.join("archive/02-bad.json").exists());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Request ids name report and event files, so an id that is not one
+/// plain file name is rejected like any other bad request, and so is
+/// a request file that is not UTF-8: the server keeps running,
+/// reports each under the request's file stem, and writes nothing
+/// outside its own directories.
+#[test]
+fn hostile_request_files_are_rejected_in_place() {
+    let root = std::env::temp_dir().join(format!("debugd-id-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("requests")).unwrap();
+    for (file, id) in [("01-up", "../escape"), ("02-nested", "a/b")] {
+        std::fs::write(
+            root.join(format!("requests/{file}.json")),
+            format!(r#"{{"id": "{id}", "design": "9sym", "flow": "quick-eco"}}"#),
+        )
+        .unwrap();
+    }
+    std::fs::write(root.join("requests/03-binary.json"), b"{\"id\": \"\xff\"}").unwrap();
+    let summary = debugd::serve(
+        &root,
+        &ServeOptions {
+            workers: 2,
+            once: true,
+            ..Default::default()
+        },
+    )
+    .expect("a bad request never stops the server");
+    assert_eq!((summary.campaigns, summary.rejected), (0, 3));
+    let listing = |dir: &str| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(root.join(dir))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(
+        listing(""),
+        [
+            "archive",
+            "events",
+            "metrics.prom",
+            "reports",
+            "requests",
+            "telemetry.json"
+        ]
+    );
+    assert_eq!(
+        listing("reports"),
+        ["01-up.json", "02-nested.json", "03-binary.json"]
+    );
+    assert!(listing("events").is_empty());
+    assert!(listing("requests").is_empty());
+    for file in listing("reports") {
+        let report = std::fs::read_to_string(root.join("reports").join(file)).unwrap();
+        assert!(report.contains("\"status\": \"rejected\""), "{report}");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

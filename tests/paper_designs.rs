@@ -161,30 +161,24 @@ fn paper_scale_options(seed: u64) -> TilingOptions {
 }
 
 /// Both paper-scale implements, paid once per test process: the two
-/// P&R runs go through `parallel::join` so whichever `--ignored`
-/// test runs first fans them over two cores, and the other test just
-/// reads the shared result.
-fn paper_scale_implementations() -> &'static (
-    Result<TiledDesign, tiling::TilingError>,
-    Result<TiledDesign, tiling::TilingError>,
-) {
-    static BOTH: std::sync::OnceLock<(
-        Result<TiledDesign, tiling::TilingError>,
-        Result<TiledDesign, tiling::TilingError>,
-    )> = std::sync::OnceLock::new();
+/// P&R runs go through one two-wide `parallel::map` so whichever
+/// `--ignored` test runs first fans them over two cores, and the other
+/// test just reads the shared result. Index 0 is MIPS R2000, 1 is DES.
+fn paper_scale_implementations() -> &'static [Result<TiledDesign, tiling::TilingError>] {
+    static BOTH: std::sync::OnceLock<Vec<Result<TiledDesign, tiling::TilingError>>> =
+        std::sync::OnceLock::new();
     BOTH.get_or_init(|| {
-        parallel::join(
-            || implement_paper_design(PaperDesign::MipsR2000, paper_scale_options(11)),
-            || implement_paper_design(PaperDesign::Des, paper_scale_options(12)),
-        )
+        let designs = vec![(PaperDesign::MipsR2000, 11), (PaperDesign::Des, 12)];
+        parallel::map(2, designs, |(design, seed)| {
+            implement_paper_design(design, paper_scale_options(seed))
+        })
     })
 }
 
 #[test]
 #[ignore = "paper-scale P&R (~900 CLBs); run with `cargo test --release -- --ignored`"]
 fn mips_r2000_implements_with_tiling() {
-    let (mips, _) = paper_scale_implementations();
-    let td = mips.as_ref().unwrap();
+    let td = paper_scale_implementations()[0].as_ref().unwrap();
     assert!(td.routing.is_feasible());
     assert!(td.plan.len() >= 4, "paper-scale design must be tiled");
 }
@@ -192,8 +186,7 @@ fn mips_r2000_implements_with_tiling() {
 #[test]
 #[ignore = "paper-scale P&R (~1050 CLBs); run with `cargo test --release -- --ignored`"]
 fn des_implements_with_tiling() {
-    let (_, des) = paper_scale_implementations();
-    let td = des.as_ref().unwrap();
+    let td = paper_scale_implementations()[1].as_ref().unwrap();
     assert!(td.routing.is_feasible());
     assert!(td.plan.len() >= 4, "paper-scale design must be tiled");
 }
