@@ -19,19 +19,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into();
     fs::create_dir_all(&dir)?;
     for design in PaperDesign::ALL {
-        let bundle = design.generate()?;
-        let text = netlist::blif::write(&bundle.netlist);
+        let nl = design.generate()?;
+        let text = netlist::blif::write(&nl);
         let name = design.name().replace(' ', "_").to_lowercase();
         let path = dir.join(format!("{name}.blif"));
         fs::write(&path, &text)?;
-        let s = bundle.netlist.stats();
+        let s = nl.stats();
         println!(
             "{:<12} -> {} ({} LUTs, {} FFs, {} CLBs, depth {})",
             design.name(),
             path.display(),
             s.luts,
             s.ffs,
-            bundle.clbs(),
+            s.clb_estimate(),
             s.depth
         );
     }

@@ -171,11 +171,11 @@ fn implement_once(
     design: PaperDesign,
     engine: PlaceEngine,
 ) -> Result<(TiledDesign, ImplementRow), TilingError> {
-    let bundle = design.generate()?;
+    let nl = design.generate()?;
     let mut opts = implement_options(design, TARGET_TILES, SEED);
     opts.placer.engine = engine;
     let t = Instant::now();
-    let td = implement(bundle.netlist, bundle.hierarchy, opts)?;
+    let td = implement(nl, opts)?;
     let ms = t.elapsed().as_secs_f64() * 1e3;
     let hpwl = place::total_wirelength_cost(&td.netlist, &td.device, &td.placement);
     let row = ImplementRow {

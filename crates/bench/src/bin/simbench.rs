@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut rows: Vec<Row> = Vec::new();
     for &design in designs {
-        let golden = design.generate()?.netlist;
+        let golden = design.generate()?;
         let seq = golden.is_sequential();
         let n_pi = golden.primary_inputs().len();
         let (detect_pats, fault_pats, max_cand) = match (quick, seq) {

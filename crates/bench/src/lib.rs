@@ -25,10 +25,8 @@ pub fn implement_design(
     target_tiles: usize,
     seed: u64,
 ) -> Result<TiledDesign, TilingError> {
-    let bundle = design.generate()?;
     implement(
-        bundle.netlist,
-        bundle.hierarchy,
+        design.generate()?,
         debugd::artifacts::implement_options(design, target_tiles, seed),
     )
 }

@@ -1,7 +1,7 @@
 //! Affected-tile identification with neighbour expansion (paper §4.2).
 //!
 //! A debugging change or test-logic insertion seeds a set of tiles
-//! (via back-annotation from the changed cells). If the new logic
+//! (the tiles its changed cells are placed in). If the new logic
 //! needs more CLBs than the seed tiles' slack provides, neighbouring
 //! tiles are drafted in — "neighboring tiles can also be labeled
 //! 'affected' and may contribute their unused resources" — until the

@@ -827,16 +827,16 @@ mod tests {
     use synth::PaperDesign;
 
     fn tiled_9sym() -> TiledDesign {
-        let b = PaperDesign::NineSym.generate().unwrap();
-        implement(b.netlist, b.hierarchy, TilingOptions::fast(3)).unwrap()
+        let nl = PaperDesign::NineSym.generate().unwrap();
+        implement(nl, TilingOptions::fast(3)).unwrap()
     }
 
     /// 9sym at `fast(37)` and its middle LUT. One tile is 17% of this
     /// device, under the coarse branch's fifth, so tile clearing on
     /// the middle LUT's tile runs the masked and free passes.
     fn tiled_9sym_37() -> (TiledDesign, CellId) {
-        let b = PaperDesign::NineSym.generate().unwrap();
-        let td = implement(b.netlist, b.hierarchy, TilingOptions::fast(37)).unwrap();
+        let nl = PaperDesign::NineSym.generate().unwrap();
+        let td = implement(nl, TilingOptions::fast(37)).unwrap();
         let luts: Vec<CellId> = td
             .netlist
             .cells()

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use fpga::{DelayModel, Device, Placement, Routing, RoutingGraph, TimingReport};
-use netlist::{CellId, Hierarchy, NetId, Netlist};
+use netlist::{CellId, NetId, Netlist};
 use place::{Constraints, PlacerConfig};
 use route::RouteOptions;
 
@@ -28,9 +28,6 @@ pub struct TilingOptions {
     pub placer: PlacerConfig,
     /// Router parameters.
     pub router: RouteOptions,
-    /// Move cells out of over-full tiles after partitioning so every
-    /// tile keeps slack (paper step 5 is per-tile, not just global).
-    pub enforce_tile_slack: bool,
 }
 
 impl Default for TilingOptions {
@@ -41,7 +38,6 @@ impl Default for TilingOptions {
             tracks: 10,
             placer: PlacerConfig::default(),
             router: RouteOptions::default(),
-            enforce_tile_slack: true,
         }
     }
 }
@@ -67,8 +63,8 @@ impl TilingOptions {
 /// iteration operates on.
 ///
 /// The artifacts that are immutable after [`implement`] — the device,
-/// its routing-resource graph, the tile plan, and the hierarchy — are
-/// held behind [`Arc`]s, so cloning a `TiledDesign` (one clone per
+/// its routing-resource graph, and the tile plan — are held behind
+/// [`Arc`]s, so cloning a `TiledDesign` (one clone per
 /// fleet campaign) shares them instead of duplicating them; only the
 /// ECO-mutated state (netlist, placement, routing) is deep-copied.
 /// Every flow reads these fields through deref coercion, which is why
@@ -77,9 +73,6 @@ impl TilingOptions {
 pub struct TiledDesign {
     /// The mapped netlist (mutated by ECOs).
     pub netlist: Netlist,
-    /// Module hierarchy with back-annotation links (shared, immutable
-    /// after implement).
-    pub hierarchy: Arc<Hierarchy>,
     /// The slack-sized device (shared, immutable after implement).
     pub device: Arc<Device>,
     /// Its routing-resource graph (shared, immutable after
@@ -191,11 +184,7 @@ pub(crate) fn drop_stale_physical_state(td: &mut TiledDesign) {
 /// # Errors
 ///
 /// Propagates device-sizing, placement, and routing failures.
-pub fn implement(
-    netlist: Netlist,
-    hierarchy: Hierarchy,
-    options: TilingOptions,
-) -> Result<TiledDesign, TilingError> {
+pub fn implement(netlist: Netlist, options: TilingOptions) -> Result<TiledDesign, TilingError> {
     let stats = netlist.stats();
     let device = Device::for_design(
         stats.luts,
@@ -223,11 +212,10 @@ pub fn implement(
     // Step 6: draw tile boundaries (cut-minimizing).
     let plan = partition(&netlist, &device, &placement, options.target_tiles);
 
-    // Per-tile slack enforcement: relocate cells out of tiles that
-    // kept less than half the slack budget.
-    if options.enforce_tile_slack {
-        rebalance(&netlist, &device, &plan, &mut placement, options.overhead)?;
-    }
+    // Per-tile slack enforcement (paper step 5 is per-tile, not just
+    // global): relocate cells out of tiles that kept less than half
+    // the slack budget.
+    rebalance(&netlist, &plan, &mut placement, options.overhead)?;
 
     // Route the full design (completes step 5's "and-route").
     let mut routing = Routing::new(rrg.num_nodes());
@@ -241,7 +229,6 @@ pub fn implement(
     // ECO flow (crate::eco_flow) is the only code that unlocks tiles.
     Ok(TiledDesign {
         netlist,
-        hierarchy: Arc::new(hierarchy),
         device: Arc::new(device),
         rrg: Arc::new(rrg),
         plan: Arc::new(plan),
@@ -253,15 +240,14 @@ pub fn implement(
 }
 
 /// Moves cells out of over-utilized tiles into adjacent slack until
-/// every tile keeps at least `overhead / 2` of its capacity free.
+/// every tile keeps at least `overhead / 2` of its capacity free. A
+/// lone tile has no neighbour to shed into and is left as placed.
 fn rebalance(
     nl: &Netlist,
-    device: &Device,
     plan: &TilePlan,
     placement: &mut Placement,
     overhead: f64,
 ) -> Result<(), TilingError> {
-    let _ = device;
     for _ in 0..4 * plan.len() {
         // Find the most over-utilized tile.
         let mut worst: Option<(TileId, usize, usize)> = None; // (tile, free, want)
@@ -336,8 +322,8 @@ mod tests {
     use synth::PaperDesign;
 
     fn implement_9sym() -> TiledDesign {
-        let bundle = PaperDesign::NineSym.generate().unwrap();
-        implement(bundle.netlist, bundle.hierarchy, TilingOptions::fast(7)).unwrap()
+        let nl = PaperDesign::NineSym.generate().unwrap();
+        implement(nl, TilingOptions::fast(7)).unwrap()
     }
 
     #[test]

@@ -419,8 +419,8 @@ mod tests {
 
     #[test]
     fn every_flow_commits_a_feasible_implementation() {
-        let b = PaperDesign::NineSym.generate().unwrap();
-        let td0 = implement(b.netlist, b.hierarchy, TilingOptions::fast(31)).unwrap();
+        let nl = PaperDesign::NineSym.generate().unwrap();
+        let td0 = implement(nl, TilingOptions::fast(31)).unwrap();
         let victim = victim_of(&td0);
         for mut flow in standard_flows() {
             let mut td = td0.clone();
@@ -454,8 +454,8 @@ mod tests {
 
     #[test]
     fn full_flow_affects_every_tile_and_tiled_does_not() {
-        let b = PaperDesign::NineSym.generate().unwrap();
-        let td0 = implement(b.netlist, b.hierarchy, TilingOptions::fast(32)).unwrap();
+        let nl = PaperDesign::NineSym.generate().unwrap();
+        let td0 = implement(nl, TilingOptions::fast(32)).unwrap();
         let victim = victim_of(&td0);
 
         let mut full_td = td0.clone();
@@ -473,8 +473,8 @@ mod tests {
 
     #[test]
     fn tiling_beats_the_baselines_on_a_small_change() {
-        let b = PaperDesign::NineSym.generate().unwrap();
-        let mut td = implement(b.netlist, b.hierarchy, TilingOptions::fast(21)).unwrap();
+        let nl = PaperDesign::NineSym.generate().unwrap();
+        let mut td = implement(nl, TilingOptions::fast(21)).unwrap();
         let victim = victim_of(&td);
         let tt = td
             .netlist

@@ -212,11 +212,6 @@ pub struct TreeSplit {
     /// Sinks to re-route from the net's (new) source pin toward a
     /// locked interface node (the net leaves the region here).
     pub route_to_interface: Vec<NodeId>,
-    /// Interface nodes from which an in-region pin must be reached:
-    /// `(interface node, original sink index)`.
-    pub route_from_interface: Vec<(NodeId, usize)>,
-    /// Original sink indices needing full in-region re-route.
-    pub reroute_inside: Vec<usize>,
     /// Original sink indices needing unconfined re-route (feedthrough).
     pub reroute_free: Vec<usize>,
 }
@@ -224,27 +219,20 @@ pub struct TreeSplit {
 /// Splits each path of `tree` against `region`.
 pub fn split_tree(rrg: &RoutingGraph, region: &RegionSet, tree: &RouteTree) -> TreeSplit {
     let mut out = TreeSplit::default();
-    let mut seen_cross_out = false;
     for (k, path) in tree.paths.iter().enumerate() {
         match split_path(rrg, region, path) {
             PathSplit::KeepOutside => out.base.paths.push(path.clone()),
-            PathSplit::DropInside => out.reroute_inside.push(k),
+            PathSplit::DropInside => {}
             PathSplit::Feedthrough => out.reroute_free.push(k),
             PathSplit::CrossOut { cross } => {
                 out.base.paths.push(path[cross..].to_vec());
                 // One connection from the new source to the interface
                 // is enough even if several sinks share the exit.
-                if !seen_cross_out {
-                    out.route_to_interface.push(path[cross]);
-                    seen_cross_out = true;
-                } else if !out.route_to_interface.contains(&path[cross]) {
+                if !out.route_to_interface.contains(&path[cross]) {
                     out.route_to_interface.push(path[cross]);
                 }
             }
-            PathSplit::CrossIn { cross } => {
-                out.base.paths.push(path[..=cross].to_vec());
-                out.route_from_interface.push((path[cross], k));
-            }
+            PathSplit::CrossIn { cross } => out.base.paths.push(path[..=cross].to_vec()),
         }
     }
     out
@@ -370,8 +358,6 @@ mod tests {
         assert_eq!(split.base.paths.len(), 1);
         assert_eq!(split.base.paths[0][0], boundary);
         assert_eq!(split.route_to_interface, vec![boundary]);
-        assert_eq!(split.reroute_inside, vec![1]);
-        assert!(split.route_from_interface.is_empty());
         assert!(split.reroute_free.is_empty());
     }
 

@@ -203,8 +203,8 @@ mod tests {
 
     #[test]
     fn report_is_consistent_with_design() {
-        let b = PaperDesign::NineSym.generate().unwrap();
-        let td = implement(b.netlist, b.hierarchy, TilingOptions::fast(41)).unwrap();
+        let nl = PaperDesign::NineSym.generate().unwrap();
+        let td = implement(nl, TilingOptions::fast(41)).unwrap();
         let r = TilingReport::build(&td).unwrap();
         assert_eq!(r.tiles.len(), td.plan.len());
         let cap: usize = r.tiles.iter().map(|t| t.capacity).sum();
@@ -221,9 +221,8 @@ mod tests {
 
     #[test]
     fn debug_report_aggregates_session_outcomes() {
-        let b = PaperDesign::NineSym.generate().unwrap();
-        let golden = b.netlist.clone();
-        let mut td = implement(b.netlist, b.hierarchy, TilingOptions::fast(43)).unwrap();
+        let golden = PaperDesign::NineSym.generate().unwrap();
+        let mut td = implement(golden.clone(), TilingOptions::fast(43)).unwrap();
         let err = sim::inject::random_error(&mut td.netlist, 99).unwrap();
         let out = crate::session::DebugSession::new(&mut td, &golden)
             .seed(17)
@@ -246,7 +245,7 @@ mod tests {
     fn s9234_worked_example_matches_paper_scale() {
         // Paper §6.1: ten tiles averaging 23.5 CLBs leave ~4.7 CLBs
         // each at 20% overhead.
-        let b = PaperDesign::S9234.generate().unwrap();
+        let nl = PaperDesign::S9234.generate().unwrap();
         let mut opts = TilingOptions::fast(42);
         opts.tracks = 18;
         opts.placer = place::PlacerConfig {
@@ -254,7 +253,7 @@ mod tests {
             max_temps: 120,
             ..Default::default()
         };
-        let td = implement(b.netlist, b.hierarchy, opts).unwrap();
+        let td = implement(nl, opts).unwrap();
         let r = TilingReport::build(&td).unwrap();
         let used = r.mean_used_clbs();
         let free = r.mean_free_clbs();

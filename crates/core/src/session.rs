@@ -238,8 +238,7 @@ type EventCallback<'a> = Box<dyn FnMut(&DebugEvent) + Send + 'a>;
 /// use tiling::{implement, TilingOptions};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let b = PaperDesign::NineSym.generate()?;
-/// let mut td = implement(b.netlist, b.hierarchy, TilingOptions::default())?;
+/// let mut td = implement(PaperDesign::NineSym.generate()?, TilingOptions::default())?;
 /// let golden = td.netlist.clone();
 /// let error = random_error(&mut td.netlist, 7)?;
 /// let outcome = DebugSession::new(&mut td, &golden)
@@ -1553,9 +1552,8 @@ mod tests {
 
     #[test]
     fn session_with_binary_search_repairs_9sym() {
-        let bundle = PaperDesign::NineSym.generate().unwrap();
-        let golden = bundle.netlist.clone();
-        let mut td = implement(bundle.netlist, bundle.hierarchy, TilingOptions::fast(9)).unwrap();
+        let golden = PaperDesign::NineSym.generate().unwrap();
+        let mut td = implement(golden.clone(), TilingOptions::fast(9)).unwrap();
         let err = random_error(&mut td.netlist, 4321).unwrap();
         let mut events = Vec::new();
         let out = DebugSession::new(&mut td, &golden)
@@ -1582,9 +1580,8 @@ mod tests {
 
     #[test]
     fn clean_design_short_circuits() {
-        let bundle = PaperDesign::NineSym.generate().unwrap();
-        let golden = bundle.netlist.clone();
-        let mut td = implement(bundle.netlist, bundle.hierarchy, TilingOptions::fast(10)).unwrap();
+        let golden = PaperDesign::NineSym.generate().unwrap();
+        let mut td = implement(golden.clone(), TilingOptions::fast(10)).unwrap();
         // Fabricate an "error" record without actually corrupting the
         // netlist: detection must find nothing and return early.
         let any_lut = td
@@ -1611,7 +1608,7 @@ mod tests {
 
     /// An 8-LUT backbone fanning into two 4-LUT branches, each ending
     /// in its own output — two overlapping suspect cones.
-    fn backbone_bundle() -> (Netlist, netlist::Hierarchy, Vec<CellId>, Vec<CellId>) {
+    fn backbone_design() -> (Netlist, Vec<CellId>, Vec<CellId>) {
         let mut nl = Netlist::new("bb");
         let pi = nl.add_input("a").unwrap();
         let mut net = nl.cell_output(pi).unwrap();
@@ -1635,15 +1632,14 @@ mod tests {
             nl.add_output(format!("y{b}"), bnet).unwrap();
             branches.push(cells);
         }
-        let hier = netlist::Hierarchy::new("bb");
         let (b0, b1) = (branches.remove(0), branches.remove(0));
-        (nl, hier, b0, b1)
+        (nl, b0, b1)
     }
 
     #[test]
     fn concurrent_diagnosis_repairs_two_overlapping_errors() {
-        let (nl, hier, b0, b1) = backbone_bundle();
-        let mut td = implement(nl, hier, TilingOptions::fast(21)).unwrap();
+        let (nl, b0, b1) = backbone_design();
+        let mut td = implement(nl, TilingOptions::fast(21)).unwrap();
         let golden = td.netlist.clone();
         let e0 = sim::inject::inject(
             &mut td.netlist,
@@ -1712,9 +1708,8 @@ mod tests {
 
     #[test]
     fn campaign_repairs_successive_errors() {
-        let bundle = PaperDesign::NineSym.generate().unwrap();
-        let golden = bundle.netlist.clone();
-        let mut td = implement(bundle.netlist, bundle.hierarchy, TilingOptions::fast(11)).unwrap();
+        let golden = PaperDesign::NineSym.generate().unwrap();
+        let mut td = implement(golden.clone(), TilingOptions::fast(11)).unwrap();
         let campaign = DebugSession::new(&mut td, &golden)
             .seed(7)
             .run_campaign(&[1001, 2002])

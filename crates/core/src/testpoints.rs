@@ -165,8 +165,8 @@ mod tests {
     use synth::PaperDesign;
 
     fn td() -> TiledDesign {
-        let b = PaperDesign::NineSym.generate().unwrap();
-        implement(b.netlist, b.hierarchy, TilingOptions::fast(5)).unwrap()
+        let nl = PaperDesign::NineSym.generate().unwrap();
+        implement(nl, TilingOptions::fast(5)).unwrap()
     }
 
     #[test]

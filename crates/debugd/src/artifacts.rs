@@ -7,7 +7,7 @@
 //! tiled design and golden netlist. The store therefore builds each
 //! distinct (design, tiles, seed) artifact once and hands out
 //! [`Arc`]s; campaigns clone the [`TiledDesign`] they mutate, and the
-//! clone shares the hierarchy/device/RRG/tile-plan `Arc`s inside it —
+//! clone shares the device/RRG/tile-plan `Arc`s inside it —
 //! so a thousand concurrent campaigns on one design carry one routing
 //! graph between them.
 
@@ -61,7 +61,6 @@ pub fn implement_options(design: PaperDesign, target_tiles: usize, seed: u64) ->
             max_iterations: 45,
             ..Default::default()
         },
-        enforce_tile_slack: true,
     }
 }
 
@@ -75,10 +74,8 @@ pub fn build_artifact(
     target_tiles: usize,
     seed: u64,
 ) -> Result<DesignArtifact, TilingError> {
-    let bundle = design.generate()?;
     let td = implement(
-        bundle.netlist,
-        bundle.hierarchy,
+        design.generate()?,
         implement_options(design, target_tiles, seed),
     )?;
     let golden = td.netlist.clone();

@@ -108,7 +108,7 @@ pub fn run_campaign_observed(
         );
     }
     // The mutable working copy: netlist/placement/routing are cloned,
-    // hierarchy/device/RRG/plan are shared Arcs.
+    // device/RRG/plan are shared Arcs.
     let mut td = artifact.td.clone();
     let mut events: Vec<String> = Vec::new();
     let outcome = {

@@ -231,7 +231,8 @@ impl Default for ServeOptions {
 pub struct ServeSummary {
     /// Campaigns executed (any status).
     pub campaigns: usize,
-    /// Request files rejected at parse time.
+    /// Request files rejected before running: not UTF-8, unparseable,
+    /// or failing validation.
     pub rejected: usize,
     /// Queue-scan iterations performed.
     pub scans: usize,
@@ -283,7 +284,6 @@ pub fn serve(root: &Path, opts: &ServeOptions) -> io::Result<ServeSummary> {
                 Ok(req) => batch.push(req),
                 Err(e) => {
                     summary.rejected += 1;
-                    registry.counter_add("debugd_rejected_total", &[], 1);
                     registry.counter_add("debugd_requests_rejected_total", &[], 1);
                     let stem = path
                         .file_stem()

@@ -85,7 +85,7 @@ impl FleetTelemetry {
                 as usize,
             failed: snap.value_u64("debugd_campaigns_total", &[("status", "failed")]) as usize,
             panicked: snap.value_u64("debugd_campaigns_total", &[("status", "panicked")]) as usize,
-            rejected: snap.value_u64("debugd_rejected_total", &[]) as usize,
+            rejected: snap.value_u64("debugd_requests_rejected_total", &[]) as usize,
             workers,
             wall: Duration::from_micros(wall_us),
             worker_utilization,

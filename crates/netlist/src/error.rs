@@ -60,8 +60,6 @@ pub enum NetlistError {
         /// Description of the problem.
         message: String,
     },
-    /// A hierarchy node identifier does not exist.
-    UnknownHierarchyNode(usize),
 }
 
 impl fmt::Display for NetlistError {
@@ -88,7 +86,6 @@ impl fmt::Display for NetlistError {
                 write!(f, "combinational loop through cell {c}")
             }
             Self::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
-            Self::UnknownHierarchyNode(i) => write!(f, "unknown hierarchy node {i}"),
         }
     }
 }

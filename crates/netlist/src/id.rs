@@ -2,8 +2,8 @@
 //!
 //! All identifiers are plain dense indices into the owning
 //! [`Netlist`](crate::Netlist)'s internal arenas. The newtypes exist to
-//! keep cell, net, and hierarchy indices from being confused with one
-//! another (C-NEWTYPE).
+//! keep cell and net indices from being confused with one another
+//! (C-NEWTYPE).
 
 use std::fmt;
 

@@ -3,15 +3,10 @@
 //! This crate provides the logical view of a design as it exists after
 //! synthesis and technology mapping: a graph of *cells* (LUTs,
 //! flip-flops, and I/O ports) connected by *nets*. On top of the raw
-//! graph it layers the two pieces of bookkeeping the DAC 2000 tiling
-//! paper depends on:
-//!
-//! * a [`hierarchy::Hierarchy`] tree mirroring the HDL module structure,
-//!   with back-annotation links from every cell to its hierarchy node
-//!   (paper §5.1 — tracing debugging changes down the partition tree);
-//! * [`eco`] engineering-change operations that mutate the netlist in
-//!   place and report exactly which cells were perturbed, so the
-//!   physical flow can confine re-place-and-route to the affected tiles.
+//! graph it layers the bookkeeping the DAC 2000 tiling paper depends
+//! on: [`eco`] engineering-change operations that mutate the netlist
+//! in place and report exactly which cells were perturbed, so the
+//! physical flow can confine re-place-and-route to the affected tiles.
 //!
 //! # Example
 //!
@@ -43,7 +38,6 @@ pub mod cell;
 pub mod eco;
 pub mod error;
 pub mod graph;
-pub mod hierarchy;
 pub mod id;
 pub mod logic;
 pub mod net;
@@ -53,7 +47,6 @@ pub use cell::{Cell, CellKind};
 pub use eco::{EcoOp, EcoReport};
 pub use error::NetlistError;
 pub use graph::Netlist;
-pub use hierarchy::{Hierarchy, HierarchyNodeId};
 pub use id::{CellId, NetId};
 pub use logic::TruthTable;
 pub use net::Net;

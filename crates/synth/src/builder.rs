@@ -1,12 +1,10 @@
 //! Structural netlist construction kit.
 //!
-//! [`NetBuilder`] wraps a [`Netlist`] plus its [`Hierarchy`] and offers
-//! the datapath idioms the benchmark generators are written in: buses,
-//! gates, adders, muxes, registers, and comparators. Every emitted
-//! cell is assigned to the builder's *current hierarchy scope*, so the
-//! generated designs carry a realistic module tree for back-annotation.
+//! [`NetBuilder`] wraps a [`Netlist`] and offers the datapath idioms
+//! the benchmark generators are written in: buses, gates, adders,
+//! muxes, registers, and comparators.
 
-use netlist::{CellId, Hierarchy, HierarchyNodeId, NetId, Netlist, NetlistError, TruthTable};
+use netlist::{CellId, NetId, Netlist, NetlistError, TruthTable};
 
 /// Incremental builder for structural netlists.
 ///
@@ -19,7 +17,7 @@ use netlist::{CellId, Hierarchy, HierarchyNodeId, NetId, Netlist, NetlistError, 
 /// let (sum, carry) = b.ripple_adder(&a, &c, None)?;
 /// b.output_bus("sum", &sum)?;
 /// b.output("cout", carry)?;
-/// let (nl, _h) = b.finish();
+/// let nl = b.finish();
 /// assert_eq!(nl.primary_outputs().len(), 5);
 /// # Ok(())
 /// # }
@@ -27,28 +25,21 @@ use netlist::{CellId, Hierarchy, HierarchyNodeId, NetId, Netlist, NetlistError, 
 #[derive(Debug)]
 pub struct NetBuilder {
     nl: Netlist,
-    hier: Hierarchy,
-    scope: HierarchyNodeId,
     unique: u64,
 }
 
 impl NetBuilder {
     /// Starts a new design.
     pub fn new(name: impl Into<String>) -> Self {
-        let name = name.into();
-        let hier = Hierarchy::new(name.clone());
-        let scope = hier.root();
         Self {
             nl: Netlist::new(name),
-            hier,
-            scope,
             unique: 0,
         }
     }
 
-    /// Consumes the builder, returning the netlist and hierarchy.
-    pub fn finish(self) -> (Netlist, Hierarchy) {
-        (self.nl, self.hier)
+    /// Consumes the builder, returning the netlist.
+    pub fn finish(self) -> Netlist {
+        self.nl
     }
 
     /// Read access to the netlist under construction.
@@ -62,26 +53,9 @@ impl NetBuilder {
         &mut self.nl
     }
 
-    /// Enters a child of the *root* (a functional block).
-    pub fn enter_block(&mut self, name: impl Into<String>) -> HierarchyNodeId {
-        let root = self.hier.root();
-        self.scope = self.hier.add_child(root, name);
-        self.scope
-    }
-
-    /// Returns to the root scope.
-    pub fn exit_to_root(&mut self) {
-        self.scope = self.hier.root();
-    }
-
     fn fresh(&mut self, stem: &str) -> String {
         self.unique += 1;
         format!("{stem}_{}", self.unique)
-    }
-
-    fn track(&mut self, cell: CellId) -> CellId {
-        self.hier.assign_cell(self.scope, cell);
-        cell
     }
 
     // ----------------------------------------------------------------
@@ -95,7 +69,6 @@ impl NetBuilder {
     /// Propagates netlist construction errors.
     pub fn input(&mut self, name: impl Into<String>) -> Result<NetId, NetlistError> {
         let id = self.nl.add_input(name)?;
-        self.track(id);
         self.nl.cell_output(id)
     }
 
@@ -116,8 +89,7 @@ impl NetBuilder {
     ///
     /// Propagates netlist construction errors.
     pub fn output(&mut self, name: impl Into<String>, net: NetId) -> Result<CellId, NetlistError> {
-        let id = self.nl.add_output(name, net)?;
-        Ok(self.track(id))
+        self.nl.add_output(name, net)
     }
 
     /// Adds primary outputs `name[i]` for each net, LSB first.
@@ -144,7 +116,6 @@ impl NetBuilder {
     pub fn lut(&mut self, function: TruthTable, inputs: &[NetId]) -> Result<NetId, NetlistError> {
         let name = self.fresh("u");
         let id = self.nl.add_lut(name, function, inputs)?;
-        self.track(id);
         self.nl.cell_output(id)
     }
 
@@ -429,7 +400,6 @@ impl NetBuilder {
     pub fn ff(&mut self, d: NetId, init: bool) -> Result<NetId, NetlistError> {
         let name = self.fresh("r");
         let id = self.nl.add_ff(name, init, d)?;
-        self.track(id);
         self.nl.cell_output(id)
     }
 
@@ -462,7 +432,6 @@ impl NetBuilder {
         let seed = self.nl.add_net(seed_name)?;
         let ff_name = self.fresh("r");
         let ff = self.nl.add_ff(ff_name, init, seed)?;
-        self.track(ff);
         let q = self.nl.cell_output(ff)?;
         let d = feedback(self, q)?;
         self.nl.set_pin(ff, 0, d)?;
@@ -481,7 +450,7 @@ mod tests {
         let c = b.input_bus("b", 4).unwrap();
         let (sum, _cout) = b.ripple_adder(&a, &c, None).unwrap();
         b.output_bus("s", &sum).unwrap();
-        let (nl, _) = b.finish();
+        let nl = b.finish();
         nl.validate().unwrap();
         // 4 full adders à 2 LUTs + constant = 9 cells.
         assert_eq!(nl.num_luts(), 9);
@@ -493,7 +462,7 @@ mod tests {
         let ins = b.input_bus("i", 16).unwrap();
         let y = b.xor_tree(&ins).unwrap();
         b.output("y", y).unwrap();
-        let (nl, _) = b.finish();
+        let nl = b.finish();
         // 16 -> 4 -> 1: five 4-input XOR LUTs.
         assert_eq!(nl.num_luts(), 5);
         assert_eq!(nl.logic_depth().unwrap(), 2);
@@ -506,7 +475,7 @@ mod tests {
         let sel = b.input_bus("s", 3).unwrap();
         let y = b.mux_n(&ins, &sel).unwrap();
         b.output("y", y).unwrap();
-        let (nl, _) = b.finish();
+        let nl = b.finish();
         nl.validate().unwrap();
         assert_eq!(nl.num_luts(), 7); // 4 + 2 + 1 mux2s
     }
@@ -517,7 +486,7 @@ mod tests {
         let ins = b.input_bus("i", 9).unwrap();
         let cnt = b.popcount(&ins).unwrap();
         b.output_bus("c", &cnt).unwrap();
-        let (nl, _) = b.finish();
+        let nl = b.finish();
         nl.validate().unwrap();
         assert_eq!(cnt.len(), 4); // 0..=9 fits in 4 bits
     }
@@ -527,24 +496,9 @@ mod tests {
         let mut b = NetBuilder::new("t");
         let q = b.ff_loop(false, |b, q| b.not(q)).unwrap();
         b.output("q", q).unwrap();
-        let (nl, _) = b.finish();
+        let nl = b.finish();
         assert_eq!(nl.num_ffs(), 1);
         nl.topo_order().unwrap();
-    }
-
-    #[test]
-    fn hierarchy_scoping() {
-        let mut b = NetBuilder::new("top");
-        b.enter_block("alu");
-        let a = b.input("a").unwrap();
-        let inv = b.not(a).unwrap();
-        b.exit_to_root();
-        b.output("y", inv).unwrap();
-        let (nl, h) = b.finish();
-        let inv_cell = nl.net(inv).unwrap().driver.unwrap();
-        let node = h.node_of_cell(inv_cell).unwrap();
-        assert_eq!(h.path(node).unwrap(), "top/alu");
-        assert_eq!(h.functional_block_of(inv_cell), Some(node));
     }
 
     #[test]
@@ -553,7 +507,7 @@ mod tests {
         let bus = b.input_bus("v", 4).unwrap();
         let hit = b.equals_const(&bus, 0b1010).unwrap();
         b.output("hit", hit).unwrap();
-        let (nl, _) = b.finish();
+        let nl = b.finish();
         nl.validate().unwrap();
     }
 }

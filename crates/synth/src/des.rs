@@ -12,7 +12,7 @@
 //! full 16-round variant is available for functional validation
 //! against the FIPS-46 test vectors via [`reference_encrypt`].
 
-use netlist::{Hierarchy, NetId, Netlist, NetlistError, TruthTable};
+use netlist::{NetId, Netlist, NetlistError, TruthTable};
 
 use crate::builder::NetBuilder;
 
@@ -195,7 +195,7 @@ pub fn reference_encrypt(plaintext: u64, key: u64, rounds: usize) -> u64 {
 ///
 /// Primary inputs `pt[0..64]` and outputs `ct[0..64]` use spec-order
 /// indexing: index `i` carries spec bit `i + 1` (the block's MSB is
-/// index 0). Each round is its own functional block in the hierarchy.
+/// index 0). Each round's cells are emitted together, in round order.
 ///
 /// # Errors
 ///
@@ -204,7 +204,7 @@ pub fn reference_encrypt(plaintext: u64, key: u64, rounds: usize) -> u64 {
 /// # Panics
 ///
 /// Panics if `rounds` is outside `1..=16`.
-pub fn generate(key: u64, rounds: usize) -> Result<(Netlist, Hierarchy), NetlistError> {
+pub fn generate(key: u64, rounds: usize) -> Result<Netlist, NetlistError> {
     assert!((1..=16).contains(&rounds), "rounds must be 1..=16");
     let keys = round_keys(key);
     let mut b = NetBuilder::new("des");
@@ -218,7 +218,6 @@ pub fn generate(key: u64, rounds: usize) -> Result<(Netlist, Hierarchy), Netlist
     let mut r: Vec<NetId> = ip[32..].to_vec();
 
     for round in 0..rounds {
-        b.enter_block(format!("round{round}"));
         let k = keys[round];
         // Expansion is wiring.
         let e: Vec<NetId> = E.iter().map(|&src| r[src as usize - 1]).collect();
@@ -251,7 +250,6 @@ pub fn generate(key: u64, rounds: usize) -> Result<(Netlist, Hierarchy), Netlist
         }
         l = r;
         r = new_r;
-        b.exit_to_root();
     }
 
     // Final swap + FP wiring.
@@ -261,9 +259,9 @@ pub fn generate(key: u64, rounds: usize) -> Result<(Netlist, Hierarchy), Netlist
     b.output_bus("ct", &ct)?;
     crate::filler::tie_off_unreachable(&mut b)?;
 
-    let (nl, h) = b.finish();
+    let nl = b.finish();
     nl.validate()?;
-    Ok((nl, h))
+    Ok(nl)
 }
 
 #[cfg(test)]
@@ -327,7 +325,7 @@ mod tests {
     #[test]
     fn circuit_matches_reference_two_rounds() {
         let key = 0x1334_5779_9BBC_DFF1;
-        let (nl, _) = generate(key, 2).unwrap();
+        let nl = generate(key, 2).unwrap();
         for pt in [
             0u64,
             0x0123_4567_89AB_CDEF,
@@ -345,7 +343,7 @@ mod tests {
     #[test]
     fn full_des_circuit_matches_fips_vector() {
         let key = 0x1334_5779_9BBC_DFF1;
-        let (nl, _) = generate(key, 16).unwrap();
+        let nl = generate(key, 16).unwrap();
         assert_eq!(
             eval_circuit(&nl, 0x0123_4567_89AB_CDEF),
             0x85E8_1354_0F0A_B405
@@ -354,23 +352,11 @@ mod tests {
 
     #[test]
     fn paper_size_lands_after_mapping() {
-        let (nl, h) = generate(0x1334_5779_9BBC_DFF1, 8).unwrap();
-        let (mapped, _) = crate::mapper::map_to_lut4_with_hierarchy(&nl, &h).unwrap();
+        let nl = generate(0x1334_5779_9BBC_DFF1, 8).unwrap();
+        let mapped = crate::mapper::map_to_lut4(&nl).unwrap();
         let clbs = mapped.stats().clb_estimate();
         // Paper: 1050 CLBs. 8 rounds × (32 S-box 6-LUTs → ≤7 LUTs each
         // + 32 XORs) ≈ 2048 LUTs ≈ 1024 CLBs.
         assert!((950..=1120).contains(&clbs), "got {clbs} CLBs");
-    }
-
-    #[test]
-    fn rounds_are_separate_blocks() {
-        let (nl, h) = generate(0, 2).unwrap();
-        let some_lut = nl
-            .cells()
-            .find(|(_, c)| c.lut_function().is_some())
-            .unwrap()
-            .0;
-        let blk = h.functional_block_of(some_lut).unwrap();
-        assert!(h.name(blk).unwrap().starts_with("round"));
     }
 }

@@ -2,9 +2,9 @@
 
 use std::fmt;
 
-use netlist::{Hierarchy, Netlist, NetlistError};
+use netlist::{Netlist, NetlistError};
 
-use crate::mapper::map_to_lut4_with_hierarchy;
+use crate::mapper::map_to_lut4;
 use crate::{des, mcnc, mips};
 
 /// One of the nine designs evaluated in the paper (Table 1).
@@ -129,8 +129,8 @@ impl PaperDesign {
     ///
     /// Propagates netlist construction errors (none occur in practice;
     /// the generators are self-consistent).
-    pub fn generate(self) -> Result<DesignBundle, NetlistError> {
-        let (raw, hier) = match self {
+    pub fn generate(self) -> Result<Netlist, NetlistError> {
+        let raw = match self {
             Self::NineSym => mcnc::nine_sym()?,
             Self::Styr => mcnc::styr()?,
             Self::Sand => mcnc::sand()?,
@@ -141,37 +141,15 @@ impl PaperDesign {
             Self::MipsR2000 => mips::generate()?,
             Self::Des => des::generate(0x1334_5779_9BBC_DFF1, 8)?,
         };
-        let (netlist, hierarchy) = map_to_lut4_with_hierarchy(&raw, &hier)?;
+        let netlist = map_to_lut4(&raw)?;
         netlist.validate()?;
-        Ok(DesignBundle {
-            design: self,
-            netlist,
-            hierarchy,
-        })
+        Ok(netlist)
     }
 }
 
 impl fmt::Display for PaperDesign {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// A generated, 4-LUT-mapped benchmark with its hierarchy.
-#[derive(Debug, Clone)]
-pub struct DesignBundle {
-    /// Which paper design this is.
-    pub design: PaperDesign,
-    /// The mapped netlist.
-    pub netlist: Netlist,
-    /// Module hierarchy with back-annotation links.
-    pub hierarchy: Hierarchy,
-}
-
-impl DesignBundle {
-    /// CLBs this design occupies (XC4000 packing estimate).
-    pub fn clbs(&self) -> usize {
-        self.netlist.stats().clb_estimate()
     }
 }
 
@@ -191,14 +169,14 @@ mod tests {
     #[test]
     fn small_designs_generate_on_target() {
         for d in [PaperDesign::NineSym, PaperDesign::Styr] {
-            let bundle = d.generate().unwrap();
-            let got = bundle.clbs();
+            let nl = d.generate().unwrap();
+            let got = nl.stats().clb_estimate();
             let target = d.paper_clbs();
             assert!(
                 (target * 92 / 100..=target * 112 / 100).contains(&got),
                 "{d}: {got} vs {target}"
             );
-            assert_eq!(bundle.netlist.is_sequential(), d.is_sequential());
+            assert_eq!(nl.is_sequential(), d.is_sequential());
         }
     }
 

@@ -104,8 +104,7 @@ pub fn pad_to_lut_count(
 /// DRC's unreachable-logic rule flags. Every generator calls this
 /// once, right before `finish`, to restore the module invariant that
 /// nothing dangles. XOR-folding keeps the added logic small (roughly a
-/// third of the dead-net count) and the fold LUTs live in their own
-/// `deadpad` hierarchy block.
+/// third of the dead-net count).
 ///
 /// # Errors
 ///
@@ -127,12 +126,10 @@ pub fn tie_off_unreachable(b: &mut NetBuilder) -> Result<(), NetlistError> {
     if dead.is_empty() {
         return Ok(());
     }
-    b.enter_block("deadpad");
     let mut folds = Vec::new();
     for chunk in dead.chunks(16) {
         folds.push(b.xor_tree(chunk)?);
     }
-    b.exit_to_root();
     for (k, y) in folds.into_iter().enumerate() {
         b.output(format!("deadpad[{k}]"), y)?;
     }
@@ -209,7 +206,7 @@ mod tests {
         let mut b = NetBuilder::new("pad");
         let ins = b.input_bus("i", 8).unwrap();
         pad_to_lut_count(&mut b, 42, 150, &ins).unwrap();
-        let (nl, _) = b.finish();
+        let nl = b.finish();
         nl.validate().unwrap();
         assert!(nl.num_luts() >= 150);
         assert!(nl.num_luts() < 150 + 40, "tie-off overhead bounded");
@@ -221,7 +218,7 @@ mod tests {
             let mut b = NetBuilder::new("pad");
             let ins = b.input_bus("i", 8).unwrap();
             pad_to_lut_count(&mut b, 9, 60, &ins).unwrap();
-            let (nl, _) = b.finish();
+            let nl = b.finish();
             netlist::blif::write(&nl)
         };
         assert_eq!(build(), build());
@@ -233,7 +230,7 @@ mod tests {
         let ins = b.input_bus("i", 10).unwrap();
         let outs = random_cloud(&mut b, 3, &ins, 80, 12).unwrap();
         assert_eq!(outs.len(), 12);
-        let (nl, _) = b.finish();
+        let nl = b.finish();
         nl.validate().unwrap();
         let total = nl.num_luts();
         assert!((80..=95).contains(&total), "got {total}");

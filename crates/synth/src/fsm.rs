@@ -4,7 +4,7 @@
 //! state register plus random-but-deterministic next-state and output
 //! logic clouds sized to match each benchmark's mapped LUT count.
 
-use netlist::{Hierarchy, Netlist, NetlistError};
+use netlist::{Netlist, NetlistError};
 
 use crate::builder::NetBuilder;
 use crate::filler::{random_cloud, tie_off_unreachable};
@@ -28,46 +28,30 @@ pub struct FsmSpec {
 
 /// Generates an FSM benchmark from a spec.
 ///
-/// The hierarchy gets three functional blocks: `state`, `next_logic`,
-/// and `out_logic`, which is what Quick_ECO-style functional-block
-/// granularity operates on.
+/// The design is a state register, its next-state cloud and an output
+/// cloud, both clouds reading the primary inputs and the state.
 ///
 /// # Errors
 ///
 /// Propagates netlist construction errors.
-pub fn generate(name: &str, spec: FsmSpec) -> Result<(Netlist, Hierarchy), NetlistError> {
+pub fn generate(name: &str, spec: FsmSpec) -> Result<Netlist, NetlistError> {
     let mut b = NetBuilder::new(name);
     let pis = b.input_bus("in", spec.inputs)?;
 
-    // State register with placeholder D inputs, closed after the cloud.
-    b.enter_block("state");
+    // State register with placeholder D inputs (each Q feeds itself):
+    // all state bits feed one shared cloud, so the loops are closed
+    // onto it below.
     let mut ffs = Vec::with_capacity(spec.state_bits);
     let mut qs = Vec::with_capacity(spec.state_bits);
     for i in 0..spec.state_bits {
-        let seed_net = b
-            .netlist()
-            .find_net(&format!("{name}_d{i}"))
-            .map_or_else(|| None, Some);
-        debug_assert!(seed_net.is_none());
-        // ff_loop can't be used directly because all state bits feed
-        // one shared cloud; wire seeds manually.
-        let q = b.ff_loop(i == 0, |bb, q| {
-            // Temporarily feed back Q; rewired below via the cloud.
-            Ok({
-                let _ = bb;
-                q
-            })
-        })?;
+        let q = b.ff_loop(i == 0, |_, q| Ok(q))?;
         qs.push(q);
-        let driver = b.netlist().net(q)?.driver.expect("ff drives q");
-        ffs.push(driver);
+        ffs.push(b.netlist().net(q)?.driver.expect("ff drives q"));
     }
-    b.exit_to_root();
 
     let mut cloud_in = pis.clone();
     cloud_in.extend(&qs);
 
-    b.enter_block("next_logic");
     let next = random_cloud(
         &mut b,
         spec.seed,
@@ -75,9 +59,7 @@ pub fn generate(name: &str, spec: FsmSpec) -> Result<(Netlist, Hierarchy), Netli
         spec.next_state_luts,
         spec.state_bits,
     )?;
-    b.exit_to_root();
 
-    b.enter_block("out_logic");
     let outs = random_cloud(
         &mut b,
         spec.seed.wrapping_add(0x9e37_79b9),
@@ -85,7 +67,6 @@ pub fn generate(name: &str, spec: FsmSpec) -> Result<(Netlist, Hierarchy), Netli
         spec.output_luts,
         spec.outputs,
     )?;
-    b.exit_to_root();
 
     // Close the state loops onto the next-state cloud.
     {
@@ -96,9 +77,9 @@ pub fn generate(name: &str, spec: FsmSpec) -> Result<(Netlist, Hierarchy), Netli
     }
     b.output_bus("out", &outs)?;
     tie_off_unreachable(&mut b)?;
-    let (nl, h) = b.finish();
+    let nl = b.finish();
     nl.validate()?;
-    Ok((nl, h))
+    Ok(nl)
 }
 
 #[cfg(test)]
@@ -118,7 +99,7 @@ mod tests {
 
     #[test]
     fn fsm_validates_and_sizes() {
-        let (nl, _) = generate("fsm_t", spec()).unwrap();
+        let nl = generate("fsm_t", spec()).unwrap();
         assert_eq!(nl.num_ffs(), 5);
         assert_eq!(nl.primary_inputs().len(), 9);
         // Spec outputs plus any `deadpad[k]` tie-offs.
@@ -134,16 +115,8 @@ mod tests {
 
     #[test]
     fn fsm_is_deterministic() {
-        let a = netlist::blif::write(&generate("fsm_t", spec()).unwrap().0);
-        let b = netlist::blif::write(&generate("fsm_t", spec()).unwrap().0);
+        let a = netlist::blif::write(&generate("fsm_t", spec()).unwrap());
+        let b = netlist::blif::write(&generate("fsm_t", spec()).unwrap());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn functional_blocks_exist() {
-        let (nl, h) = generate("fsm_t", spec()).unwrap();
-        let ff = nl.cells().find(|(_, c)| c.is_sequential()).unwrap().0;
-        let blk = h.functional_block_of(ff).unwrap();
-        assert_eq!(h.name(blk).unwrap(), "state");
     }
 }

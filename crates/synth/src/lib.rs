@@ -26,5 +26,5 @@ pub mod mcnc;
 pub mod mips;
 
 pub use builder::NetBuilder;
-pub use designs::{DesignBundle, PaperDesign};
+pub use designs::PaperDesign;
 pub use mapper::{map_to_lut4, sweep_buffers};

@@ -7,32 +7,19 @@
 //! true support. [`sweep_buffers`] removes identity LUTs left behind
 //! by generator plumbing.
 
-use netlist::{CellKind, Hierarchy, NetId, Netlist, NetlistError, TruthTable};
+use netlist::{CellId, CellKind, NetId, Netlist, NetlistError, TruthTable};
 
-/// Maps a netlist onto 4-input LUTs, preserving hierarchy links.
+/// Maps a netlist onto 4-input LUTs.
 ///
 /// Every cell of the input appears in the output under its original
-/// name (decomposition helpers get `name$sK` suffixes) and is assigned
-/// to the same hierarchy node as its source cell.
+/// name (decomposition helpers get `name$sK` suffixes), in the input's
+/// cell order.
 ///
 /// # Errors
 ///
 /// Propagates netlist construction errors; the input is unchanged.
-pub fn map_to_lut4_with_hierarchy(
-    nl: &Netlist,
-    hier: &Hierarchy,
-) -> Result<(Netlist, Hierarchy), NetlistError> {
+pub fn map_to_lut4(nl: &Netlist) -> Result<Netlist, NetlistError> {
     let mut out = Netlist::new(nl.name());
-    let mut out_hier = Hierarchy::new(nl.name());
-    // Mirror the hierarchy tree structure 1:1 (ids are preserved
-    // because insertion order is identical).
-    for node in hier.iter() {
-        if node == hier.root() {
-            continue;
-        }
-        let parent = parent_of(hier, node);
-        out_hier.add_child(parent, hier.name(node)?.to_string());
-    }
 
     // Nets first, preserving names.
     let mut net_map: Vec<Option<NetId>> = vec![None; nl.net_capacity()];
@@ -48,21 +35,20 @@ pub fn map_to_lut4_with_hierarchy(
     };
 
     let mut fresh = 0u64;
-    for (id, cell) in nl.cells() {
-        let scope = hier.node_of_cell(id).unwrap_or_else(|| hier.root());
-        let new_cell = match &cell.kind {
+    for (_, cell) in nl.cells() {
+        match &cell.kind {
             CellKind::Input => {
                 let o = map_net(&net_map, cell.output.expect("inputs drive a net"))?;
-                out.add_input_driving(cell.name.clone(), o)?
+                out.add_input_driving(cell.name.clone(), o)?;
             }
             CellKind::Output => {
                 let i = map_net(&net_map, cell.inputs[0])?;
-                out.add_output(cell.name.clone(), i)?
+                out.add_output(cell.name.clone(), i)?;
             }
             CellKind::Ff { init } => {
                 let d = map_net(&net_map, cell.inputs[0])?;
                 let q = map_net(&net_map, cell.output.expect("ffs drive a net"))?;
-                out.add_ff_driving(cell.name.clone(), *init, d, q)?
+                out.add_ff_driving(cell.name.clone(), *init, d, q)?;
             }
             CellKind::Lut(tt) => {
                 let ins: Vec<NetId> = cell
@@ -72,44 +58,11 @@ pub fn map_to_lut4_with_hierarchy(
                     .collect::<Result<_, _>>()?;
                 let o = map_net(&net_map, cell.output.expect("luts drive a net"))?;
                 let (tt, ins) = reduce_support(*tt, &ins);
-
-                emit_lut4(
-                    &mut out,
-                    &mut out_hier,
-                    scope,
-                    &cell.name,
-                    &mut fresh,
-                    tt,
-                    &ins,
-                    Some(o),
-                )?
-            }
-        };
-        out_hier.assign_cell(scope, new_cell);
-    }
-    Ok((out, out_hier))
-}
-
-/// Maps a netlist onto 4-input LUTs, discarding hierarchy.
-///
-/// # Errors
-///
-/// Propagates netlist construction errors.
-pub fn map_to_lut4(nl: &Netlist) -> Result<Netlist, NetlistError> {
-    let hier = Hierarchy::new(nl.name());
-    Ok(map_to_lut4_with_hierarchy(nl, &hier)?.0)
-}
-
-fn parent_of(hier: &Hierarchy, node: netlist::HierarchyNodeId) -> netlist::HierarchyNodeId {
-    // The hierarchy API exposes children; recover the parent by scan.
-    for cand in hier.iter() {
-        if let Ok(children) = hier.children(cand) {
-            if children.contains(&node) {
-                return cand;
+                emit_lut4(&mut out, &cell.name, &mut fresh, tt, &ins, Some(o))?;
             }
         }
     }
-    hier.root()
+    Ok(out)
 }
 
 /// Drops truth-table variables outside the function's support.
@@ -130,24 +83,19 @@ fn reduce_support(tt: TruthTable, inputs: &[NetId]) -> (TruthTable, Vec<NetId>) 
 
 /// Recursively emits `tt(inputs)` as 4-LUTs; the final LUT is named
 /// `name` and drives `drive` when given (else a fresh net).
-#[allow(clippy::too_many_arguments)]
 fn emit_lut4(
     out: &mut Netlist,
-    out_hier: &mut Hierarchy,
-    scope: netlist::HierarchyNodeId,
     name: &str,
     fresh: &mut u64,
     tt: TruthTable,
     inputs: &[NetId],
     drive: Option<NetId>,
-) -> Result<netlist::CellId, NetlistError> {
+) -> Result<CellId, NetlistError> {
     if tt.arity() <= 4 {
-        let cell = match drive {
-            Some(o) => out.add_lut_driving(name.to_string(), tt, inputs, o)?,
-            None => out.add_lut(name.to_string(), tt, inputs)?,
+        return match drive {
+            Some(o) => out.add_lut_driving(name.to_string(), tt, inputs, o),
+            None => out.add_lut(name.to_string(), tt, inputs),
         };
-        out_hier.assign_cell(scope, cell);
-        return Ok(cell);
     }
     // Shannon split on the highest variable.
     let var = tt.arity() - 1;
@@ -158,16 +106,14 @@ fn emit_lut4(
         let (sub, sub_ins) = reduce_support(tt.cofactor(var, value), rest);
         *fresh += 1;
         let sub_name = format!("{name}$s{fresh}");
-        let cell = emit_lut4(out, out_hier, scope, &sub_name, fresh, sub, &sub_ins, None)?;
+        let cell = emit_lut4(out, &sub_name, fresh, sub, &sub_ins, None)?;
         halves.push(out.cell_output(cell)?);
     }
     let mux = TruthTable::mux2();
-    let cell = match drive {
-        Some(o) => out.add_lut_driving(name.to_string(), mux, &[halves[0], halves[1], sel], o)?,
-        None => out.add_lut(name.to_string(), mux, &[halves[0], halves[1], sel])?,
-    };
-    out_hier.assign_cell(scope, cell);
-    Ok(cell)
+    match drive {
+        Some(o) => out.add_lut_driving(name.to_string(), mux, &[halves[0], halves[1], sel], o),
+        None => out.add_lut(name.to_string(), mux, &[halves[0], halves[1], sel]),
+    }
 }
 
 /// Removes identity (buffer) LUTs in place, rewiring their sinks.
@@ -209,9 +155,8 @@ mod tests {
     use super::*;
     use crate::builder::NetBuilder;
 
-    fn six_input_design() -> (Netlist, Hierarchy) {
+    fn six_input_design() -> Netlist {
         let mut b = NetBuilder::new("wide");
-        b.enter_block("blk");
         let ins = b.input_bus("i", 6).unwrap();
         let y = b
             .lut(
@@ -219,35 +164,25 @@ mod tests {
                 &ins,
             )
             .unwrap();
-        b.exit_to_root();
         b.output("y", y).unwrap();
         b.finish()
     }
 
     #[test]
     fn wide_lut_decomposes() {
-        let (nl, h) = six_input_design();
-        let (mapped, mh) = map_to_lut4_with_hierarchy(&nl, &h).unwrap();
+        let mapped = map_to_lut4(&six_input_design()).unwrap();
         mapped.validate().unwrap();
         assert!(mapped
             .cells()
             .all(|(_, c)| c.lut_function().is_none_or(|t| t.arity() <= 4)));
         assert!(mapped.num_luts() > 1);
-        // Hierarchy preserved: every decomposed LUT sits in blk.
-        for (id, c) in mapped.cells() {
-            if c.is_logic() {
-                let node = mh.node_of_cell(id).unwrap();
-                assert_eq!(mh.path(node).unwrap(), "wide/blk");
-            }
-        }
     }
 
     #[test]
     fn mapping_preserves_function() {
         // Check all 64 input rows via direct table evaluation through
         // the mapped network (mini-interpreter).
-        let (nl, h) = six_input_design();
-        let (mapped, _) = map_to_lut4_with_hierarchy(&nl, &h).unwrap();
+        let mapped = map_to_lut4(&six_input_design()).unwrap();
         let golden = TruthTable::from_fn(6, |row| row.count_ones() % 3 == 0);
         for row in 0..64u64 {
             let mut values = std::collections::HashMap::new();
@@ -276,7 +211,7 @@ mod tests {
         let tt = TruthTable::var(5, 0);
         let y = b.lut(tt, &ins).unwrap();
         b.output("y", y).unwrap();
-        let (nl, _) = b.finish();
+        let nl = b.finish();
         let mapped = map_to_lut4(&nl).unwrap();
         assert_eq!(mapped.num_luts(), 1);
         let (_, lut) = mapped
@@ -293,7 +228,7 @@ mod tests {
         let c = b.input("b").unwrap();
         let y = b.and2(a, c).unwrap();
         b.output("y", y).unwrap();
-        let (nl, _) = b.finish();
+        let nl = b.finish();
         let mapped = map_to_lut4(&nl).unwrap();
         assert_eq!(mapped.num_luts(), nl.num_luts());
         assert_eq!(mapped.stats().depth, nl.stats().depth);
@@ -307,7 +242,7 @@ mod tests {
         let buf2 = b.lut(TruthTable::buf(), &[buf1]).unwrap();
         let inv = b.not(buf2).unwrap();
         b.output("y", inv).unwrap();
-        let (mut nl, _) = b.finish();
+        let mut nl = b.finish();
         let removed = sweep_buffers(&mut nl).unwrap();
         assert_eq!(removed, 2);
         assert_eq!(nl.num_luts(), 1);
@@ -319,7 +254,7 @@ mod tests {
         let mut b = NetBuilder::new("seq");
         let q = b.ff_loop(true, |b, q| b.not(q)).unwrap();
         b.output("q", q).unwrap();
-        let (nl, _) = b.finish();
+        let nl = b.finish();
         let mapped = map_to_lut4(&nl).unwrap();
         assert_eq!(mapped.num_ffs(), 1);
         mapped.validate().unwrap();

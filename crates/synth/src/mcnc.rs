@@ -6,7 +6,7 @@
 //! netlist — and calibrates its mapped size to the paper's Table 1 CLB
 //! count (see `designs::PaperDesign` for the targets).
 
-use netlist::{Hierarchy, Netlist, NetlistError};
+use netlist::{Netlist, NetlistError};
 
 use crate::builder::NetBuilder;
 use crate::filler::{pad_to_lut_count, random_cloud, tie_off_unreachable};
@@ -18,32 +18,26 @@ use crate::fsm::{self, FsmSpec};
 /// # Errors
 ///
 /// Propagates netlist construction errors.
-pub fn nine_sym() -> Result<(Netlist, Hierarchy), NetlistError> {
+pub fn nine_sym() -> Result<Netlist, NetlistError> {
     let mut b = NetBuilder::new("9sym");
     let ins = b.input_bus("x", 9)?;
 
-    b.enter_block("popcount");
     let count = b.popcount(&ins)?;
-    b.exit_to_root();
 
-    b.enter_block("compare");
     // 3 <= count <= 6 over the 4-bit count.
     let mut hits = Vec::new();
     for v in 3..=6u64 {
         hits.push(b.equals_const(&count, v)?);
     }
     let y = b.lut(netlist::TruthTable::or(4), &hits)?;
-    b.exit_to_root();
     b.output("y", y)?;
 
-    b.enter_block("pad");
     pad_to_lut_count(&mut b, 0x95_193, 112, &ins)?;
-    b.exit_to_root();
     tie_off_unreachable(&mut b)?;
 
-    let (nl, h) = b.finish();
+    let nl = b.finish();
     nl.validate()?;
-    Ok((nl, h))
+    Ok(nl)
 }
 
 /// c499: 32-bit single-error-correcting network (Hamming-style
@@ -52,7 +46,7 @@ pub fn nine_sym() -> Result<(Netlist, Hierarchy), NetlistError> {
 /// # Errors
 ///
 /// Propagates netlist construction errors.
-pub fn c499() -> Result<(Netlist, Hierarchy), NetlistError> {
+pub fn c499() -> Result<Netlist, NetlistError> {
     let mut b = NetBuilder::new("c499");
     let data = b.input_bus("d", 32)?;
     let check = b.input_bus("c", 6)?;
@@ -68,7 +62,6 @@ pub fn c499() -> Result<(Netlist, Hierarchy), NetlistError> {
         p += 1;
     }
 
-    b.enter_block("syndrome");
     let mut syndrome = Vec::with_capacity(6);
     for j in 0..6 {
         let mut members: Vec<_> = positions
@@ -80,9 +73,7 @@ pub fn c499() -> Result<(Netlist, Hierarchy), NetlistError> {
         members.push(check[j]);
         syndrome.push(b.xor_tree(&members)?);
     }
-    b.exit_to_root();
 
-    b.enter_block("decode");
     // Shared complement rail keeps the decoder near the real c499's
     // mapped size (per-position inverters would double it).
     let syndrome_n: Vec<_> = syndrome
@@ -102,24 +93,19 @@ pub fn c499() -> Result<(Netlist, Hierarchy), NetlistError> {
             .collect();
         flips.push(b.and_tree(&conds)?);
     }
-    b.exit_to_root();
 
-    b.enter_block("correct");
     let mut corrected = Vec::with_capacity(32);
     for i in 0..32 {
         corrected.push(b.xor2(data[i], flips[i])?);
     }
-    b.exit_to_root();
     b.output_bus("q", &corrected)?;
 
-    b.enter_block("pad");
     pad_to_lut_count(&mut b, 0xc4_99, 230, &data)?;
-    b.exit_to_root();
     tie_off_unreachable(&mut b)?;
 
-    let (nl, h) = b.finish();
+    let nl = b.finish();
     nl.validate()?;
-    Ok((nl, h))
+    Ok(nl)
 }
 
 /// c880: 8-bit ALU (add/sub/logic/shift with flag outputs), the
@@ -128,21 +114,18 @@ pub fn c499() -> Result<(Netlist, Hierarchy), NetlistError> {
 /// # Errors
 ///
 /// Propagates netlist construction errors.
-pub fn c880() -> Result<(Netlist, Hierarchy), NetlistError> {
+pub fn c880() -> Result<Netlist, NetlistError> {
     let mut b = NetBuilder::new("c880");
     let a = b.input_bus("a", 8)?;
     let bb = b.input_bus("b", 8)?;
     let op = b.input_bus("op", 3)?;
     let cin = b.input("cin")?;
 
-    b.enter_block("arith");
     let (sum, cout) = b.ripple_adder(&a, &bb, Some(cin))?;
     let not_b: Vec<_> = bb.iter().map(|&n| b.not(n)).collect::<Result<_, _>>()?;
     let one = b.constant(true)?;
     let (diff, bout) = b.ripple_adder(&a, &not_b, Some(one))?;
-    b.exit_to_root();
 
-    b.enter_block("logic");
     let mut and_bus = Vec::new();
     let mut or_bus = Vec::new();
     let mut xor_bus = Vec::new();
@@ -155,9 +138,7 @@ pub fn c880() -> Result<(Netlist, Hierarchy), NetlistError> {
     let zero = b.constant(false)?;
     let mut shl = vec![zero];
     shl.extend(&a[..7]);
-    b.exit_to_root();
 
-    b.enter_block("muxout");
     let mut result = Vec::with_capacity(8);
     for i in 0..8 {
         let choices = [
@@ -173,7 +154,6 @@ pub fn c880() -> Result<(Netlist, Hierarchy), NetlistError> {
         b.and_tree(&inverted)?
     };
     let parity = b.xor_tree(&result)?;
-    b.exit_to_root();
 
     b.output_bus("r", &result)?;
     b.output("cout", cout)?;
@@ -181,16 +161,14 @@ pub fn c880() -> Result<(Netlist, Hierarchy), NetlistError> {
     b.output("zero", zero_flag)?;
     b.output("parity", parity)?;
 
-    b.enter_block("pad");
     let mut seeds = a.clone();
     seeds.extend(&bb);
     pad_to_lut_count(&mut b, 0xc8_80, 270, &seeds)?;
-    b.exit_to_root();
     tie_off_unreachable(&mut b)?;
 
-    let (nl, h) = b.finish();
+    let nl = b.finish();
     nl.validate()?;
-    Ok((nl, h))
+    Ok(nl)
 }
 
 /// styr: FSM controller sized to the paper's 98 CLBs.
@@ -198,7 +176,7 @@ pub fn c880() -> Result<(Netlist, Hierarchy), NetlistError> {
 /// # Errors
 ///
 /// Propagates netlist construction errors.
-pub fn styr() -> Result<(Netlist, Hierarchy), NetlistError> {
+pub fn styr() -> Result<Netlist, NetlistError> {
     fsm::generate(
         "styr",
         FsmSpec {
@@ -217,7 +195,7 @@ pub fn styr() -> Result<(Netlist, Hierarchy), NetlistError> {
 /// # Errors
 ///
 /// Propagates netlist construction errors.
-pub fn sand() -> Result<(Netlist, Hierarchy), NetlistError> {
+pub fn sand() -> Result<Netlist, NetlistError> {
     fsm::generate(
         "sand",
         FsmSpec {
@@ -236,7 +214,7 @@ pub fn sand() -> Result<(Netlist, Hierarchy), NetlistError> {
 /// # Errors
 ///
 /// Propagates netlist construction errors.
-pub fn planet1() -> Result<(Netlist, Hierarchy), NetlistError> {
+pub fn planet1() -> Result<Netlist, NetlistError> {
     fsm::generate(
         "planet1",
         FsmSpec {
@@ -257,7 +235,7 @@ pub fn planet1() -> Result<(Netlist, Hierarchy), NetlistError> {
 /// # Errors
 ///
 /// Propagates netlist construction errors.
-pub fn s9234() -> Result<(Netlist, Hierarchy), NetlistError> {
+pub fn s9234() -> Result<Netlist, NetlistError> {
     let mut b = NetBuilder::new("s9234");
     let pis = b.input_bus("in", 36)?;
 
@@ -268,37 +246,31 @@ pub fn s9234() -> Result<(Netlist, Hierarchy), NetlistError> {
     // each bank's D inputs through its own cloud.
     let mut ffs = Vec::new();
     let mut qs = Vec::new();
-    b.enter_block("registers");
     for _ in 0..BANKS * BANK_FFS {
         let q = b.ff_loop(false, |_, q| Ok(q))?;
         let driver = b.netlist().net(q)?.driver.expect("ff drives q");
         qs.push(q);
         ffs.push(driver);
     }
-    b.exit_to_root();
 
     let mut cloud_in = pis.clone();
     cloud_in.extend(&qs);
 
     for bank in 0..BANKS {
-        b.enter_block(format!("cloud{bank}"));
         let d = random_cloud(&mut b, 0x9234 + bank as u64, &cloud_in, 140, BANK_FFS)?;
-        b.exit_to_root();
         let nl = b.netlist_mut();
         for (k, &dnet) in d.iter().enumerate() {
             nl.set_pin(ffs[bank * BANK_FFS + k], 0, dnet)?;
         }
     }
 
-    b.enter_block("out_logic");
     let outs = random_cloud(&mut b, 0x0923_40ff, &cloud_in, 55, 39)?;
-    b.exit_to_root();
     b.output_bus("out", &outs)?;
     tie_off_unreachable(&mut b)?;
 
-    let (nl, h) = b.finish();
+    let nl = b.finish();
     nl.validate()?;
-    Ok((nl, h))
+    Ok(nl)
 }
 
 #[cfg(test)]
@@ -311,7 +283,7 @@ mod tests {
 
     #[test]
     fn nine_sym_function_is_symmetric() {
-        let (nl, _) = nine_sym().unwrap();
+        let nl = nine_sym().unwrap();
         // Evaluate the y output for a handful of rows via interpretation.
         let eval = |row: u64| -> bool {
             let mut values = std::collections::HashMap::new();
@@ -336,7 +308,7 @@ mod tests {
         assert!(!eval(0b110000000)); // 2 ones
     }
 
-    type Generator = fn() -> Result<(Netlist, Hierarchy), NetlistError>;
+    type Generator = fn() -> Result<Netlist, NetlistError>;
 
     #[test]
     fn sizes_match_table1() {
@@ -351,7 +323,7 @@ mod tests {
             (s9234, 235),
         ];
         for (gen, target) in cases {
-            let (nl, _) = gen().unwrap();
+            let nl = gen().unwrap();
             let got = clbs(&nl);
             let lo = target * 92 / 100;
             let hi = target * 112 / 100;
@@ -365,7 +337,7 @@ mod tests {
 
     #[test]
     fn c499_corrects_single_errors() {
-        let (nl, _) = c499().unwrap();
+        let nl = c499().unwrap();
         // Interpretation harness: data word with one flipped bit plus
         // matching check bits must decode to the original word.
         let mut positions = Vec::new();
@@ -423,15 +395,15 @@ mod tests {
 
     #[test]
     fn s9234_is_register_heavy() {
-        let (nl, _) = s9234().unwrap();
+        let nl = s9234().unwrap();
         assert_eq!(nl.num_ffs(), 210);
         assert!(nl.num_luts() > 400);
     }
 
     #[test]
     fn all_generators_are_deterministic() {
-        let a = netlist::blif::write(&c880().unwrap().0);
-        let b = netlist::blif::write(&c880().unwrap().0);
+        let a = netlist::blif::write(&c880().unwrap());
+        let b = netlist::blif::write(&c880().unwrap());
         assert_eq!(a, b);
     }
 }

@@ -9,7 +9,7 @@
 //! file was similarly reduced), and a padding cloud calibrates the
 //! mapped size to Table 1's 900 CLBs.
 
-use netlist::{Hierarchy, NetId, Netlist, NetlistError};
+use netlist::{NetId, Netlist, NetlistError};
 
 use crate::builder::NetBuilder;
 use crate::filler::{pad_to_lut_count, random_cloud, tie_off_unreachable};
@@ -27,7 +27,7 @@ const SEL_BITS: usize = 3;
 /// # Errors
 ///
 /// Propagates netlist construction errors.
-pub fn generate() -> Result<(Netlist, Hierarchy), NetlistError> {
+pub fn generate() -> Result<Netlist, NetlistError> {
     let mut b = NetBuilder::new("mips_r2000");
     let instr_in = b.input_bus("instr", XLEN)?;
     let din = b.input_bus("din", XLEN)?;
@@ -35,9 +35,7 @@ pub fn generate() -> Result<(Netlist, Hierarchy), NetlistError> {
     // ------------------------------------------------------------
     // Instruction register + field split
     // ------------------------------------------------------------
-    b.enter_block("ifetch");
     let ir = b.register(&instr_in, 0)?;
-    b.exit_to_root();
     let op = &ir[0..4];
     let rs = &ir[4..4 + SEL_BITS];
     let rt = &ir[7..7 + SEL_BITS];
@@ -48,7 +46,6 @@ pub fn generate() -> Result<(Netlist, Hierarchy), NetlistError> {
     // ------------------------------------------------------------
     // Register file: 8 × 32, two read ports, one write port
     // ------------------------------------------------------------
-    b.enter_block("regfile");
     // Register storage with placeholder D inputs; write-back is wired
     // after the ALU exists.
     let mut reg_q: Vec<Vec<NetId>> = Vec::with_capacity(NREGS);
@@ -77,12 +74,10 @@ pub fn generate() -> Result<(Netlist, Hierarchy), NetlistError> {
     for r in 0..NREGS {
         wdec.push(b.equals_const(rd, r as u64)?);
     }
-    b.exit_to_root();
 
     // ------------------------------------------------------------
     // Sign extension and operand select
     // ------------------------------------------------------------
-    b.enter_block("signext");
     let sign = imm[15];
     let mut imm_ext: Vec<NetId> = imm.to_vec();
     imm_ext.extend(std::iter::repeat_n(sign, XLEN - imm.len()));
@@ -92,12 +87,10 @@ pub fn generate() -> Result<(Netlist, Hierarchy), NetlistError> {
     for i in 0..XLEN {
         opb.push(b.mux2(b_bus[i], imm_ext[i], use_imm)?);
     }
-    b.exit_to_root();
 
     // ------------------------------------------------------------
     // ALU: add, sub, and, or, xor, slt, shift, pass-din
     // ------------------------------------------------------------
-    b.enter_block("alu");
     let sub = op[2];
     let mut b_xor = Vec::with_capacity(XLEN);
     for i in 0..XLEN {
@@ -116,12 +109,10 @@ pub fn generate() -> Result<(Netlist, Hierarchy), NetlistError> {
     let zero = b.constant(false)?;
     let mut slt_bus = [zero; XLEN];
     slt_bus[0] = sum[XLEN - 1];
-    b.exit_to_root();
 
     // ------------------------------------------------------------
     // Barrel shifter (logical left, 5 stages)
     // ------------------------------------------------------------
-    b.enter_block("shifter");
     let mut shifted: Vec<NetId> = a_bus.clone();
     for (stage, &sel) in shamt.iter().enumerate() {
         let amount = 1usize << stage;
@@ -136,12 +127,10 @@ pub fn generate() -> Result<(Netlist, Hierarchy), NetlistError> {
         }
         shifted = next;
     }
-    b.exit_to_root();
 
     // ------------------------------------------------------------
     // Result mux + write-back
     // ------------------------------------------------------------
-    b.enter_block("writeback");
     let mut result = Vec::with_capacity(XLEN);
     for i in 0..XLEN {
         let choices = [
@@ -160,12 +149,10 @@ pub fn generate() -> Result<(Netlist, Hierarchy), NetlistError> {
             b.netlist_mut().set_pin(ff, 0, d)?;
         }
     }
-    b.exit_to_root();
 
     // ------------------------------------------------------------
     // PC unit: +1 or branch target
     // ------------------------------------------------------------
-    b.enter_block("pc");
     let zero_flag = {
         let inverted: Vec<NetId> = result
             .iter()
@@ -192,14 +179,11 @@ pub fn generate() -> Result<(Netlist, Hierarchy), NetlistError> {
         let next = b.mux2(pc_inc[i], pc_br[i], take)?;
         b.netlist_mut().set_pin(pc_ff[i], 0, next)?;
     }
-    b.exit_to_root();
 
     // ------------------------------------------------------------
     // Control cloud (models the R2000's main + local decoders)
     // ------------------------------------------------------------
-    b.enter_block("control");
     let ctrl = random_cloud(&mut b, 0x2000, &ir, 60, 8)?;
-    b.exit_to_root();
 
     b.output_bus("result", &result)?;
     b.output_bus("pc", &pc_q)?;
@@ -209,17 +193,15 @@ pub fn generate() -> Result<(Netlist, Hierarchy), NetlistError> {
     // ------------------------------------------------------------
     // Calibration to the paper's 900 CLBs (1800 LUTs)
     // ------------------------------------------------------------
-    b.enter_block("pad");
     let mut seeds = a_bus.clone();
     seeds.extend(&b_bus);
     seeds.extend(&ir);
     pad_to_lut_count(&mut b, 0x3000, 1800, &seeds)?;
-    b.exit_to_root();
     tie_off_unreachable(&mut b)?;
 
-    let (nl, h) = b.finish();
+    let nl = b.finish();
     nl.validate()?;
-    Ok((nl, h))
+    Ok(nl)
 }
 
 /// Total architectural register bits of the generated core (register
@@ -234,7 +216,7 @@ mod tests {
 
     #[test]
     fn structure_and_size() {
-        let (nl, _) = generate().unwrap();
+        let nl = generate().unwrap();
         assert_eq!(nl.num_ffs(), expected_register_bits());
         let clbs = nl.stats().clb_estimate();
         assert!((830..=1000).contains(&clbs), "got {clbs} CLBs vs paper 900");
@@ -242,29 +224,14 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = netlist::blif::write(&generate().unwrap().0);
-        let b = netlist::blif::write(&generate().unwrap().0);
+        let a = netlist::blif::write(&generate().unwrap());
+        let b = netlist::blif::write(&generate().unwrap());
         assert_eq!(a, b);
     }
 
     #[test]
-    fn has_expected_functional_blocks() {
-        let (_, h) = generate().unwrap();
-        let mut names = Vec::new();
-        for node in h.iter() {
-            names.push(h.path(node).unwrap());
-        }
-        for blk in ["regfile", "alu", "pc", "shifter", "control", "writeback"] {
-            assert!(
-                names.iter().any(|n| n == &format!("mips_r2000/{blk}")),
-                "missing block {blk}"
-            );
-        }
-    }
-
-    #[test]
     fn luts_are_mappable_without_decomposition() {
-        let (nl, _) = generate().unwrap();
+        let nl = generate().unwrap();
         assert!(nl
             .cells()
             .all(|(_, c)| c.lut_function().is_none_or(|t| t.arity() <= 4)));

@@ -11,16 +11,14 @@
 #![allow(clippy::print_stdout)]
 
 use fpga_debug_tiling::prelude::*;
-use fpga_debug_tiling::{sim, synth, tiling};
+use fpga_debug_tiling::{sim, tiling};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== key-specific DES debugging ==\n");
 
-    // Generate an 8-round key-specific DES (paper size: ~1050 CLBs)
-    // and check it against the software reference before tiling.
-    let key = 0x1334_5779_9BBC_DFF1;
-    let (raw, hier) = synth::des::generate(key, 8)?;
-    let (netlist, hierarchy) = synth::mapper::map_to_lut4_with_hierarchy(&raw, &hier)?;
+    // The paper's 8-round key-specific DES, mapped to 4-LUTs (paper
+    // size: ~1050 CLBs).
+    let netlist = PaperDesign::Des.generate()?;
     println!(
         "DES mapped: {} ({} CLBs)",
         netlist.stats(),
@@ -39,27 +37,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         ..Default::default()
     };
-    let mut td = tiling::implement(netlist, hierarchy, options)?;
+    let mut td = tiling::implement(netlist, options)?;
     println!("device    : {}", td.device);
     println!("tiles     : {}", td.plan.len());
     println!("area ovhd : {:.3}", td.area_overhead());
     println!("initial implementation: {}\n", td.initial_effort);
 
     // Corrupt one S-box output LUT in round 3 — a realistic
-    // "mis-transcribed table" design error.
+    // "mis-transcribed table" design error. The generator emits the
+    // rounds in order, 256 mapped LUTs each (32 S-box outputs as 4-LUT
+    // trees plus 32 Feistel XORs), so round 3 starts at LUT 768.
     let victim = td
         .netlist
         .cells()
-        .find(|(id, c)| {
-            c.lut_function().is_some()
-                && td
-                    .hierarchy
-                    .functional_block_of(*id)
-                    .and_then(|b| td.hierarchy.name(b).ok())
-                    .is_some_and(|n| n == "round3")
-        })
+        .filter(|(_, c)| c.lut_function().is_some())
+        .nth(3 * 256)
         .map(|(id, _)| id)
-        .expect("round3 has LUTs");
+        .expect("DES has 8 rounds");
     let golden = td.netlist.clone();
     let error = sim::inject::inject(
         &mut td.netlist,

@@ -15,15 +15,15 @@ use fpga_debug_tiling::{sim, tiling};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== MIPS R2000 emulation ==\n");
-    let bundle = PaperDesign::MipsR2000.generate()?;
+    let core = PaperDesign::MipsR2000.generate()?;
     println!(
         "core: {} ({} CLBs vs paper's 900)",
-        bundle.netlist.stats(),
-        bundle.clbs()
+        core.stats(),
+        core.stats().clb_estimate()
     );
 
     // --- Pure emulation first: run the netlist as a processor. -----
-    let mut sim0 = Simulator::new(&bundle.netlist)?;
+    let mut sim0 = Simulator::new(&core)?;
     let set_bus = |sim: &mut Simulator, base: usize, width: usize, value: u64| {
         for i in 0..width {
             sim.set_input(base + i, value >> i & 1 == 1);
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         ..Default::default()
     };
-    let mut td = tiling::implement(bundle.netlist, bundle.hierarchy, options)?;
+    let mut td = tiling::implement(core, options)?;
     println!(
         "\ndevice: {} | tiles: {} | area ovhd {:.3}",
         td.device,

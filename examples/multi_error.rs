@@ -21,7 +21,7 @@ use netlist::TruthTable;
 /// its own output: every branch's suspect cone contains the whole
 /// backbone, so three branch errors have heavily overlapping cones —
 /// the shape the concurrent scheduler is built for.
-fn build_design() -> (netlist::Netlist, netlist::Hierarchy, Vec<netlist::CellId>) {
+fn build_design() -> (netlist::Netlist, Vec<netlist::CellId>) {
     let mut nl = netlist::Netlist::new("triage");
     let pi = nl.add_input("a").unwrap();
     let mut net = nl.cell_output(pi).unwrap();
@@ -45,14 +45,14 @@ fn build_design() -> (netlist::Netlist, netlist::Hierarchy, Vec<netlist::CellId>
         }
         nl.add_output(format!("y{b}"), bnet).unwrap();
     }
-    (nl, netlist::Hierarchy::new("triage"), victims)
+    (nl, victims)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== multi-error triage ==\n");
 
-    let (nl, hier, victims) = build_design();
-    let td0 = tiling::implement(nl, hier, TilingOptions::fast(77))?;
+    let (nl, victims) = build_design();
+    let td0 = tiling::implement(nl, TilingOptions::fast(77))?;
     let golden = td0.netlist.clone();
     println!(
         "design: {} LUTs, 3 outputs; planting 3 errors with overlapping cones\n",

@@ -66,16 +66,15 @@ pub fn implement_paper_design(
     design: PaperDesign,
     options: TilingOptions,
 ) -> Result<TiledDesign, TilingError> {
-    let bundle = design.generate()?;
-    tiling::implement(bundle.netlist, bundle.hierarchy, options)
+    tiling::implement(design.generate()?, options)
 }
 
 /// Commonly used items, re-exported flat.
 pub mod prelude {
     pub use fpga::{BelLoc, ClbSlot, Coord, Device, Placement, Rect, Routing, RoutingGraph};
-    pub use netlist::{CellId, CellKind, EcoOp, Hierarchy, NetId, Netlist, TruthTable};
+    pub use netlist::{CellId, CellKind, EcoOp, NetId, Netlist, TruthTable};
     pub use sim::{PatternGen, Simulator};
-    pub use synth::{DesignBundle, PaperDesign};
+    pub use synth::PaperDesign;
     pub use tiling::{
         AffectedSet, BinarySearch, CadEffort, CampaignOutcome, ConePartition, DebugEvent,
         DebugOutcome, DebugReport, DebugSession, EffortLedger, EvidenceBase, FailureCluster,

@@ -12,7 +12,7 @@ use tiling::TiledFlow;
 /// A 16-LUT inverter chain with a mid-chain branch output — small
 /// enough that every fixture implements in milliseconds, big enough
 /// to span several tiles and multi-segment routes.
-fn little_design() -> (netlist::Netlist, netlist::Hierarchy) {
+fn little_design() -> netlist::Netlist {
     let mut nl = netlist::Netlist::new("fixture");
     let pi = nl.add_input("a").unwrap();
     let mut net = nl.cell_output(pi).unwrap();
@@ -26,12 +26,11 @@ fn little_design() -> (netlist::Netlist, netlist::Hierarchy) {
         }
     }
     nl.add_output("y", net).unwrap();
-    (nl, netlist::Hierarchy::new("fixture"))
+    nl
 }
 
 fn implement_fixture() -> TiledDesign {
-    let (nl, hier) = little_design();
-    tiling::implement(nl, hier, TilingOptions::fast(7)).unwrap()
+    tiling::implement(little_design(), TilingOptions::fast(7)).unwrap()
 }
 
 /// Plants a real error on the clean design (so the session has a

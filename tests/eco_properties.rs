@@ -68,8 +68,8 @@ proptest! {
     #[test]
     fn affected_set_is_monotone(extra_a in 0usize..20, extra_b in 0usize..20) {
         use tiling::affected::AffectedSet;
-        let bundle = PaperDesign::NineSym.generate().unwrap();
-        let td = tiling::implement(bundle.netlist, bundle.hierarchy, TilingOptions::fast(77))
+        let nl = PaperDesign::NineSym.generate().unwrap();
+        let td = tiling::implement(nl, TilingOptions::fast(77))
             .unwrap();
         let seed_cell = td
             .netlist

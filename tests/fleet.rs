@@ -113,6 +113,25 @@ fn injected_panic_is_drained_and_reported() {
 }
 
 #[test]
+fn batch_rejections_reach_the_telemetry() {
+    // Out of range: rejected by validation, so nothing is built.
+    let requests = vec![CampaignRequest {
+        id: "too-many-tiles".into(),
+        target_tiles: 5000,
+        ..Default::default()
+    }];
+    let outcome = run_batch(store(), &requests, 1);
+    assert!(
+        matches!(outcome.results[0].status, CampaignStatus::Rejected(_)),
+        "{:?}",
+        outcome.results[0].status
+    );
+    let t = &outcome.telemetry;
+    assert_eq!((t.campaigns, t.completed, t.rejected), (1, 0, 1));
+    assert!(t.to_json().contains("\"rejected\": 1,"), "{}", t.to_json());
+}
+
+#[test]
 fn file_queue_serves_reports_events_and_telemetry() {
     let root = std::env::temp_dir().join(format!("debugd-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);

@@ -17,7 +17,7 @@ const ERR_DEPTH: usize = 5;
 /// chains (64 LUTs total), each branch ending in its own primary
 /// output. Every branch's suspect cone contains the whole backbone,
 /// so the three cones overlap in a 40-cell shared core.
-fn overlapping_cone_design() -> (netlist::Netlist, netlist::Hierarchy, Vec<netlist::CellId>) {
+fn overlapping_cone_design() -> (netlist::Netlist, Vec<netlist::CellId>) {
     let mut nl = netlist::Netlist::new("triplet");
     let pi = nl.add_input("a").unwrap();
     let mut net = nl.cell_output(pi).unwrap();
@@ -41,7 +41,7 @@ fn overlapping_cone_design() -> (netlist::Netlist, netlist::Hierarchy, Vec<netli
         }
         nl.add_output(format!("y{b}"), bnet).unwrap();
     }
-    (nl, netlist::Hierarchy::new("triplet"), victims)
+    (nl, victims)
 }
 
 fn plant(td: &mut TiledDesign, cell: netlist::CellId) -> sim::inject::InjectedError {
@@ -179,8 +179,8 @@ const TRUNK_ERR: usize = 8;
 /// here; only the per-cluster windows recover the serial path's
 /// sharpness.
 ///
-/// Returns (netlist, hierarchy, victims = [e0, e1, eT]).
-fn deep_sequential_design() -> (netlist::Netlist, netlist::Hierarchy, Vec<netlist::CellId>) {
+/// Returns (netlist, victims = [e0, e1, eT]).
+fn deep_sequential_design() -> (netlist::Netlist, Vec<netlist::CellId>) {
     let mut nl = netlist::Netlist::new("pipeline");
     let pi = nl.add_input("a").unwrap();
     let mut net = nl.cell_output(pi).unwrap();
@@ -222,7 +222,7 @@ fn deep_sequential_design() -> (netlist::Netlist, netlist::Hierarchy, Vec<netlis
         }
         nl.add_output(format!("y{b}"), bnet).unwrap();
     }
-    (nl, netlist::Hierarchy::new("pipeline"), victims)
+    (nl, victims)
 }
 
 /// The deep-sequential analog of [`compare`]: concurrent diagnosis of
@@ -282,9 +282,9 @@ fn compare_sequential(
 
 #[test]
 fn deep_sequential_errors_cost_less_concurrently_than_sequentially() {
-    let (nl, hier, victims) = deep_sequential_design();
+    let (nl, victims) = deep_sequential_design();
     assert!(nl.is_sequential(), "design must be sequential");
-    let td0 = tiling::implement(nl, hier, TilingOptions::fast(404)).unwrap();
+    let td0 = tiling::implement(nl, TilingOptions::fast(404)).unwrap();
     let golden = td0.netlist.clone();
 
     type StrategyFactory = Box<dyn Fn() -> Box<dyn LocalizationStrategy>>;
@@ -327,7 +327,7 @@ fn deep_sequential_errors_cost_less_concurrently_than_sequentially() {
 /// cluster — so a flat window would blame the first wavefront cell it
 /// meets instead of the real site, which a divergence-onset check
 /// against each suspect's FF distance rejects.
-fn nested_pipeline_design() -> (netlist::Netlist, netlist::Hierarchy, Vec<netlist::CellId>) {
+fn nested_pipeline_design() -> (netlist::Netlist, Vec<netlist::CellId>) {
     let mut nl = netlist::Netlist::new("nested");
     let pi = nl.add_input("a").unwrap();
     let mut net = nl.cell_output(pi).unwrap();
@@ -361,13 +361,13 @@ fn nested_pipeline_design() -> (netlist::Netlist, netlist::Hierarchy, Vec<netlis
         }
         nl.add_output(format!("y{i}"), bnet).unwrap();
     }
-    (nl, netlist::Hierarchy::new("nested"), victims)
+    (nl, victims)
 }
 
 #[test]
 fn staggered_trunk_errors_localize_exactly_under_causal_windows() {
-    let (nl, hier, victims) = nested_pipeline_design();
-    let td0 = tiling::implement(nl, hier, TilingOptions::fast(505)).unwrap();
+    let (nl, victims) = nested_pipeline_design();
+    let td0 = tiling::implement(nl, TilingOptions::fast(505)).unwrap();
     let golden = td0.netlist.clone();
     type StrategyFactory = Box<dyn Fn() -> Box<dyn LocalizationStrategy>>;
     let strategies: [(&str, StrategyFactory); 2] = [
@@ -402,13 +402,8 @@ fn staggered_trunk_errors_localize_exactly_under_causal_windows() {
 /// branches, each with its own output. Two *independent* errors in
 /// the branches fail both outputs on the same pattern — at clustering
 /// time indistinguishable from one FSM error behind the trunk
-/// register. Returns (netlist, hierarchy, trunk LUT, branch victims).
-fn shared_trunk_design() -> (
-    netlist::Netlist,
-    netlist::Hierarchy,
-    netlist::CellId,
-    Vec<netlist::CellId>,
-) {
+/// register. Returns (netlist, trunk LUT, branch victims).
+fn shared_trunk_design() -> (netlist::Netlist, netlist::CellId, Vec<netlist::CellId>) {
     let mut nl = netlist::Netlist::new("trunk");
     let pi = nl.add_input("a").unwrap();
     let t0 = nl
@@ -434,7 +429,7 @@ fn shared_trunk_design() -> (
         nl.add_output(format!("y{b}"), nl.cell_output(b1).unwrap())
             .unwrap();
     }
-    (nl, netlist::Hierarchy::new("trunk"), t0, victims)
+    (nl, t0, victims)
 }
 
 /// The deferred FSM-cluster merge (PR 4's documented limitation,
@@ -447,8 +442,8 @@ fn shared_trunk_design() -> (
 /// stay apart, and *both* sites localize exactly.
 #[test]
 fn independent_same_onset_errors_behind_a_shared_trunk_stay_apart() {
-    let (nl, hier, _, victims) = shared_trunk_design();
-    let td0 = tiling::implement(nl, hier, TilingOptions::fast(606)).unwrap();
+    let (nl, _, victims) = shared_trunk_design();
+    let td0 = tiling::implement(nl, TilingOptions::fast(606)).unwrap();
     let golden = td0.netlist.clone();
     let mut td = td0.clone();
     let errors: Vec<_> = victims.iter().map(|&v| plant(&mut td, v)).collect();
@@ -478,8 +473,8 @@ fn independent_same_onset_errors_behind_a_shared_trunk_stay_apart() {
 /// single merged cluster localizes the trunk cell once.
 #[test]
 fn genuine_fsm_error_behind_the_trunk_still_merges() {
-    let (nl, hier, t0, _) = shared_trunk_design();
-    let td0 = tiling::implement(nl, hier, TilingOptions::fast(607)).unwrap();
+    let (nl, t0, _) = shared_trunk_design();
+    let td0 = tiling::implement(nl, TilingOptions::fast(607)).unwrap();
     let golden = td0.netlist.clone();
     let mut td = td0.clone();
     let error = plant(&mut td, t0);
@@ -501,9 +496,9 @@ fn genuine_fsm_error_behind_the_trunk_still_merges() {
 
 #[test]
 fn three_overlapping_errors_cost_less_concurrently_than_sequentially() {
-    let (nl, hier, victims) = overlapping_cone_design();
+    let (nl, victims) = overlapping_cone_design();
     assert!(nl.num_luts() >= 64, "design must be at least 64 LUTs");
-    let td0 = tiling::implement(nl, hier, TilingOptions::fast(303)).unwrap();
+    let td0 = tiling::implement(nl, TilingOptions::fast(303)).unwrap();
     let golden = td0.netlist.clone();
 
     type StrategyFactory = Box<dyn Fn() -> Box<dyn LocalizationStrategy>>;

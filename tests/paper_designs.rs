@@ -13,18 +13,12 @@ use fpga_debug_tiling::prelude::*;
 #[test]
 fn all_nine_designs_generate_and_validate() {
     for design in PaperDesign::ALL {
-        let bundle = design.generate().unwrap();
-        bundle.netlist.validate().unwrap();
-        assert_eq!(
-            bundle.netlist.is_sequential(),
-            design.is_sequential(),
-            "{design}"
-        );
+        let nl = design.generate().unwrap();
+        nl.validate().unwrap();
+        assert_eq!(nl.is_sequential(), design.is_sequential(), "{design}");
         // Mapped to 4-LUTs only.
         assert!(
-            bundle
-                .netlist
-                .cells()
+            nl.cells()
                 .all(|(_, c)| c.lut_function().is_none_or(|t| t.arity() <= 4)),
             "{design} has wide LUTs after mapping"
         );
@@ -34,8 +28,8 @@ fn all_nine_designs_generate_and_validate() {
 #[test]
 fn clb_counts_match_table1_within_tolerance() {
     for design in PaperDesign::ALL {
-        let bundle = design.generate().unwrap();
-        let got = bundle.clbs();
+        let nl = design.generate().unwrap();
+        let got = nl.stats().clb_estimate();
         let target = design.paper_clbs();
         let lo = target * 90 / 100;
         let hi = target * 112 / 100;
@@ -49,15 +43,15 @@ fn clb_counts_match_table1_within_tolerance() {
 #[test]
 fn blif_roundtrip_preserves_structure() {
     for design in PaperDesign::SMALL {
-        let bundle = design.generate().unwrap();
-        let text = netlist::blif::write(&bundle.netlist);
+        let nl = design.generate().unwrap();
+        let text = netlist::blif::write(&nl);
         let back = netlist::blif::parse(&text).unwrap();
         back.validate().unwrap();
-        assert_eq!(back.num_luts(), bundle.netlist.num_luts(), "{design}");
-        assert_eq!(back.num_ffs(), bundle.netlist.num_ffs(), "{design}");
+        assert_eq!(back.num_luts(), nl.num_luts(), "{design}");
+        assert_eq!(back.num_ffs(), nl.num_ffs(), "{design}");
         assert_eq!(
             back.primary_outputs().len(),
-            bundle.netlist.primary_outputs().len(),
+            nl.primary_outputs().len(),
             "{design}"
         );
     }
@@ -68,7 +62,7 @@ fn des_is_functionally_des() {
     // The generated DES netlist (2 rounds for speed) must agree with
     // the software reference on random blocks, via real simulation.
     let key = 0x0F15_71C9_47D9_E859;
-    let (raw, _h) = synth::des::generate(key, 2).unwrap();
+    let raw = synth::des::generate(key, 2).unwrap();
     let mapped = synth::mapper::map_to_lut4(&raw).unwrap();
     let mut sim = sim::Simulator::new(&mapped).unwrap();
     for pt in [0u64, 0x0123_4567_89AB_CDEF, 0xFFFF_0000_FF00_00FF] {
@@ -87,8 +81,8 @@ fn des_is_functionally_des() {
 
 #[test]
 fn mips_alu_add_through_simulation() {
-    let bundle = PaperDesign::MipsR2000.generate().unwrap();
-    let mut sim = sim::Simulator::new(&bundle.netlist).unwrap();
+    let nl = PaperDesign::MipsR2000.generate().unwrap();
+    let mut sim = sim::Simulator::new(&nl).unwrap();
     // addi r1, r0, 42 : op=0b1000 (imm), rs=0, rd=1, imm=42.
     let instr: u64 = 0b1000 | (1 << 10) | (42 << 16);
     for i in 0..32 {
@@ -104,12 +98,12 @@ fn mips_alu_add_through_simulation() {
 
 #[test]
 fn nine_sym_output_is_the_symmetric_function() {
-    let bundle = PaperDesign::NineSym.generate().unwrap();
-    let mut sim = sim::Simulator::new(&bundle.netlist).unwrap();
+    let nl = PaperDesign::NineSym.generate().unwrap();
+    let mut sim = sim::Simulator::new(&nl).unwrap();
     let y_pos = {
-        let pos = bundle.netlist.primary_outputs();
+        let pos = nl.primary_outputs();
         pos.iter()
-            .position(|&c| bundle.netlist.cell(c).unwrap().name == "y")
+            .position(|&c| nl.cell(c).unwrap().name == "y")
             .unwrap()
     };
     for pattern in sim::PatternGen::random(9, 200, 3) {
@@ -118,21 +112,6 @@ fn nine_sym_output_is_the_symmetric_function() {
         let ones = pattern.iter().filter(|&&b| b).count();
         let expect = (3..=6).contains(&ones);
         assert_eq!(sim.outputs()[y_pos], expect, "pattern {pattern:?}");
-    }
-}
-
-#[test]
-fn hierarchy_back_annotation_covers_all_logic() {
-    for design in [PaperDesign::C880, PaperDesign::Planet1] {
-        let bundle = design.generate().unwrap();
-        for (id, cell) in bundle.netlist.cells() {
-            if cell.is_logic() {
-                assert!(
-                    bundle.hierarchy.node_of_cell(id).is_some(),
-                    "{design}: cell {id} has no hierarchy link"
-                );
-            }
-        }
     }
 }
 

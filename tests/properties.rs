@@ -1042,7 +1042,7 @@ proptest! {
 /// each predicted failing-output mask against a scalar sweep of a
 /// clone with that LUT complemented. Returns how many LUTs it primed.
 fn attribution_matches_complemented_clones(design: PaperDesign, max_luts: usize) -> usize {
-    let golden = design.generate().unwrap().netlist;
+    let golden = design.generate().unwrap();
     let pats: Vec<Vec<bool>> = PatternSpec::Auto.generate(&golden, 7).collect();
     let trace = GoldenTrace::record(&golden, pats.clone()).unwrap();
     let luts: Vec<CellId> = golden

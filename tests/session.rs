@@ -8,9 +8,9 @@ use fpga_debug_tiling::prelude::*;
 use fpga_debug_tiling::{implement_paper_design, sim, tiling};
 use netlist::TruthTable;
 
-/// A `len`-LUT inverter chain with one PI and one PO, plus an empty
-/// hierarchy — the cleanest possible deep suspect cone.
-fn chain_design(len: usize) -> (netlist::Netlist, netlist::Hierarchy) {
+/// A `len`-LUT inverter chain with one PI and one PO — the cleanest
+/// possible deep suspect cone.
+fn chain_design(len: usize) -> netlist::Netlist {
     let mut nl = netlist::Netlist::new("chain");
     let pi = nl.add_input("a").unwrap();
     let mut net = nl.cell_output(pi).unwrap();
@@ -21,8 +21,7 @@ fn chain_design(len: usize) -> (netlist::Netlist, netlist::Hierarchy) {
         net = nl.cell_output(c).unwrap();
     }
     nl.add_output("y", net).unwrap();
-    let hier = netlist::Hierarchy::new("chain");
-    (nl, hier)
+    nl
 }
 
 /// The session-level sibling of `tiling_beats_the_baselines_on_a_small_change`:
@@ -144,8 +143,7 @@ fn undetected_error_is_reverted_by_run() {
 /// and performing strictly fewer ECOs than linear batching.
 #[test]
 fn binary_search_beats_linear_batches_on_a_deep_cone() {
-    let (nl, hier) = chain_design(96);
-    let td0 = tiling::implement(nl, hier, TilingOptions::fast(202)).unwrap();
+    let td0 = tiling::implement(chain_design(96), TilingOptions::fast(202)).unwrap();
     let golden = td0.netlist.clone();
     // Error deep in the chain: linear batching must walk ~11 batches.
     let victim = golden.find_cell("inv85").unwrap();
@@ -211,8 +209,7 @@ fn indices_of(events: &[DebugEvent], pred: impl Fn(&DebugEvent) -> bool) -> Vec<
 /// exactly with the outcome's flat counters.
 #[test]
 fn event_stream_respects_phase_order_and_ledger_reconciles() {
-    let (nl, hier) = chain_design(24);
-    let mut td = tiling::implement(nl, hier, TilingOptions::fast(204)).unwrap();
+    let mut td = tiling::implement(chain_design(24), TilingOptions::fast(204)).unwrap();
     let golden = td.netlist.clone();
     let victim = golden.find_cell("inv15").unwrap();
     let error = sim::inject::inject(
@@ -299,8 +296,7 @@ fn concurrent_event_stream_orders_clusters_and_apportions_ledger() {
         }
         nl.add_output(format!("y{b}"), bnet).unwrap();
     }
-    let hier = netlist::Hierarchy::new("bb");
-    let mut td = tiling::implement(nl, hier, TilingOptions::fast(205)).unwrap();
+    let mut td = tiling::implement(nl, TilingOptions::fast(205)).unwrap();
     let golden = td.netlist.clone();
     let errors: Vec<_> = victims
         .iter()
