@@ -7,10 +7,12 @@
 //!   side runs the production path: record a `GoldenTrace`, then one
 //!   DUT-only `sim::emulate::po_divergence_words` sweep against it;
 //!   the scalar side replays the pre-packing per-pattern loop.
-//!   Combinational designs get 64 patterns per topo pass; sequential
-//!   designs run stream-mode (chunk width 1, see `sim::packed`), so
-//!   their rows are marked `parallel: false` and are exempt from the
-//!   CI speedup gate.
+//!   Combinational designs get 64 patterns per topo pass. Sequential
+//!   designs run stream-mode: one pattern per pass, evaluating lane 0
+//!   alone by truth-table row index (`PackedSimulator::stream_eval`,
+//!   see `sim::packed`). Their rows are marked `parallel: false`, so
+//!   the CI gate holds them at >= 2x scalar rather than the 64-lane
+//!   rows' 8x.
 //! * **faultsim** — candidate scoring: complement each of up to 64
 //!   LUT candidates and record which outputs ever diverge from the
 //!   fault-free design plus the first diverging pattern. Packed runs
@@ -55,8 +57,8 @@ struct Row {
     design: &'static str,
     workload: &'static str,
     sequential: bool,
-    /// Whether the packed side fills all 64 lanes (the CI speedup
-    /// gate applies only to these rows).
+    /// Whether the packed side fills all 64 lanes (CI gates these rows
+    /// at >= 8x scalar, the one-lane stream rows at >= 2x).
     parallel: bool,
     patterns: usize,
     candidates: usize,

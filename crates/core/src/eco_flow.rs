@@ -588,7 +588,7 @@ fn clearing_rung(
         let dropped_fragment = base.paths.len() < base_paths_before;
         let untouched = !needs_inside
             && outside_missing.is_empty()
-            && split.reroute_free.is_empty()
+            && !split.feedthrough
             && !driver_inside
             && !dropped_fragment
             && had_route;

@@ -212,18 +212,19 @@ pub struct TreeSplit {
     /// Sinks to re-route from the net's (new) source pin toward a
     /// locked interface node (the net leaves the region here).
     pub route_to_interface: Vec<NodeId>,
-    /// Original sink indices needing unconfined re-route (feedthrough).
-    pub reroute_free: Vec<usize>,
+    /// Whether some path runs through the region and out again (a
+    /// feedthrough), so its sink needs an unconfined re-route.
+    pub feedthrough: bool,
 }
 
 /// Splits each path of `tree` against `region`.
 pub fn split_tree(rrg: &RoutingGraph, region: &RegionSet, tree: &RouteTree) -> TreeSplit {
     let mut out = TreeSplit::default();
-    for (k, path) in tree.paths.iter().enumerate() {
+    for path in &tree.paths {
         match split_path(rrg, region, path) {
             PathSplit::KeepOutside => out.base.paths.push(path.clone()),
             PathSplit::DropInside => {}
-            PathSplit::Feedthrough => out.reroute_free.push(k),
+            PathSplit::Feedthrough => out.feedthrough = true,
             PathSplit::CrossOut { cross } => {
                 out.base.paths.push(path[cross..].to_vec());
                 // One connection from the new source to the interface
@@ -358,7 +359,7 @@ mod tests {
         assert_eq!(split.base.paths.len(), 1);
         assert_eq!(split.base.paths[0][0], boundary);
         assert_eq!(split.route_to_interface, vec![boundary]);
-        assert!(split.reroute_free.is_empty());
+        assert!(!split.feedthrough);
     }
 
     #[test]

@@ -27,13 +27,16 @@
 //! ([`PackedSimulator`] lanes = patterns). Sequential DUTs run the
 //! stimulus stream in one-pattern chunks, clocked between chunks
 //! without reset: lanes can never be time steps, because pattern `i`'s
-//! flip-flop state depends on pattern `i-1`. Either way a chunk never
-//! straddles a trace word, so the golden word of a chunk is one shift
-//! and one mask away ([`GoldenTrace::output_chunk`]), and every pattern
-//! costs the DUT exactly one topo pass: the walker evaluates, compares,
-//! then only latches ([`PackedSimulator::latch`]). Every onset and
-//! verdict stays bit-exact with the scalar [`Simulator`](crate::Simulator)
-//! oracle.
+//! flip-flop state depends on pattern `i-1`. Each such chunk is a lane-0
+//! pass ([`PackedSimulator::stream_eval`]), where a LUT reads its truth
+//! table at the row its fanin bits index instead of folding the 64-lane
+//! mux tree; the golden trace records sequential designs the same way.
+//! Either way a chunk never straddles a trace word, so the golden word
+//! of a chunk is one shift and one mask away
+//! ([`GoldenTrace::output_chunk`]), and every pattern costs the DUT
+//! exactly one topo pass: the walker evaluates, compares, then only
+//! latches ([`PackedSimulator::latch`]). Every onset and verdict stays
+//! bit-exact with the scalar [`Simulator`](crate::Simulator) oracle.
 //!
 //! # Work accounting
 //!
@@ -129,8 +132,8 @@ pub struct GoldenTrace {
 impl GoldenTrace {
     /// Simulates `golden` over `patterns` and records every net.
     /// Sequential designs are clocked once per pattern without reset
-    /// (the patterns form one stimulus stream); combinational designs
-    /// are evaluated 64 patterns per pass.
+    /// (the patterns form one stimulus stream), one lane-0 pass each;
+    /// combinational designs are evaluated 64 patterns per pass.
     ///
     /// # Errors
     ///
@@ -151,10 +154,10 @@ impl GoldenTrace {
         if golden.is_sequential() {
             for (p, pat) in patterns.iter().enumerate() {
                 sim.load_patterns(std::slice::from_ref(pat));
-                sim.comb_eval();
+                sim.stream_eval();
                 let (w, b) = (p / LANES, p % LANES);
                 for (n, &v) in sim.net_words().iter().enumerate() {
-                    words[n * stride + w] |= (v & 1) << b;
+                    words[n * stride + w] |= v << b;
                 }
                 sim.latch();
             }
@@ -309,7 +312,11 @@ where
             dsim.set_input_word(force_val, trace.net_chunk(net, chunk));
             dsim.set_input_word(force_val + 1, u64::MAX);
         }
-        dsim.comb_eval();
+        if sequential {
+            dsim.stream_eval();
+        } else {
+            dsim.comb_eval();
+        }
         swept += chunk.len;
         if !visit(chunk, &dsim) {
             break;
@@ -562,29 +569,31 @@ mod tests {
         assert_eq!(m.output_ok, vec![true, false]);
     }
 
+    /// One FF whose next state is `q ^ en` (`toggle`) or `q` (stuck:
+    /// feedback buffered, not inverted).
+    fn register_design(toggle: bool) -> Netlist {
+        let mut nl = Netlist::new("seq");
+        let en = nl.add_input("en").unwrap();
+        let seed = nl.add_net("seed").unwrap();
+        let ff = nl.add_ff("q", false, seed).unwrap();
+        let q = nl.cell_output(ff).unwrap();
+        let tt = if toggle {
+            TruthTable::xor(2)
+        } else {
+            TruthTable::var(2, 1)
+        };
+        let f = nl
+            .add_lut("f", tt, &[nl.cell_output(en).unwrap(), q])
+            .unwrap();
+        nl.set_pin(ff, 0, nl.cell_output(f).unwrap()).unwrap();
+        nl.add_output("out", q).unwrap();
+        nl
+    }
+
     #[test]
     fn sequential_divergence_found_over_time() {
-        // Golden: toggle FF; DUT: stuck FF (feedback buffered, not inverted).
-        let build = |invert: bool| {
-            let mut nl = Netlist::new("seq");
-            let en = nl.add_input("en").unwrap();
-            let seed = nl.add_net("seed").unwrap();
-            let ff = nl.add_ff("q", false, seed).unwrap();
-            let q = nl.cell_output(ff).unwrap();
-            let tt = if invert {
-                TruthTable::xor(2)
-            } else {
-                TruthTable::var(2, 1)
-            };
-            let f = nl
-                .add_lut("f", tt, &[nl.cell_output(en).unwrap(), q])
-                .unwrap();
-            nl.set_pin(ff, 0, nl.cell_output(f).unwrap()).unwrap();
-            nl.add_output("out", q).unwrap();
-            nl
-        };
-        let golden = build(true); // q ^= en
-        let dut = build(false); // q stays q
+        let golden = register_design(true); // q ^= en
+        let dut = register_design(false); // q stays q
         let m = first_mismatch(&golden, &dut, PatternGen::random(1, 20, 3))
             .unwrap()
             .expect("the stuck register diverges");
@@ -675,6 +684,22 @@ mod tests {
         assert_eq!(trace.take_work(), SimWork::default());
         // A DUT sweep of the same shape adds the same work.
         po_divergence_words(&trace, &golden.clone(), &[(0, 0)]).unwrap();
+        assert_eq!(trace.take_work(), recorded);
+
+        // A sequential design streams: one lane-0 pass per pattern, each
+        // still counted as a sweep over every op (input, FF, LUT).
+        let golden = register_design(true);
+        let trace = GoldenTrace::record(&golden, PatternGen::random(1, 5, 3)).unwrap();
+        let recorded = trace.take_work();
+        assert_eq!(
+            recorded,
+            SimWork {
+                sweeps: 5,
+                net_words: 15,
+                lanes_loaded: 5
+            }
+        );
+        po_divergence_words(&trace, &register_design(false), &[(0, 0)]).unwrap();
         assert_eq!(trace.take_work(), recorded);
     }
 

@@ -20,11 +20,14 @@
 //! Sequential designs clock once per pattern *without* reset, so the
 //! stimulus stream is a temporal sequence: pattern `i`'s flip-flop
 //! state depends on pattern `i-1`, and lanes can never be time steps.
-//! Stream sweeps over sequential designs therefore run this engine
-//! with one-pattern chunks: bit-exact with the scalar oracle, but a
-//! whole topo pass per pattern for one useful lane, so the 64×
-//! parallelism has to come from the machine axis instead. What keeps
-//! stream sweeps affordable is running as few passes as possible:
+//! Stream sweeps over sequential designs therefore run one pattern per
+//! topo pass, with [`PackedSimulator::stream_eval`]: it computes lane 0
+//! alone, each LUT turning bit 0 of its fanin words into a truth-table
+//! row index and reading that row, so a pass costs a few ALU ops per
+//! LUT instead of the mux tree below. It stays bit-exact with the
+//! scalar oracle; the 64× parallelism for sequential designs has to
+//! come from the machine axis instead. What keeps stream sweeps
+//! affordable beyond that is running as few passes as possible:
 //!
 //! * a loop that evaluates a pattern (to read it) and then clocks
 //!   calls [`PackedSimulator::latch`], one pass per pattern, rather
@@ -34,8 +37,9 @@
 //!   [`GoldenTrace`](crate::emulate::GoldenTrace), and every sweep
 //!   after that runs only the DUT (see [`crate::emulate`]).
 //!
-//! LUT evaluation is word-wise truth-table selection: the `2^arity`
-//! rows of the [`TruthTable`](netlist::TruthTable) are broadcast to
+//! 64-lane LUT evaluation ([`PackedSimulator::comb_eval`]) is word-wise
+//! truth-table selection: the `2^arity` rows of the
+//! [`TruthTable`](netlist::TruthTable) are broadcast to
 //! all-ones/all-zeros candidate words, then each input word
 //! mask-selects between candidate halves (a Shannon mux tree), leaving
 //! the output word after `arity` folding levels — about `2·2^arity`
@@ -61,11 +65,11 @@ pub const LANES: usize = 64;
 /// Simulation work done by packed engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimWork {
-    /// Packed topo passes (`comb_eval` calls) — each evaluates 64
-    /// lanes at once.
+    /// Packed topo passes (`comb_eval` or `stream_eval` calls) — each
+    /// evaluates 64 lanes at once, or lane 0 alone in a stream pass.
     pub sweeps: u64,
-    /// Net *words* evaluated: ops walked per sweep, 64 lane-values
-    /// each.
+    /// Net *words* evaluated: ops walked per sweep, whichever lanes
+    /// the pass filled.
     pub net_words: u64,
     /// Stimulus lanes loaded (a broadcast pattern counts once):
     /// `lanes_loaded / (sweeps * 64)` approximates lane occupancy.
@@ -87,7 +91,8 @@ enum Op {
     Input { pi: u32, out: u32 },
     /// Copy flip-flop state word of cell `cell` to net `out`.
     Ff { cell: u32, out: u32 },
-    /// Word-wise LUT: mask-select over the truth table rows.
+    /// LUT: a mask-select over the truth table rows for 64 lanes, or
+    /// one row lookup for lane 0.
     Lut {
         bits: u64,
         arity: u8,
@@ -376,6 +381,49 @@ impl<'a> PackedSimulator<'a> {
         }
     }
 
+    /// The one-pattern pass of a stream sweep: propagates lane 0 only.
+    /// Each LUT turns bit 0 of its fanin words into a truth-table row
+    /// index and reads that row (`(bits >> row) & 1`, where
+    /// [`comb_eval`](Self::comb_eval) folds a mux tree over all 64
+    /// lanes); inputs and flip-flops copy bit 0. Lane 0 of every driven
+    /// net, fault XOR included, is what `comb_eval` computes, and lanes
+    /// 1–63 read 0. The work counts as one sweep over every op, like
+    /// `comb_eval`'s.
+    pub fn stream_eval(&mut self) {
+        self.work.sweeps += 1;
+        self.work.net_words += self.ops.len() as u64;
+        let Self {
+            ops,
+            values,
+            state,
+            inputs,
+            fault,
+            ..
+        } = self;
+        for op in ops.iter() {
+            match *op {
+                Op::Input { pi, out } => {
+                    values[out as usize] = (inputs[pi as usize] ^ fault[out as usize]) & 1;
+                }
+                Op::Ff { cell, out } => {
+                    values[out as usize] = (state[cell as usize] ^ fault[out as usize]) & 1;
+                }
+                Op::Lut {
+                    bits,
+                    arity,
+                    ins,
+                    out,
+                } => {
+                    let mut row = 0u64;
+                    for (k, &net) in ins[..arity as usize].iter().enumerate() {
+                        row |= (values[net as usize] & 1) << k;
+                    }
+                    values[out as usize] = ((bits >> row) ^ fault[out as usize]) & 1;
+                }
+            }
+        }
+    }
+
     /// One clock cycle for every lane: combinational propagate, then
     /// latch all FFs.
     pub fn step(&mut self) {
@@ -396,8 +444,8 @@ impl<'a> PackedSimulator<'a> {
         self.cycles += 1;
     }
 
-    /// Current word of a net (valid after `comb_eval`/`step`); lanes
-    /// of unknown nets read as 0.
+    /// Current word of a net (valid after `comb_eval`, `stream_eval`
+    /// or `step`); lanes of unknown nets read as 0.
     pub fn net_word(&self, net: NetId) -> u64 {
         self.values.get(net.index()).copied().unwrap_or(0)
     }

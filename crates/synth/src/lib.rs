@@ -27,4 +27,4 @@ pub mod mips;
 
 pub use builder::NetBuilder;
 pub use designs::PaperDesign;
-pub use mapper::{map_to_lut4, sweep_buffers};
+pub use mapper::map_to_lut4;

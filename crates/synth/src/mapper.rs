@@ -4,8 +4,7 @@
 //! S-boxes are 6-input). The XC4000 CLB offers 4-input LUTs, so
 //! [`map_to_lut4`] rewrites every wider function into a tree of 4-LUTs
 //! by Shannon decomposition, after first shrinking each function to its
-//! true support. [`sweep_buffers`] removes identity LUTs left behind
-//! by generator plumbing.
+//! true support.
 
 use netlist::{CellId, CellKind, NetId, Netlist, NetlistError, TruthTable};
 
@@ -116,40 +115,6 @@ fn emit_lut4(
     }
 }
 
-/// Removes identity (buffer) LUTs in place, rewiring their sinks.
-///
-/// Returns the number of buffers removed. Buffers driving a primary
-/// output net directly from a primary input net are kept when removal
-/// would merge two named port nets.
-///
-/// # Errors
-///
-/// Propagates netlist editing errors.
-pub fn sweep_buffers(nl: &mut Netlist) -> Result<usize, NetlistError> {
-    let buf = TruthTable::buf();
-    let victims: Vec<_> = nl
-        .cells()
-        .filter(|(_, c)| c.lut_function() == Some(&buf))
-        .map(|(id, _)| id)
-        .collect();
-    let mut removed = 0;
-    for id in victims {
-        // Re-read connectivity now: an earlier removal in a buffer
-        // chain may already have rewired this cell's input.
-        let cell = nl.cell(id)?;
-        let src = cell.inputs[0];
-        let dst = cell.output.expect("luts drive a net");
-        let sinks: Vec<_> = nl.net(dst)?.sinks.clone();
-        for s in &sinks {
-            nl.set_pin(s.cell, s.pin, src)?;
-        }
-        nl.remove_cell(id)?;
-        nl.remove_net(dst)?;
-        removed += 1;
-    }
-    Ok(removed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,21 +197,6 @@ mod tests {
         let mapped = map_to_lut4(&nl).unwrap();
         assert_eq!(mapped.num_luts(), nl.num_luts());
         assert_eq!(mapped.stats().depth, nl.stats().depth);
-    }
-
-    #[test]
-    fn sweep_removes_buffers() {
-        let mut b = NetBuilder::new("bufs");
-        let a = b.input("a").unwrap();
-        let buf1 = b.lut(TruthTable::buf(), &[a]).unwrap();
-        let buf2 = b.lut(TruthTable::buf(), &[buf1]).unwrap();
-        let inv = b.not(buf2).unwrap();
-        b.output("y", inv).unwrap();
-        let mut nl = b.finish();
-        let removed = sweep_buffers(&mut nl).unwrap();
-        assert_eq!(removed, 2);
-        assert_eq!(nl.num_luts(), 1);
-        nl.validate().unwrap();
     }
 
     #[test]

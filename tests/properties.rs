@@ -622,6 +622,52 @@ fn random_comb_netlist(tts: &[u64]) -> Netlist {
     nl
 }
 
+/// Primary inputs a random sequential netlist's stimulus drives.
+const SEQ_PIS: usize = 2;
+
+/// A random sequential netlist: `SEQ_PIS` driven inputs, one `spare`
+/// input no stimulus drives, one flip-flop per `inits` entry, then one
+/// LUT of arity `word % 5` (0–4) per word, its fanins drawn from all
+/// earlier nets. Each flip-flop's D pin is then tied to a drawn LUT net,
+/// so state feeds back through logic, and a control point on a drawn
+/// net appends its `[force_val, force_en]` input pair.
+fn random_seq_netlist(luts: &[u64], inits: &[bool], cp_pick: usize) -> Netlist {
+    let mut nl = Netlist::new("randseq");
+    let mut nets: Vec<NetId> = (0..SEQ_PIS)
+        .map(|i| format!("i{i}"))
+        .chain(["spare".to_string()])
+        .map(|name| {
+            let c = nl.add_input(name).unwrap();
+            nl.cell_output(c).unwrap()
+        })
+        .collect();
+    let mut ffs = Vec::new();
+    for (k, &init) in inits.iter().enumerate() {
+        let d = nl.add_net(format!("d{k}")).unwrap();
+        let ff = nl.add_ff(format!("q{k}"), init, d).unwrap();
+        nets.push(nl.cell_output(ff).unwrap());
+        ffs.push(ff);
+    }
+    let first_lut = nets.len();
+    for (k, &word) in luts.iter().enumerate() {
+        let arity = (word % 5) as usize;
+        let ins: Vec<NetId> = (0..arity)
+            .map(|j| nets[(word >> (7 * j + 3)) as usize % nets.len()])
+            .collect();
+        let tt = TruthTable::from_bits(arity, word >> 32).unwrap();
+        let c = nl.add_lut(format!("u{k}"), tt, &ins).unwrap();
+        nets.push(nl.cell_output(c).unwrap());
+    }
+    for (k, &ff) in ffs.iter().enumerate() {
+        let pick = (luts[k % luts.len()] >> 48) as usize + k;
+        let d = nets[first_lut + pick % luts.len()];
+        nl.set_pin(ff, 0, d).unwrap();
+    }
+    nl.add_output("y", *nets.last().unwrap()).unwrap();
+    insert_control_point(&mut nl, nets[cp_pick % nets.len()], "cp").unwrap();
+    nl
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
@@ -685,6 +731,53 @@ proptest! {
             packed.step();
         }
         prop_assert_eq!(packed.cycles(), scalar.cycles());
+    }
+
+    #[test]
+    fn packed_stream_eval_is_lane_zero_of_comb_eval_and_the_scalar_oracle(
+        luts in prop::collection::vec(prop::bits::u64::masked(u64::MAX), 1usize..12),
+        inits in prop::collection::vec(prop::bool::weighted(0.5), 1usize..4),
+        cp_pick: usize,
+        noise: u64,
+        pats in prop::collection::vec(
+            prop::collection::vec(prop::bool::weighted(0.5), SEQ_PIS + 2..=SEQ_PIS + 2),
+            1usize..48,
+        ),
+    ) {
+        let nl = random_seq_netlist(&luts, &inits, cp_pick);
+        let mut scalar = Simulator::new(&nl).unwrap();
+        let mut lanes = PackedSimulator::new(&nl).unwrap();
+        let mut stream = PackedSimulator::new(&nl).unwrap();
+        let mut noise = noise;
+        for (p, pat) in pats.iter().enumerate() {
+            // The driven inputs, the spare at 0, then the force pair.
+            let mut full = pat[..SEQ_PIS].to_vec();
+            full.push(false);
+            full.extend_from_slice(&pat[SEQ_PIS..]);
+            scalar.set_inputs(&full);
+            scalar.comb_eval();
+            // Both engines see the pattern in lane 0 and noise in lanes
+            // 1-63, which the stream pass must ignore; the spare's word
+            // is never set.
+            for (k, &bit) in full.iter().enumerate().filter(|&(k, _)| k != SEQ_PIS) {
+                noise = noise
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let word = (noise & !1) | u64::from(bit);
+                lanes.set_input_word(k, word);
+                stream.set_input_word(k, word);
+            }
+            lanes.comb_eval();
+            stream.stream_eval();
+            for (net, _) in nl.nets() {
+                let want = u64::from(scalar.net_value(net));
+                prop_assert_eq!(lanes.net_word(net) & 1, want, "net {:?}, pattern {}", net, p);
+                prop_assert_eq!(stream.net_word(net), want, "net {:?}, pattern {}", net, p);
+            }
+            scalar.step();
+            lanes.latch();
+            stream.latch();
+        }
     }
 
     #[test]
