@@ -7,7 +7,8 @@
 //! the same change — the paper's canonical small debugging edit: one
 //! LUT's function modified, affecting one tile. Effort is
 //! deterministic (placer moves + router expansions); speedups are
-//! ratios.
+//! ratios. A cell whose ECO took no effort at all prints `0 effort`
+//! and is left out of the summary's averages.
 //!
 //! Run: `cargo run --release -p bench-harness --bin fig5`
 //! (set `FAST_BENCH=1` to skip MIPS/DES, pass `--quick` for 9sym only).
@@ -16,6 +17,7 @@
 #![allow(clippy::print_stdout)]
 
 use bench_harness::{apply_canonical_change, cli_designs, implement_design};
+use tiling::effort::speedup_label;
 use tiling::{CadEffort, FullReplaceFlow, IncrementalFlow, QuickEcoFlow, ReimplFlow, TiledFlow};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,10 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut per_size: Vec<Vec<f64>> = vec![Vec::new(); sweeps.len()];
+    let mut zero_effort = vec![0usize; sweeps.len()];
     for design in designs {
         let mut row = Vec::new();
-        let mut incr_speedup = 0.0;
-        let mut quick_speedup = 0.0;
+        let mut incr_speedup = None;
+        let mut quick_speedup = None;
         for (k, &(_, tiles)) in sweeps.iter().enumerate() {
             let mut td = implement_design(design, tiles, 55)?;
             let victim = apply_canonical_change(&mut td)?;
@@ -44,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 // around the change). Same trait, different flows.
                 let mut incr_flow = IncrementalFlow;
                 let mut quick_flow = QuickEcoFlow;
-                let baselines: [(&mut dyn ReimplFlow, &mut f64); 2] = [
+                let baselines: [(&mut dyn ReimplFlow, &mut Option<f64>); 2] = [
                     (&mut incr_flow, &mut incr_speedup),
                     (&mut quick_flow, &mut quick_speedup),
                 ];
@@ -56,18 +59,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut tiled = TiledFlow;
             let eco = tiled.reimplement(&mut td, &[victim], &[])?;
             let speedup = full.speedup_over(&eco.effort);
-            per_size[k].push(speedup);
-            row.push(speedup);
+            match speedup {
+                Some(s) => per_size[k].push(s),
+                None => zero_effort[k] += 1,
+            }
+            row.push(speedup_label(speedup));
         }
         println!(
-            "{:<12} {:>7.1}x {:>7.1}x {:>7.1}x {:>7.1}x | {:>8.1}x {:>8.1}x",
+            "{:<12} {:>8} {:>8} {:>8} {:>8} | {:>9} {:>9}",
             design.name(),
             row[0],
             row[1],
             row[2],
             row[3],
-            incr_speedup,
-            quick_speedup
+            speedup_label(incr_speedup),
+            speedup_label(quick_speedup)
         );
     }
 
@@ -77,12 +83,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (k, (pct, _)) in sweeps.iter().enumerate() {
         let mut v = per_size[k].clone();
         if v.is_empty() {
+            println!("  tile size {pct:>4}%: every ECO took 0 effort");
             continue;
         }
+        let left_out = match zero_effort[k] {
+            0 => String::new(),
+            n => format!(" ({n} at 0 effort left out)"),
+        };
         v.sort_by(f64::total_cmp);
         let mean = v.iter().sum::<f64>() / v.len() as f64;
         let median = v[v.len() / 2];
-        println!("  tile size {pct:>4}%: average {mean:>5.1}x, median {median:>5.1}x");
+        println!("  tile size {pct:>4}%: average {mean:>5.1}x, median {median:>5.1}x{left_out}");
     }
     Ok(())
 }

@@ -41,8 +41,8 @@ use std::collections::HashMap;
 
 use netlist::{CellId, Netlist};
 
-use super::attribution::{FailureCluster, ResponseMatrix};
 use super::cone::SuspectCone;
+use super::responses::{FailureCluster, ResponseMatrix};
 
 /// What is known about one net's divergence onset: a pair of bounds
 /// that together answer windowed verdict queries.

@@ -1,5 +1,5 @@
-//! The diagnosis layer: causal evidence, suspect-cone algebra, shared test
-//! logic, and per-error attribution.
+//! The diagnosis layer: causal evidence, suspect-cone algebra, failure
+//! clustering, and shared tap scheduling.
 //!
 //! The paper's debug loop (§3.1) is one evidence-accumulation process
 //! — detect, localize, confirm, correct — regardless of how many
@@ -21,13 +21,11 @@
 //!   netlist DAG; the vocabulary everything else is written in;
 //! * [`partition`] — [`ConePartition`] splits `k` overlapping cones
 //!   into disjoint per-error *exclusive* regions plus a *shared
-//!   core*, classifying where observations are unambiguous;
-//! * [`attribution`] — [`ResponseSignature`]s (which patterns each
+//!   core*, the region the scheduler screens;
+//! * [`responses`] — [`ResponseSignature`]s (which patterns each
 //!   output fails on) cluster failing outputs into per-error
 //!   footprints ([`cluster_failures`]), each carrying a
-//!   `[0, first_fail]` observation window; [`FaultAttribution`]
-//!   fault-simulates candidate sites under a complement error model
-//!   to assign blame when cones intersect;
+//!   `[0, first_fail]` observation window;
 //! * [`scheduler`] — [`MultiErrorScheduler`], a thin orchestrator
 //!   over the evidence base: one
 //!   [`crate::strategy::LocalizationStrategy`] per error, all tap
@@ -52,31 +50,26 @@
 //!
 //! # Protocol assumptions
 //!
-//! Failing outputs are clustered by *(response signature, fanin
-//! cone)*: one cluster per distinguishable error footprint. Each
+//! Failing outputs are clustered by fanin cone: one cluster per
+//! distinguishable error footprint. Each
 //! cluster is localized under a single-error-per-cluster assumption —
 //! when two errors hide in one cluster's cone (e.g. a single-output
 //! design), localization converges on the temporally dominant one
 //! and the remainder is caught by the corrective re-emulation, as in
-//! the sequential protocol. Divergences in a shared core are credited
-//! conservatively to every requesting cluster; the
-//! [`FaultAttribution`] engine scores which cluster's candidates best
-//! explain them and the session reports the verdicts as
-//! [`crate::session::DebugEvent::Attribution`] events.
+//! the sequential protocol. A divergence in a shared core counts for
+//! every requesting cluster whose window sees it.
 
-pub mod attribution;
 pub mod cone;
 pub mod evidence;
 pub mod partition;
+pub mod responses;
 pub mod scheduler;
 
-pub use attribution::{
-    cluster_failures, collect_responses, traced_responses, FailureCluster, FaultAttribution,
-    ResponseMatrix, ResponseSignature,
-};
 pub use cone::SuspectCone;
 pub use evidence::{EvidenceBase, EvidenceStats, ObservationWindow};
-pub use partition::{ConePartition, Ownership};
-pub use scheduler::{
-    fsm_merge_witnesses, merge_fsm_clusters, Ambiguity, MultiErrorScheduler, RoundPlan,
+pub use partition::ConePartition;
+pub use responses::{
+    cluster_failures, collect_responses, traced_responses, FailureCluster, ResponseMatrix,
+    ResponseSignature,
 };
+pub use scheduler::{fsm_merge_witnesses, merge_fsm_clusters, MultiErrorScheduler, RoundPlan};

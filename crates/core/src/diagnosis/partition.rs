@@ -1,4 +1,4 @@
-//! Ownership partitioning of overlapping suspect cones.
+//! Partitioning of overlapping suspect cones.
 //!
 //! When `k` errors are diagnosed simultaneously, their suspect cones
 //! usually overlap (shared upstream logic feeds several failing
@@ -6,42 +6,28 @@
 //! disjoint regions:
 //!
 //! * an **exclusive** region per error — cells only that error's cone
-//!   implicates, where a diverging observation is unambiguous
-//!   evidence;
-//! * one **shared core** — cells implicated by two or more cones,
-//!   where blame needs the attribution engine
-//!   ([`crate::diagnosis::attribution`]).
+//!   implicates;
+//! * one **shared core** — cells implicated by two or more cones.
 //!
-//! The scheduler uses the partition to flag ambiguous observations;
-//! reports use it to quantify how entangled a multi-error scenario is.
-
-use netlist::CellId;
+//! The scheduler screens the shared core's frontier before any
+//! strategy walks the core; the session's `ConeSplit` event reports
+//! the region sizes, which show how entangled a multi-error scenario
+//! is.
 
 use super::cone::SuspectCone;
-
-/// Who owns a suspect cell in a `k`-cone overlap analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ownership {
-    /// Only cone `0.0`'s error can explain evidence at this cell.
-    Exclusive(usize),
-    /// Two or more cones implicate the cell; blame is ambiguous.
-    Shared,
-}
 
 /// Disjoint decomposition of `k` (possibly overlapping) suspect cones.
 ///
 /// ```
 /// use netlist::CellId;
-/// use tiling::diagnosis::{ConePartition, Ownership, SuspectCone};
+/// use tiling::diagnosis::{ConePartition, SuspectCone};
 ///
 /// let a: SuspectCone = [0, 1, 2].map(CellId::new).into_iter().collect();
 /// let b: SuspectCone = [2, 3].map(CellId::new).into_iter().collect();
 /// let p = ConePartition::split(&[a, b]);
 /// assert_eq!(p.exclusive[0].cells(), [0, 1].map(CellId::new).to_vec());
+/// assert_eq!(p.exclusive[1].cells(), vec![CellId::new(3)]);
 /// assert_eq!(p.shared.cells(), vec![CellId::new(2)]);
-/// assert_eq!(p.owner(CellId::new(3)), Some(Ownership::Exclusive(1)));
-/// assert_eq!(p.owner(CellId::new(2)), Some(Ownership::Shared));
-/// assert_eq!(p.owner(CellId::new(9)), None);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ConePartition {
@@ -66,26 +52,6 @@ impl ConePartition {
         Self { exclusive, shared }
     }
 
-    /// Which region `cell` falls in, if any.
-    pub fn owner(&self, cell: CellId) -> Option<Ownership> {
-        if self.shared.contains(cell) {
-            return Some(Ownership::Shared);
-        }
-        self.exclusive
-            .iter()
-            .position(|c| c.contains(cell))
-            .map(Ownership::Exclusive)
-    }
-
-    /// Union of every region (= union of the input cones).
-    pub fn coverage(&self) -> SuspectCone {
-        let mut all = self.shared.clone();
-        for c in &self.exclusive {
-            all.union_with(c);
-        }
-        all
-    }
-
     /// Sizes of the exclusive regions, in input-cone order.
     pub fn exclusive_sizes(&self) -> Vec<usize> {
         self.exclusive.iter().map(SuspectCone::len).collect()
@@ -95,6 +61,7 @@ impl ConePartition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netlist::CellId;
 
     fn ids(xs: &[usize]) -> SuspectCone {
         xs.iter().map(|&i| CellId::new(i)).collect()
@@ -116,11 +83,12 @@ mod tests {
             }
         }
         // …and covering.
-        let mut union = SuspectCone::new();
-        for c in &cones {
+        let (mut union, mut regions) = (SuspectCone::new(), p.shared.clone());
+        for (c, e) in cones.iter().zip(&p.exclusive) {
             union.union_with(c);
+            regions.union_with(e);
         }
-        assert_eq!(p.coverage(), union);
+        assert_eq!(regions, union);
         assert_eq!(p.exclusive_sizes(), vec![2, 1, 1]);
     }
 
@@ -128,7 +96,7 @@ mod tests {
     fn disjoint_cones_have_empty_shared_core() {
         let p = ConePartition::split(&[ids(&[0, 1]), ids(&[2])]);
         assert!(p.shared.is_empty());
-        assert_eq!(p.owner(CellId::new(1)), Some(Ownership::Exclusive(0)));
+        assert_eq!(p.exclusive[0], ids(&[0, 1]));
     }
 
     #[test]

@@ -1,34 +1,24 @@
-//! Response signatures and per-error blame attribution.
+//! Response signatures and failure clustering.
 //!
 //! With several errors live at once, one golden-vs-DUT sweep mixes
-//! their symptoms. This module untangles them in two steps:
-//!
-//! 1. **Signatures** — [`collect_responses`] records, for every
-//!    primary output, *which stimulus patterns it fails on* (a
-//!    [`ResponseSignature`]). [`cluster_failures`] then groups failing
-//!    outputs that present the same signature through the same fanin
-//!    cone: each [`FailureCluster`] is one suspected error's observable
-//!    footprint. (Two clusters can still turn out to be the same
-//!    error seen through different cones — the scheduler's per-batch
-//!    tap deduplication makes chasing both nearly free, and exact-cell
-//!    agreement merges them at the end.)
-//! 2. **Fault attribution** — when suspect cones intersect, a
-//!    diverging observation in the shared core is ambiguous.
-//!    [`FaultAttribution`] fault-simulates candidate sites under a
-//!    generic complement error model and scores how well each
-//!    candidate's predicted failing-output set matches a cluster's
-//!    observed one (Jaccard), assigning blame to the best match.
+//! their symptoms. [`collect_responses`] records, for every primary
+//! output, *which stimulus patterns it fails on* (a
+//! [`ResponseSignature`]). [`cluster_failures`] then groups failing
+//! outputs that see the same fanin cone: each [`FailureCluster`] is one
+//! suspected error's observable footprint. (Two clusters can still turn
+//! out to be the same error seen through different cones — the
+//! scheduler's per-batch tap deduplication makes chasing both nearly
+//! free, and exact-cell agreement merges them at the end.)
+//! [`po_pairs`] pairs golden and DUT outputs by name for every
+//! comparison of the two.
 //!
 //! Everything causal — onset bounds, alibi tables, windowed pruning —
 //! lives in [`crate::diagnosis::evidence`]; this module only builds
 //! the observable footprints that feed it.
 
-use std::collections::HashMap;
-
 use netlist::{CellId, Netlist, NetlistError};
-use sim::emulate::{Chunk, GoldenTrace};
+use sim::emulate::GoldenTrace;
 use sim::patterns::PatternGen;
-use sim::{PackedSimulator, LANES};
 
 use super::cone::SuspectCone;
 
@@ -271,197 +261,6 @@ pub fn cluster_failures(golden: &Netlist, matrix: &ResponseMatrix) -> Vec<Failur
     clusters
 }
 
-/// Fault-simulation-based blame assignment.
-///
-/// For a candidate error site, the engine simulates the golden model
-/// with that cell's function complemented (the generic single-error
-/// model: any functional bug at a cell perturbs its output on *some*
-/// patterns; the complement perturbs it on all, giving the widest
-/// observable footprint the site can produce) and records which
-/// primary outputs ever diverge. A candidate *explains* a cluster to
-/// the degree its predicted failing-output set overlaps the cluster's
-/// observed one.
-///
-/// Fault simulation runs packed on both design classes, exploiting a
-/// different word axis on each: combinational candidates sweep 64
-/// *patterns* per topo pass (the candidate planted as an all-lane
-/// complement via [`PackedSimulator::set_fault_lanes`]), while
-/// sequential designs — whose stimulus stream cannot be
-/// pattern-parallel — batch up to 64 candidate *machines* per stream
-/// pass, one lane-complement fault each (classic parallel-fault
-/// simulation). [`prime`](Self::prime) fills the cache batch-wise;
-/// per-candidate queries fall back to batches of one.
-///
-/// Both the stimulus and the fault-free response come from the
-/// session's [`GoldenTrace`], so the engine never simulates the golden
-/// model itself; every candidate sweep's simulation work is added to
-/// that trace.
-pub struct FaultAttribution<'a> {
-    golden: &'a Netlist,
-    /// The fault-free response every candidate machine is diffed
-    /// against, and the stimulus that drives it.
-    trace: &'a GoldenTrace,
-    /// Persistent packed engine over the golden model; faults are
-    /// planted and cleared around each candidate sweep.
-    psim: PackedSimulator<'a>,
-    sequential: bool,
-    /// Cache: candidate cell → predicted failing-PO mask.
-    cache: HashMap<CellId, Vec<bool>>,
-}
-
-impl<'a> FaultAttribution<'a> {
-    /// Prepares the engine over `golden`, scoring candidates against
-    /// `trace`, the golden model's recorded response.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator construction failures.
-    pub fn new(golden: &'a Netlist, trace: &'a GoldenTrace) -> Result<Self, NetlistError> {
-        Ok(Self {
-            golden,
-            trace,
-            psim: PackedSimulator::new(golden)?,
-            sequential: golden.is_sequential(),
-            cache: HashMap::new(),
-        })
-    }
-
-    /// Fills the prediction cache for every candidate in one packed
-    /// sweep per 64 candidates (sequential designs) or one
-    /// pattern-parallel sweep per candidate (combinational designs).
-    /// Call before a loop of [`blame_score`](Self::blame_score)s so
-    /// sequential scoring pays one stream pass per candidate *batch*
-    /// rather than per candidate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fault-simulation failures.
-    pub fn prime(&mut self, candidates: &[CellId]) -> Result<(), NetlistError> {
-        let mut luts: Vec<CellId> = Vec::new();
-        for &c in candidates {
-            if self.cache.contains_key(&c) || luts.contains(&c) {
-                continue;
-            }
-            let is_lut = self
-                .golden
-                .cell(c)
-                .ok()
-                .is_some_and(|cell| cell.lut_function().is_some());
-            if is_lut {
-                luts.push(c);
-            } else {
-                // Non-LUT candidates predict nothing.
-                self.cache.insert(c, vec![false; self.trace.num_outputs()]);
-            }
-        }
-        if self.sequential {
-            for batch in luts.chunks(LANES) {
-                for (c, mask) in sweep_candidate_batch(&mut self.psim, self.trace, batch)? {
-                    self.cache.insert(c, mask);
-                }
-            }
-        } else {
-            for c in luts {
-                let mask = sweep_candidate_patterns(&mut self.psim, self.trace, c)?;
-                self.cache.insert(c, mask);
-            }
-        }
-        Ok(())
-    }
-
-    /// Predicted failing-PO mask (PO order) for a complement-model
-    /// error at `cell`. Non-LUT cells predict nothing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates netlist editing / simulation failures.
-    pub fn fault_outputs(&mut self, cell: CellId) -> Result<Vec<bool>, NetlistError> {
-        if !self.cache.contains_key(&cell) {
-            self.prime(&[cell])?;
-        }
-        Ok(self.cache[&cell].clone())
-    }
-
-    /// Jaccard similarity between the candidate's predicted
-    /// failing-PO set and an observed one (both in PO order).
-    /// 0.0 = disjoint, 1.0 = identical footprints.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fault-simulation failures.
-    pub fn blame_score(&mut self, cell: CellId, observed: &[bool]) -> Result<f64, NetlistError> {
-        let predicted = self.fault_outputs(cell)?;
-        let mut inter = 0usize;
-        let mut uni = 0usize;
-        for (p, o) in predicted.iter().zip(observed) {
-            inter += usize::from(*p && *o);
-            uni += usize::from(*p || *o);
-        }
-        Ok(if uni == 0 {
-            0.0
-        } else {
-            inter as f64 / uni as f64
-        })
-    }
-}
-
-/// One pattern-parallel sweep of a single combinational candidate:
-/// all 64 lanes carry the complemented machine, patterns chunk
-/// through the lanes. Returns the predicted failing-PO mask in PO
-/// order; the sweep's work is added to `trace`.
-fn sweep_candidate_patterns(
-    psim: &mut PackedSimulator<'_>,
-    trace: &GoldenTrace,
-    cell: CellId,
-) -> Result<Vec<bool>, NetlistError> {
-    let mut acc = vec![0u64; trace.num_outputs()];
-    psim.set_fault_lanes(cell, u64::MAX)?;
-    for chunk in Chunk::cover(trace.patterns(), LANES) {
-        trace.load_chunk(psim, chunk);
-        psim.comb_eval();
-        for (j, a) in acc.iter_mut().enumerate() {
-            *a |= (psim.output_word(j) ^ trace.output_chunk(j, chunk)) & chunk.lanes();
-        }
-    }
-    psim.clear_faults();
-    trace.add_work(psim.take_work());
-    Ok(acc.iter().map(|&a| a != 0).collect())
-}
-
-/// One packed stream pass over up to 64 sequential candidates: lane
-/// `i` carries the machine with `batch[i]` complemented, all lanes
-/// fed the same stimulus stream. Returns `(candidate, failing-PO
-/// mask)` pairs in batch order; the pass's work is added to `trace`.
-fn sweep_candidate_batch(
-    psim: &mut PackedSimulator<'_>,
-    trace: &GoldenTrace,
-    batch: &[CellId],
-) -> Result<Vec<(CellId, Vec<bool>)>, NetlistError> {
-    debug_assert!(batch.len() <= LANES);
-    let mut acc = vec![0u64; trace.num_outputs()];
-    psim.clear_faults();
-    psim.reset();
-    for (i, &c) in batch.iter().enumerate() {
-        psim.set_fault_lanes(c, 1u64 << i)?;
-    }
-    for p in 0..trace.patterns() {
-        trace.broadcast_pattern(psim, p);
-        psim.comb_eval();
-        let chunk = Chunk { base: p, len: 1 };
-        for (j, a) in acc.iter_mut().enumerate() {
-            *a |= psim.output_word(j) ^ 0u64.wrapping_sub(trace.output_chunk(j, chunk));
-        }
-        psim.latch();
-    }
-    psim.clear_faults();
-    trace.add_work(psim.take_work());
-    Ok(batch
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| (c, acc.iter().map(|&a| a >> i & 1 == 1).collect()))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,23 +356,5 @@ mod tests {
         let m = collect_responses(&golden, &golden.clone(), PatternGen::exhaustive(3)).unwrap();
         assert!(m.failing().is_empty());
         assert!(cluster_failures(&golden, &m).is_empty());
-    }
-
-    #[test]
-    fn fault_simulation_blames_the_right_cone() {
-        let golden = two_cone_design();
-        let trace = GoldenTrace::record(&golden, PatternGen::exhaustive(3)).unwrap();
-        let mut att = FaultAttribution::new(&golden, &trace).unwrap();
-        let u0 = golden.find_cell("u0").unwrap();
-        let u1 = golden.find_cell("u1").unwrap();
-        // Observed: only y1 failing (an error somewhere in u1's cone).
-        let observed = vec![false, true];
-        let s0 = att.blame_score(u0, &observed).unwrap();
-        let s1 = att.blame_score(u1, &observed).unwrap();
-        assert!(s1 > s0, "u1 {s1} must beat u0 {s0}");
-        assert!(s1 > 0.99, "exact footprint match expected");
-        // Non-LUT candidates predict nothing and score zero.
-        let a = golden.find_cell("a").unwrap();
-        assert_eq!(att.blame_score(a, &observed).unwrap(), 0.0);
     }
 }

@@ -39,10 +39,10 @@ use netlist::{CellId, Netlist};
 
 use crate::strategy::LocalizationStrategy;
 
-use super::attribution::FailureCluster;
 use super::cone::SuspectCone;
 use super::evidence::{causal_depths, EvidenceBase, ObservationWindow};
 use super::partition::ConePartition;
+use super::responses::FailureCluster;
 
 /// One localization in flight.
 struct Track {
@@ -90,16 +90,6 @@ impl RoundPlan {
     pub fn taps(&self) -> usize {
         self.batches.iter().map(Vec::len).sum()
     }
-}
-
-/// A diverging observation that more than one suspect cone can
-/// explain; the attribution engine resolves the blame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Ambiguity {
-    /// The diverging tapped cell.
-    pub cell: CellId,
-    /// Indices of every track whose cone contains the cell.
-    pub tracks: Vec<usize>,
 }
 
 /// Plans shared observation-tap batches for `k` concurrent error
@@ -202,12 +192,6 @@ impl MultiErrorScheduler {
         self.tracks[k].taps_requested
     }
 
-    /// The shared-core frontier cells the screening round taps, in
-    /// ascending cell order (empty when cones do not overlap).
-    pub fn screen_cells(&self) -> Vec<CellId> {
-        self.screen.iter().map(|&(c, _, _)| c).collect()
-    }
-
     /// Collects every live track's next tap request and merges them
     /// into deduplicated, capped batches of cells whose verdict the
     /// evidence base cannot answer *at the requesting track's
@@ -302,7 +286,7 @@ impl MultiErrorScheduler {
                 // Every requested cell is already in evidence: answer
                 // the whole round for free and ask the strategies
                 // again.
-                self.feed_requested(evidence, &HashMap::new());
+                self.feed_requested(evidence);
                 continue;
             }
             return Some(RoundPlan {
@@ -314,52 +298,31 @@ impl MultiErrorScheduler {
 
     /// Merges the round's fresh measurements — each tapped cell's
     /// exact divergence onset over the sweep (`None` = clean
-    /// throughout) — into the evidence base, then either resolves a
-    /// pending shared-core screening (recording the windowed
-    /// exonerations) or feeds every requesting track its verdicts
-    /// (each strategy reads its own requests from evidence *under its
-    /// own window*). Returns the diverging cells that more than one
-    /// cone-and-window can explain.
+    /// throughout) — into the evidence base, resolves a pending
+    /// shared-core screening (recording the windowed exonerations),
+    /// and feeds every requesting track its verdicts (each strategy
+    /// reads its own requests from evidence *under its own window*).
     ///
     /// Divergence is credited per window: a track sees a tap as
     /// diverging only when the onset falls inside its observation
     /// window, so a late divergence caused by a slow error no longer
-    /// misleads the cluster that failed early. When two live errors'
-    /// windows both see a shared-core divergence, the returned
-    /// [`Ambiguity`] list names exactly those observations so the
-    /// caller can score them with
-    /// [`crate::diagnosis::FaultAttribution`].
+    /// misleads the cluster that failed early.
     pub fn record_round(
         &mut self,
         evidence: &mut EvidenceBase,
         fresh: &HashMap<CellId, Option<usize>>,
-    ) -> Vec<Ambiguity> {
+    ) {
         for (&c, &onset) in fresh {
             evidence.record(c, onset);
         }
         if matches!(self.screening, Screening::Pending) {
             self.screening = Screening::Done;
             evidence.exonerate_fanin(&self.screen);
-            // Frontier ⊆ shared core ⇒ ≥ 2 owning cones, but only
-            // owners whose window reaches the onset actually see the
-            // divergence — one of them alone is not ambiguous.
-            let mut ambiguities: Vec<Ambiguity> = self
-                .screen
-                .iter()
-                .filter_map(|&(cell, _, _)| {
-                    let onset = evidence.diverged_by(cell)?;
-                    let tracks = self.visible_owners(cell, onset);
-                    (tracks.len() > 1).then_some(Ambiguity { cell, tracks })
-                })
-                .collect();
-            // Feed the piggybacked first-round requests the screening
-            // ECO measured (or its exonerations now answer).
-            ambiguities.extend(self.feed_requested(evidence, fresh));
-            let mut flagged: HashSet<CellId> = HashSet::new();
-            ambiguities.retain(|a| flagged.insert(a.cell));
-            return ambiguities;
         }
-        self.feed_requested(evidence, fresh)
+        // After screening this also feeds the piggybacked first-round
+        // requests the screening ECO measured (or its exonerations
+        // now answer).
+        self.feed_requested(evidence);
     }
 
     /// Per-track localization results, in registration order.
@@ -371,18 +334,6 @@ impl MultiErrorScheduler {
         cells
             .chunks(self.max_taps_per_eco)
             .map(<[CellId]>::to_vec)
-            .collect()
-    }
-
-    /// Tracks whose cone contains `cell` *and* whose observation
-    /// window reaches a divergence at `onset` — the only tracks the
-    /// observation can actually implicate.
-    fn visible_owners(&self, cell: CellId, onset: usize) -> Vec<usize> {
-        self.tracks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.cone.contains(cell) && t.window.for_cell(cell) >= onset)
-            .map(|(i, _)| i)
             .collect()
     }
 
@@ -411,62 +362,27 @@ impl MultiErrorScheduler {
         }
     }
 
-    /// Feeds each requesting track its verdicts — every strategy
-    /// reads its requested cells from the evidence base under its own
-    /// window — and flags the fresh divergences that more than one
-    /// cone-and-window explains.
-    fn feed_requested(
-        &mut self,
-        evidence: &EvidenceBase,
-        fresh: &HashMap<CellId, Option<usize>>,
-    ) -> Vec<Ambiguity> {
-        let mut ambiguities: Vec<Ambiguity> = Vec::new();
-        let mut flagged: HashSet<CellId> = HashSet::new();
-        for k in 0..self.tracks.len() {
-            if self.tracks[k].requested.is_empty() {
-                continue;
-            }
+    /// Feeds each requesting track its verdicts: every strategy reads
+    /// its requested cells from the evidence base under its own
+    /// window.
+    fn feed_requested(&mut self, evidence: &EvidenceBase) {
+        for t in &mut self.tracks {
             // A piggybacked round can leave a request half-answered
             // (held-back core cells whose exoneration fell through
             // when the frontier diverged): keep it pending — the next
             // `plan_round` re-merges the unanswered remainder — so a
             // strategy never observes a partial batch as "clean".
-            {
-                let t = &self.tracks[k];
-                if !t
+            if t.requested.is_empty()
+                || !t
                     .requested
                     .iter()
                     .all(|&c| evidence.verdict(c, t.window.for_cell(c)).is_some())
-                {
-                    continue;
-                }
+            {
+                continue;
             }
-            let requested = std::mem::take(&mut self.tracks[k].requested);
-            for &cell in &requested {
-                let Some(&Some(onset)) = fresh.get(&cell) else {
-                    continue;
-                };
-                if evidence.verdict(cell, self.tracks[k].window.for_cell(cell)) != Some(true) {
-                    continue;
-                }
-                if !flagged.insert(cell) {
-                    continue;
-                }
-                let owners = self.visible_owners(cell, onset);
-                if owners.len() > 1 {
-                    ambiguities.push(Ambiguity {
-                        cell,
-                        tracks: owners,
-                    });
-                }
-            }
-            let (strategy, window) = {
-                let t = &mut self.tracks[k];
-                (&mut t.strategy, &t.window)
-            };
-            strategy.observe(evidence, window);
+            t.requested.clear();
+            t.strategy.observe(evidence, &t.window);
         }
-        ambiguities
     }
 }
 
@@ -740,11 +656,9 @@ mod tests {
                 );
             }
             // Overlap analysis: the backbone is the shared core, each
-            // branch an exclusive region; only the last backbone cell
-            // is the core's frontier.
+            // branch an exclusive region.
             assert_eq!(sched.partition().shared.len(), backbone.len());
             assert_eq!(sched.partition().exclusive_sizes(), vec![8, 8, 8]);
-            assert_eq!(sched.screen_cells(), vec![backbone[39]]);
 
             let (found, taps, ecos) = run_oracle(&mut sched, &mut evidence, &nl, &errors);
             assert_eq!(found, errors.iter().map(|&e| Some(e)).collect::<Vec<_>>());
@@ -781,8 +695,7 @@ mod tests {
         let plan = sched.plan_round(&mut evidence).unwrap();
         assert!(plan.screening);
         assert_eq!(plan.batches, vec![vec![backbone[39]]]);
-        let amb = sched.record_round(&mut evidence, &HashMap::from([(backbone[39], None)]));
-        assert!(amb.is_empty(), "clean frontier is unambiguous");
+        sched.record_round(&mut evidence, &HashMap::from([(backbone[39], None)]));
         let (found, taps, _) = run_oracle(&mut sched, &mut evidence, &nl, &errors);
         assert_eq!(found, errors.iter().map(|&e| Some(e)).collect::<Vec<_>>());
         // 1 screening tap + 3 × 8 branch taps; the 120 backbone
@@ -795,7 +708,7 @@ mod tests {
     }
 
     #[test]
-    fn diverging_frontier_keeps_its_fanin_alive_and_is_ambiguous() {
+    fn diverging_frontier_keeps_its_fanin_alive() {
         let (nl, backbone, branches) = backbone_design(8, 2, 2);
         let mut sched = MultiErrorScheduler::new(8);
         let mut evidence = EvidenceBase::new();
@@ -812,16 +725,9 @@ mod tests {
         let plan = sched.plan_round(&mut evidence).unwrap();
         assert!(plan.screening);
         assert_eq!(plan.batches, vec![vec![backbone[7]]]);
-        // An error *in* the shared core: the frontier diverges, both
-        // cones explain it, and no core cell is exonerated.
-        let amb = sched.record_round(&mut evidence, &HashMap::from([(backbone[7], Some(0))]));
-        assert_eq!(
-            amb,
-            vec![Ambiguity {
-                cell: backbone[7],
-                tracks: vec![0, 1],
-            }]
-        );
+        // An error *in* the shared core: the frontier diverges, so no
+        // core cell is exonerated.
+        sched.record_round(&mut evidence, &HashMap::from([(backbone[7], Some(0))]));
         // The next round is the strategies' first: the 8-cell batch
         // covers the backbone, minus the already-tapped frontier.
         let plan = sched.plan_round(&mut evidence).unwrap();
@@ -859,8 +765,7 @@ mod tests {
         );
         // The net first diverges on pattern 5: inside the second
         // track's window, outside the first's.
-        let amb = sched.record_round(&mut evidence, &HashMap::from([(cell, Some(5))]));
-        assert!(amb.is_empty(), "only one window sees the divergence");
+        sched.record_round(&mut evidence, &HashMap::from([(cell, Some(5))]));
         assert!(
             sched.plan_round(&mut evidence).is_none(),
             "everything is answerable from evidence"
@@ -893,15 +798,14 @@ mod tests {
         // The frontier first diverges on pattern 10: the whole core
         // is exonerated for the window-2 track (clean through 9) but
         // stays live for the window-20 track, which alone sees the
-        // divergence — no ambiguity.
+        // divergence.
         let mut verdicts: HashMap<CellId, Option<usize>> = HashMap::from([(backbone[3], Some(10))]);
         for b in &branches {
             for &c in b {
                 verdicts.insert(c, None);
             }
         }
-        let amb = sched.record_round(&mut evidence, &verdicts);
-        assert!(amb.is_empty());
+        sched.record_round(&mut evidence, &verdicts);
         // Track 0's whole request is answered (exonerated core +
         // measured branch); only track 1's still-live core cells need
         // a second round.

@@ -13,7 +13,8 @@ use std::ops::{Add, AddAssign};
 /// use tiling::CadEffort;
 /// let full = CadEffort { place_moves: 900_000, route_expansions: 100_000 };
 /// let tile = CadEffort { place_moves: 80_000, route_expansions: 20_000 };
-/// assert!(full.speedup_over(&tile) > 9.0);
+/// assert!(full.speedup_over(&tile).unwrap() > 9.0);
+/// assert_eq!(full.speedup_over(&CadEffort::default()), None);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CadEffort {
@@ -30,10 +31,22 @@ impl CadEffort {
         self.place_moves + self.route_expansions
     }
 
-    /// How many times more effort `self` takes than `other`.
-    pub fn speedup_over(&self, other: &CadEffort) -> f64 {
-        let denom = other.total().max(1) as f64;
-        self.total() as f64 / denom
+    /// How many times more effort `self` takes than `other`, or
+    /// `None` when `other` took no effort: a function-only tiled ECO
+    /// moves and routes nothing, and no ratio describes that.
+    pub fn speedup_over(&self, other: &CadEffort) -> Option<f64> {
+        let denom = other.total();
+        (denom > 0).then(|| self.total() as f64 / denom as f64)
+    }
+}
+
+/// A speedup as the bins and examples print it: `12.3x`, or
+/// `0 effort` when the cheaper side took none (see
+/// [`CadEffort::speedup_over`]).
+pub fn speedup_label(speedup: Option<f64>) -> String {
+    match speedup {
+        Some(s) => format!("{s:.1}x"),
+        None => "0 effort".to_string(),
     }
 }
 
@@ -262,6 +275,9 @@ mod tests {
             route_expansions: 0,
         };
         let zero = CadEffort::default();
-        assert_eq!(a.speedup_over(&zero), 100.0);
+        assert_eq!(a.speedup_over(&zero), None);
+        assert_eq!(speedup_label(a.speedup_over(&zero)), "0 effort");
+        assert_eq!(zero.speedup_over(&a), Some(0.0));
+        assert_eq!(speedup_label(a.speedup_over(&a)), "1.0x");
     }
 }

@@ -476,21 +476,23 @@ mod tests {
         let nl = PaperDesign::NineSym.generate().unwrap();
         let mut td = implement(nl, TilingOptions::fast(21)).unwrap();
         let victim = victim_of(&td);
-        let tt = td
-            .netlist
-            .cell(victim)
+        // One observation tap: a new output pad to place and the
+        // tapped net to route to it, so every flow pays something (a
+        // function-only change costs the tiled flow nothing at all).
+        let net = td.netlist.cell_output(victim).unwrap();
+        let added = sim::testlogic::insert_observation_tap(&mut td.netlist, net, "tap", false)
             .unwrap()
-            .lut_function()
-            .unwrap()
-            .complement();
-        td.netlist.set_lut_function(victim, tt).unwrap();
+            .added;
 
         // All four flows priced through the one trait, on the same
         // change (the Figure 5 harness shape).
         let mut efforts = std::collections::HashMap::new();
         for mut flow in standard_flows() {
             let name = flow.name();
-            let effort = flow_effort(&td, flow.as_mut(), &[victim]).unwrap();
+            let effort = flow
+                .reimplement(&mut td.clone(), &[victim], &added)
+                .unwrap()
+                .effort;
             efforts.insert(name, effort);
         }
         let full = efforts["full"];
@@ -500,7 +502,7 @@ mod tests {
         // The tiled flow commits for real (the state the next debug
         // step iterates on).
         let tiled = TiledFlow
-            .reimplement(&mut td, &[victim], &[])
+            .reimplement(&mut td, &[victim], &added)
             .unwrap()
             .effort;
         assert_eq!(
@@ -508,6 +510,7 @@ mod tests {
             tiled.total(),
             "probe and committed tiled run disagree"
         );
+        assert!(tiled.total() > 0, "a tap places a pad and routes a net");
 
         assert!(
             full.total() > tiled.total(),

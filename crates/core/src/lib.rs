@@ -53,8 +53,8 @@ pub use drc;
 pub use affected::AffectedSet;
 pub use diagnosis::{
     cluster_failures, collect_responses, fsm_merge_witnesses, merge_fsm_clusters, traced_responses,
-    ConePartition, EvidenceBase, EvidenceStats, FailureCluster, FaultAttribution,
-    MultiErrorScheduler, ObservationWindow, ResponseSignature, SuspectCone,
+    ConePartition, EvidenceBase, EvidenceStats, FailureCluster, MultiErrorScheduler,
+    ObservationWindow, ResponseSignature, SuspectCone,
 };
 pub use eco_flow::{replace_and_route, EcoPhysicalOutcome};
 pub use effort::{CadEffort, EffortLedger, Phase};

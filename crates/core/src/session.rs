@@ -17,8 +17,8 @@
 //! * the golden model is simulated once per session: its response to
 //!   the session's stimulus is recorded into a [`GoldenTrace`] on the
 //!   first sweep, and detection, every tap observation, every §4.1
-//!   forced confirmation, the post-correction verification and fault
-//!   attribution re-simulate only the DUT against it;
+//!   forced confirmation and the post-correction verification
+//!   re-simulate only the DUT against it;
 //! * progress is emitted as a typed [`DebugEvent`] stream;
 //! * effort is recorded per phase in an [`EffortLedger`] that
 //!   [`crate::report::DebugReport`] and the bench bins consume;
@@ -37,12 +37,10 @@ use sim::inject::InjectedError;
 use sim::patterns::PatternGen;
 use sim::testlogic::{insert_control_point, insert_observation_tap};
 
-use crate::diagnosis::attribution::po_pairs;
-use crate::diagnosis::scheduler::Ambiguity;
+use crate::diagnosis::responses::po_pairs;
 use crate::diagnosis::{
     cluster_failures, fsm_merge_witnesses, merge_fsm_clusters, traced_responses, EvidenceBase,
-    FailureCluster, FaultAttribution, MultiErrorScheduler, ResponseMatrix, ResponseSignature,
-    SuspectCone,
+    FailureCluster, MultiErrorScheduler, ResponseMatrix, ResponseSignature, SuspectCone,
 };
 use crate::eco_flow::EcoPhysicalOutcome;
 use crate::effort::{CadEffort, EffortLedger, Phase};
@@ -155,17 +153,6 @@ pub enum DebugEvent {
         exclusive: Vec<usize>,
         /// Suspects implicated by two or more clusters.
         shared: usize,
-    },
-    /// Fault-simulation attribution scored an ambiguous shared-core
-    /// divergence against every implicated cluster's footprint.
-    Attribution {
-        /// The diverging tapped cell whose blame was ambiguous.
-        cell: CellId,
-        /// The cluster whose observed footprint best matches a fault
-        /// simulated at the cell.
-        cluster: usize,
-        /// Jaccard match score in `[0, 1]`.
-        score: f64,
     },
 }
 
@@ -640,9 +627,8 @@ impl<'a> DebugSession<'a> {
             attempts += 1;
             let mut scheduler = MultiErrorScheduler::new(LinearBatches::DEFAULT_BATCH);
             scheduler.add_error(self.golden, &suspects, window, self.strategy.fresh());
-            let stats =
+            outcome.taps_inserted +=
                 self.run_tap_rounds(&mut scheduler, &mut evidence, &mut outcome.ledger, &mut [])?;
-            outcome.taps_inserted += stats.taps_inserted;
             let Some(site) = scheduler.localized()[0] else {
                 continue;
             };
@@ -746,8 +732,7 @@ impl<'a> DebugSession<'a> {
     /// runs the concurrent pipeline even on one error. The machinery
     /// lives in [`crate::diagnosis`]; cluster-level progress is
     /// reported through the usual [`DebugEvent`] stream plus the
-    /// multi-error [`DebugEvent::ConeSplit`] and
-    /// [`DebugEvent::Attribution`] variants.
+    /// multi-error [`DebugEvent::ConeSplit`] variant.
     ///
     /// Row `i` reports `errors[i]`. Clusters are matched to errors by
     /// exact localized cell first, then by cone containment, and a
@@ -813,50 +798,14 @@ impl<'a> DebugSession<'a> {
         for &(effort, tiles) in &merge_screen {
             split_charge(&mut cluster_ledgers, Phase::Localize, effort, tiles, &even);
         }
-        let ambiguities = self
-            .run_tap_rounds(
-                &mut scheduler,
-                &mut evidence,
-                &mut ledger,
-                &mut cluster_ledgers,
-            )?
-            .ambiguities;
+        self.run_tap_rounds(
+            &mut scheduler,
+            &mut evidence,
+            &mut ledger,
+            &mut cluster_ledgers,
+        )?;
         self.record_evidence(&evidence);
         let localized = scheduler.localized();
-
-        // Score each ambiguous shared-core divergence against every
-        // implicated cluster's observed footprint; report the best
-        // match.
-        if !ambiguities.is_empty() {
-            let trace = self.golden_trace()?;
-            let mut attribution = FaultAttribution::new(self.golden, &trace)?;
-            // Prime the whole ambiguity set up front: sequential
-            // designs fault-simulate 64 candidate machines per packed
-            // stream pass instead of one hypothesis netlist each.
-            let amb_cells: Vec<CellId> = ambiguities.iter().map(|a| a.cell).collect();
-            attribution.prime(&amb_cells)?;
-            let pos = self.golden.primary_outputs();
-            let failing_masks: Vec<Vec<bool>> = clusters
-                .iter()
-                .map(|cl| pos.iter().map(|p| cl.outputs.contains(p)).collect())
-                .collect();
-            for amb in &ambiguities {
-                let mut best: Option<(usize, f64)> = None;
-                for &t in &amb.tracks {
-                    let score = attribution.blame_score(amb.cell, &failing_masks[t])?;
-                    if best.is_none_or(|(_, bs)| score > bs) {
-                        best = Some((t, score));
-                    }
-                }
-                if let Some((cluster, score)) = best {
-                    self.emit(DebugEvent::Attribution {
-                        cell: amb.cell,
-                        cluster,
-                        score,
-                    });
-                }
-            }
-        }
         for &cell in &localized {
             self.emit(DebugEvent::Localized { cell });
         }
@@ -895,7 +844,7 @@ impl<'a> DebugSession<'a> {
             &even,
         );
 
-        // ---- Attribution: match clusters to planted errors ------------
+        // ---- Match clusters to planted errors -------------------------
         let mut matched: Vec<Option<usize>> = vec![None; n];
         let mut claimed = vec![false; errors.len()];
         for k in 0..n {
@@ -1192,18 +1141,19 @@ impl<'a> DebugSession<'a> {
     /// The shared physical localization loop: alternates the
     /// scheduler's evidence-aware round planning with real tap ECOs
     /// ([`measure_batch`](Self::measure_batch)) until every track is
-    /// done. Used verbatim by the serial path (one track) and the
-    /// concurrent path (one track per cluster, `per_track` ledgers
-    /// apportioning each shared ECO).
+    /// done, and returns the observation taps physically inserted
+    /// (post-deduplication). Used verbatim by the serial path (one
+    /// track) and the concurrent path (one track per cluster,
+    /// `per_track` ledgers apportioning each shared ECO).
     fn run_tap_rounds(
         &mut self,
         scheduler: &mut MultiErrorScheduler,
         evidence: &mut EvidenceBase,
         ledger: &mut EffortLedger,
         per_track: &mut [EffortLedger],
-    ) -> Result<RoundStats, TilingError> {
+    ) -> Result<usize, TilingError> {
         let n = scheduler.tracks();
-        let mut stats = RoundStats::default();
+        let mut taps_inserted = 0;
         let mut eco_no = 1000; // distinct namespace from merge screening
         while let Some(plan) = scheduler.plan_round(evidence) {
             let mut verdicts: HashMap<CellId, Option<usize>> = HashMap::new();
@@ -1228,7 +1178,7 @@ impl<'a> DebugSession<'a> {
                 };
                 let (onsets, effort, tiles) = self.measure_batch(batch, eco_no)?;
                 eco_no += 1;
-                stats.taps_inserted += batch.len();
+                taps_inserted += batch.len();
                 ledger.charge(Phase::Localize, effort, tiles);
                 if !per_track.is_empty() {
                     split_charge(per_track, Phase::Localize, effort, tiles, &weights);
@@ -1237,11 +1187,9 @@ impl<'a> DebugSession<'a> {
                     verdicts.insert(cell, onset);
                 }
             }
-            stats
-                .ambiguities
-                .extend(scheduler.record_round(evidence, &verdicts));
+            scheduler.record_round(evidence, &verdicts);
         }
-        Ok(stats)
+        Ok(taps_inserted)
     }
 
     /// Inserts a control point on the suspect's output net (an ECO
@@ -1341,7 +1289,6 @@ const _: () = {
     assert_send::<DebugSession<'static>>();
     assert_send::<EvidenceBase>();
     assert_send::<MultiErrorScheduler>();
-    assert_send::<FaultAttribution<'static>>();
     assert_send::<Box<dyn LocalizationStrategy>>();
     assert_send::<Box<dyn ReimplFlow>>();
     assert_send::<DebugEvent>();
@@ -1354,15 +1301,6 @@ const _: () = {
 /// How many leading patterns of the session's stimulus the §4.1 forced
 /// re-emulation compares.
 const CONFIRM_PATTERNS: usize = 256;
-
-/// What the shared tap-round loop accumulated.
-#[derive(Debug, Default)]
-struct RoundStats {
-    /// Observation taps physically inserted (post-deduplication).
-    taps_inserted: usize,
-    /// Shared-core divergences more than one cone-and-window explains.
-    ambiguities: Vec<Ambiguity>,
-}
 
 /// Reconstructs the classic first-mismatch record from a failing
 /// sweep: the earliest failing pattern across all outputs, with

@@ -252,14 +252,6 @@ fn event_body(e: &DebugEvent) -> String {
                 .collect::<Vec<_>>()
                 .join(", ")
         ),
-        DebugEvent::Attribution {
-            cell,
-            cluster,
-            score,
-        } => format!(
-            "{{\"event\": \"attribution\", \"cell\": {}, \"cluster\": {cluster}, \"score\": {score:.4}}}",
-            cell.index()
-        ),
     }
 }
 

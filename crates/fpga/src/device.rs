@@ -271,11 +271,6 @@ impl Device {
             IobSide::East | IobSide::West => self.height,
         }
     }
-
-    /// True if `site` exists on this device.
-    pub fn has_iob(&self, site: IobSite) -> bool {
-        site.pos < self.side_len(site.side) && site.k < self.iobs_per_pos
-    }
 }
 
 impl fmt::Display for Device {
@@ -334,17 +329,6 @@ mod tests {
         let d = Device::new(5, 4, 8, 2).unwrap();
         let sites: Vec<IobSite> = d.iob_sites().collect();
         assert_eq!(sites.len(), d.io_capacity());
-        assert!(sites.iter().all(|&s| d.has_iob(s)));
-        assert!(!d.has_iob(IobSite {
-            side: IobSide::North,
-            pos: 5,
-            k: 0
-        }));
-        assert!(!d.has_iob(IobSite {
-            side: IobSide::North,
-            pos: 0,
-            k: 2
-        }));
     }
 
     #[test]

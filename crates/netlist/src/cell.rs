@@ -40,11 +40,6 @@ impl CellKind {
     pub fn is_logic(&self) -> bool {
         matches!(self, Self::Lut(_) | Self::Ff { .. })
     }
-
-    /// True for primary inputs and outputs, which occupy IOB sites.
-    pub fn is_io(&self) -> bool {
-        matches!(self, Self::Input | Self::Output)
-    }
 }
 
 impl fmt::Display for CellKind {
@@ -119,7 +114,6 @@ mod tests {
 
     #[test]
     fn kind_classification() {
-        assert!(CellKind::Input.is_io());
         assert!(!CellKind::Input.is_logic());
         assert!(CellKind::Ff { init: false }.is_logic());
         assert!(CellKind::Lut(TruthTable::not()).is_logic());

@@ -70,11 +70,6 @@ impl EcoOp {
             Self::RemoveCell { .. } => "remove",
         }
     }
-
-    /// True if the op adds logic (consumes spare CLB resources).
-    pub fn adds_logic(&self) -> bool {
-        matches!(self, Self::AddLut { .. } | Self::AddFf { .. })
-    }
 }
 
 /// Result of applying a batch of ECO operations.
@@ -103,11 +98,6 @@ impl EcoReport {
         all.sort_unstable();
         all.dedup();
         all
-    }
-
-    /// Net CLB-resource growth: added minus removed logic cells.
-    pub fn logic_delta(&self) -> isize {
-        self.added.len() as isize - self.removed.len() as isize
     }
 
     /// Merges another report into this one.
@@ -257,7 +247,6 @@ mod tests {
         let (mut nl, u, ..) = fixture();
         let rep = apply(&mut nl, &EcoOp::RemoveCell { cell: u }).unwrap();
         assert_eq!(rep.removed, vec![u]);
-        assert_eq!(rep.logic_delta(), -1);
         assert!(nl.cell(u).is_err());
     }
 
@@ -287,16 +276,6 @@ mod tests {
 
     #[test]
     fn op_metadata() {
-        assert!(EcoOp::AddFf {
-            name: "r".into(),
-            init: false,
-            d: NetId::new(0)
-        }
-        .adds_logic());
-        assert!(!EcoOp::RemoveCell {
-            cell: CellId::new(0)
-        }
-        .adds_logic());
         assert_eq!(
             EcoOp::RemoveCell {
                 cell: CellId::new(0)

@@ -475,9 +475,8 @@ impl Netlist {
 
     /// Removes a cell, detaching it from all nets.
     ///
-    /// The cell's output net survives (driverless) so that sinks can be
-    /// rewired afterwards; callers that want it gone should follow up
-    /// with [`Netlist::remove_net`] once the net is fully disconnected.
+    /// The cell's output net survives (driverless, keeping its name) so
+    /// that sinks can be rewired afterwards.
     ///
     /// # Errors
     ///
@@ -497,26 +496,6 @@ impl Netlist {
             }
         }
         Ok(cell)
-    }
-
-    /// Removes a fully disconnected net.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnknownNet`] if the net is dead, or
-    /// [`NetlistError::MultipleDrivers`]/[`NetlistError::Undriven`] are
-    /// *not* used here: a connected net yields
-    /// [`NetlistError::KindMismatch`]-free dedicated check via panic-free
-    /// error [`NetlistError::Undriven`]. Concretely: removing a net that
-    /// still has a driver or sinks returns [`NetlistError::Undriven`].
-    pub fn remove_net(&mut self, id: NetId) -> Result<(), NetlistError> {
-        let n = self.net(id)?;
-        if n.driver.is_some() || !n.sinks.is_empty() {
-            return Err(NetlistError::Undriven(id));
-        }
-        let n = self.nets[id.index()].take().expect("checked live above");
-        self.net_names.remove(&n.name);
-        Ok(())
     }
 
     /// Points `net`'s driver record at `cell` and `cell`'s output
@@ -842,17 +821,6 @@ mod tests {
         assert!(nl.net(out_net).unwrap().driver.is_none());
         // Validation now fails: y's net is undriven.
         assert!(nl.validate().is_err());
-    }
-
-    #[test]
-    fn remove_net_requires_disconnection() {
-        let mut nl = Netlist::new("t");
-        let a = nl.add_input("a").unwrap();
-        let na = nl.cell_output(a).unwrap();
-        assert!(nl.remove_net(na).is_err());
-        nl.remove_cell(a).unwrap();
-        nl.remove_net(na).unwrap();
-        assert!(nl.net(na).is_err());
     }
 
     #[test]

@@ -255,24 +255,6 @@ impl TruthTable {
         })
     }
 
-    /// Extends the table to a larger arity; new inputs are don't-cares.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::BadArity`] if `new_arity` is larger than
-    /// [`MAX_ARITY`] or smaller than the current arity.
-    pub fn extended_to(&self, new_arity: usize) -> Result<Self, NetlistError> {
-        if new_arity > MAX_ARITY || new_arity < self.arity() {
-            return Err(NetlistError::BadArity {
-                arity: new_arity,
-                max: MAX_ARITY,
-            });
-        }
-        Ok(Self::from_fn(new_arity, |row| {
-            self.eval_row(row & (Self::row_count(self.arity()) - 1))
-        }))
-    }
-
     /// Number of rows (`2^arity`).
     fn row_count(arity: usize) -> u64 {
         1u64 << arity
@@ -375,18 +357,8 @@ mod tests {
     }
 
     #[test]
-    fn extension_preserves_function() {
-        let xor2 = TruthTable::xor(2);
-        let ext = xor2.extended_to(4).unwrap();
-        assert_eq!(ext.arity(), 4);
-        assert!(ext.eval(&[true, false, true, true]));
-        assert_eq!(ext.support_size(), 2);
-    }
-
-    #[test]
     fn arity_bounds_enforced() {
         assert!(TruthTable::from_bits(7, 0).is_err());
-        assert!(TruthTable::xor(2).extended_to(1).is_err());
     }
 
     #[test]

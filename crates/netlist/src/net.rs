@@ -44,11 +44,6 @@ impl Net {
     pub fn fanout(&self) -> usize {
         self.sinks.len()
     }
-
-    /// True if the net drives no pins.
-    pub fn is_dangling(&self) -> bool {
-        self.sinks.is_empty()
-    }
 }
 
 impl fmt::Display for Net {
@@ -62,9 +57,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn new_net_is_dangling() {
+    fn new_net_starts_unconnected() {
         let n = Net::new("w");
-        assert!(n.is_dangling());
         assert_eq!(n.fanout(), 0);
         assert!(n.driver.is_none());
     }
@@ -81,7 +75,6 @@ mod tests {
             pin: 2,
         });
         assert_eq!(n.fanout(), 2);
-        assert!(!n.is_dangling());
     }
 
     #[test]

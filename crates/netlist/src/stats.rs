@@ -55,11 +55,6 @@ impl NetlistStats {
         s
     }
 
-    /// Logic cells that occupy CLB resources (LUTs + FFs).
-    pub fn logic_cells(&self) -> usize {
-        self.luts + self.ffs
-    }
-
     /// CLBs needed on an XC4000-style device (2 LUTs + 2 FFs per CLB;
     /// LUT/FF pairs on the same CLB are packed by the placer, so the
     /// bound is `max(luts, ffs)` halved, rounded up).
@@ -115,7 +110,6 @@ mod tests {
         let s = nl.stats();
         assert_eq!(s.pins, 2 + 1 + 1); // and(2) + not(1) + output(1)
         assert_eq!(s.depth, 2);
-        assert_eq!(s.logic_cells(), 2);
         assert!(s.to_string().contains("2 LUT"));
     }
 }

@@ -107,11 +107,6 @@ impl Constraints {
         self.locked.insert(cell);
     }
 
-    /// Locks every cell in the iterator.
-    pub fn lock_all(&mut self, cells: impl IntoIterator<Item = CellId>) {
-        self.locked.extend(cells);
-    }
-
     /// Confines a cell's CLB placement to `rect`.
     pub fn confine(&mut self, cell: CellId, rect: Rect) {
         self.regions.insert(cell, vec![rect]);
@@ -147,7 +142,7 @@ mod tests {
     fn constraints_roundtrip() {
         let mut c = Constraints::free();
         c.lock(CellId::new(0));
-        c.lock_all([CellId::new(1), CellId::new(2)]);
+        c.lock(CellId::new(2));
         c.confine(CellId::new(5), Rect::new(1, 1, 2, 2));
         assert!(c.is_locked(CellId::new(2)));
         assert!(!c.is_locked(CellId::new(5)));

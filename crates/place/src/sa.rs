@@ -714,7 +714,9 @@ mod tests {
 
         let dev = Device::new(6, 6, 4, 2).unwrap();
         let mut cons = Constraints::free();
-        cons.lock_all(nl.cells().map(|(id, _)| id).filter(|id| !free.contains(id)));
+        for (id, _) in nl.cells().filter(|(id, _)| !free.contains(id)) {
+            cons.lock(id);
+        }
         for seed in [3, 17, 99] {
             let mut init = Placement::new(nl.cell_capacity());
             initial_place(&nl, &dev, &Constraints::free(), &mut init, seed).unwrap();
@@ -835,7 +837,9 @@ mod tests {
         let mut init = Placement::new(nl.cell_capacity());
         initial_place(&nl, &dev, &Constraints::free(), &mut init, 5).unwrap();
         let mut cons = Constraints::free();
-        cons.lock_all(nl.cells().map(|(id, _)| id));
+        for (id, _) in nl.cells() {
+            cons.lock(id);
+        }
         let out = place(&nl, &dev, &cons, Some(init), &PlacerConfig::default()).unwrap();
         assert_eq!(out.moves_evaluated, 0);
         assert_eq!(out.temperatures, 0);

@@ -8,22 +8,23 @@ use fpga::{NodeId, RouteTree, Routing, RoutingGraph};
 
 use crate::request::ConnectionRequest;
 
+/// Initial present-congestion factor.
+const PRES_FAC_INIT: f64 = 0.6;
+/// Present-congestion growth per iteration.
+const PRES_FAC_MULT: f64 = 1.7;
+/// Historical congestion weight.
+const ACC_FAC: f64 = 1.0;
+/// Present-congestion ceiling: beyond this the cost landscape stops
+/// changing, so higher values only slow the search down.
+const PRES_FAC_MAX: f64 = 5_000.0;
+
 /// Router parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteOptions {
     /// Maximum negotiation iterations before giving up.
     pub max_iterations: usize,
-    /// Initial present-congestion factor.
-    pub pres_fac_init: f64,
-    /// Present-congestion growth per iteration.
-    pub pres_fac_mult: f64,
-    /// Historical congestion weight.
-    pub acc_fac: f64,
     /// A* aggressiveness (1.0 = admissible, >1 = faster, greedier).
     pub astar_weight: f64,
-    /// Present-congestion ceiling: beyond this the cost landscape
-    /// stops changing, so higher values only slow the search down.
-    pub pres_fac_max: f64,
     /// Give up early if the overuse count has not improved for this
     /// many consecutive iterations (congestion is structural).
     pub stall_limit: usize,
@@ -36,11 +37,7 @@ impl Default for RouteOptions {
     fn default() -> Self {
         Self {
             max_iterations: 40,
-            pres_fac_init: 0.6,
-            pres_fac_mult: 1.7,
-            acc_fac: 1.0,
             astar_weight: 1.15,
-            pres_fac_max: 5_000.0,
             stall_limit: 6,
             allowed: None,
         }
@@ -205,7 +202,7 @@ pub fn route(
         ..Default::default()
     };
     let mut hist = vec![0.0f32; n];
-    let mut pres = options.pres_fac_init;
+    let mut pres = PRES_FAC_INIT;
     let mut astar = AStar::new(n);
     let mut best_overuse = usize::MAX;
     let mut stalled = 0usize;
@@ -312,9 +309,9 @@ pub fn route(
         }
         for node in overused {
             let over = routing.occupancy(node).saturating_sub(1);
-            hist[node.index()] += options.acc_fac as f32 * over as f32;
+            hist[node.index()] += ACC_FAC as f32 * over as f32;
         }
-        pres = (pres * options.pres_fac_mult).min(options.pres_fac_max);
+        pres = (pres * PRES_FAC_MULT).min(PRES_FAC_MAX);
     }
     Err(RouteError::CongestionUnresolved {
         iterations: stats.iterations,

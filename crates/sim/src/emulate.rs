@@ -13,7 +13,7 @@
 //!
 //! Each net owns `⌈patterns / 64⌉` words, and bit `p % 64` of word
 //! `p / 64` is the net's value on pattern `p` — the same layout
-//! `ResponseSignature` and `FaultAttribution` use for pattern sets. A
+//! `ResponseSignature` uses for pattern sets. A
 //! trace therefore costs `net capacity × ⌈patterns / 64⌉ × 8` bytes —
 //! 64 kB for a 1,000-net design under 512 patterns — held for as long
 //! as the session lives. The golden primary inputs' nets carry the
@@ -222,11 +222,6 @@ impl GoldenTrace {
     /// Number of golden primary inputs (the stimulus width).
     pub fn num_inputs(&self) -> usize {
         self.inputs.len()
-    }
-
-    /// Number of golden primary outputs.
-    pub fn num_outputs(&self) -> usize {
-        self.outputs.len()
     }
 
     /// Net `net`'s values, bit `p % 64` of word `p / 64` for pattern

@@ -4,18 +4,20 @@
 //! the topo order once per stimulus pattern. This module stores one
 //! `u64` *word* per net instead, so a single topo pass evaluates 64
 //! independent simulations at once — bit `l` of every word belongs to
-//! *lane* `l`. What a lane means is the caller's choice, and the two
-//! uses in this repo are:
+//! *lane* `l`. What a lane means is the caller's choice:
 //!
 //! * **patterns as lanes** (combinational sweeps): lane `l` of a chunk
 //!   carries stimulus pattern `base + l`, so a 512-pattern sweep takes
 //!   8 topo passes instead of 512 ([`PackedSimulator::load_patterns`]);
-//! * **machines as lanes** (sequential fault simulation): all lanes
-//!   see the *same* stimulus stream
+//! * **machines as lanes** (parallel-fault simulation): all lanes see
+//!   the *same* stimulus stream
 //!   ([`PackedSimulator::broadcast_inputs`]) but each lane simulates a
-//!   different hypothesis machine — a per-lane complement fault
-//!   planted with [`PackedSimulator::set_fault_lanes`] — which is how
-//!   `FaultAttribution` scores 64 candidate sites in one stream pass.
+//!   different machine — a per-lane XOR mask at a cell's output,
+//!   planted with [`PackedSimulator::set_fault_lanes`]. No debug
+//!   session uses this mode today; `simbench`'s `faultsim` rows check
+//!   it against the scalar oracle, and a lane-packed DUT (one machine
+//!   per lane, each carrying its own LUT differences as masks) is the
+//!   planned way to give sequential emulation more than one lane.
 //!
 //! Sequential designs clock once per pattern *without* reset, so the
 //! stimulus stream is a temporal sequence: pattern `i`'s flip-flop

@@ -195,57 +195,6 @@ pub fn insert_misr(
     Ok(report)
 }
 
-/// Inserts a hardware LFSR pattern driver whose outputs can feed
-/// control points (exhaustive-ish stimulus without tester bandwidth).
-///
-/// Returns the driver's output nets alongside the report.
-///
-/// # Errors
-///
-/// Propagates netlist editing errors.
-///
-/// # Panics
-///
-/// Panics if `width == 0`.
-pub fn insert_lfsr_driver(
-    nl: &mut Netlist,
-    width: usize,
-    name: &str,
-) -> Result<(Vec<NetId>, EcoReport), NetlistError> {
-    assert!(width > 0, "lfsr needs at least one bit");
-    let mut report = EcoReport::default();
-    let mut ffs = Vec::with_capacity(width);
-    let mut qs = Vec::with_capacity(width);
-    for i in 0..width {
-        let seed = nl.add_net(format!("{name}_lfsr_seed{i}"))?;
-        // Init to 1 on bit 0 so the register never sticks at zero.
-        let ff = nl.add_ff(format!("{name}_lfsr_ff{i}"), i == 0, seed)?;
-        report.added.push(ff);
-        qs.push(nl.cell_output(ff)?);
-        ffs.push(ff);
-    }
-    // Shift with XOR feedback from the last two stages.
-    let fb = if width >= 2 {
-        let x = nl.add_lut(
-            format!("{name}_lfsr_fb"),
-            TruthTable::xor(2),
-            &[qs[width - 1], qs[width / 2]],
-        )?;
-        report.added.push(x);
-        nl.cell_output(x)?
-    } else {
-        // 1-bit: toggle.
-        let x = nl.add_lut(format!("{name}_lfsr_fb"), TruthTable::not(), &[qs[0]])?;
-        report.added.push(x);
-        nl.cell_output(x)?
-    };
-    nl.set_pin(ffs[0], 0, fb)?;
-    for i in 1..width {
-        nl.set_pin(ffs[i], 0, qs[i - 1])?;
-    }
-    Ok((qs, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,26 +282,6 @@ mod tests {
             sim.outputs()
         };
         assert_ne!(run(false), run(true));
-    }
-
-    #[test]
-    fn lfsr_driver_produces_changing_patterns() {
-        let mut nl = Netlist::new("t");
-        // Give the design something so validation is meaningful.
-        let (qs, rep) = insert_lfsr_driver(&mut nl, 4, "p").unwrap();
-        for (i, q) in qs.iter().enumerate() {
-            nl.add_output(format!("o{i}"), *q).unwrap();
-        }
-        nl.validate().unwrap();
-        assert!(rep.added.len() >= 5);
-        let mut sim = Simulator::new(&nl).unwrap();
-        let mut states = std::collections::BTreeSet::new();
-        for _ in 0..8 {
-            sim.comb_eval();
-            states.insert(sim.outputs());
-            sim.step();
-        }
-        assert!(states.len() >= 4, "lfsr should visit several states");
     }
 
     #[test]

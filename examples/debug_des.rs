@@ -11,6 +11,7 @@
 #![allow(clippy::print_stdout)]
 
 use fpga_debug_tiling::prelude::*;
+use fpga_debug_tiling::tiling::effort::speedup_label;
 use fpga_debug_tiling::{sim, tiling};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -92,7 +93,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let full = tiling::flow_effort(&td, &mut FullReplaceFlow, &[])?;
     println!("\nfull re-P&R : {}", full);
-    println!("speedup     : {:.1}x", full.speedup_over(&outcome.effort));
+    println!(
+        "speedup     : {}",
+        speedup_label(full.speedup_over(&outcome.effort))
+    );
     assert!(outcome.repaired);
     Ok(())
 }

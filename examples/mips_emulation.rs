@@ -11,6 +11,7 @@
 #![allow(clippy::print_stdout)]
 
 use fpga_debug_tiling::prelude::*;
+use fpga_debug_tiling::tiling::effort::speedup_label;
 use fpga_debug_tiling::{sim, tiling};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -102,8 +103,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("ECO effort    : {}", outcome.effort);
     println!(
-        "vs initial    : {:.1}x cheaper",
-        td.initial_effort.speedup_over(&outcome.effort)
+        "vs initial    : {}",
+        speedup_label(td.initial_effort.speedup_over(&outcome.effort))
     );
     assert!(td.routing.is_feasible());
 

@@ -3,10 +3,10 @@
 //! clustering, suspect-cone partitioning (exclusive regions vs the
 //! shared core), frontier screening into the shared `EvidenceBase`,
 //! shared observation-tap batches read back per causal window,
-//! fault-simulation blame attribution, per-error confirmation, and a
-//! single corrective ECO — then compare against the paper's protocol
-//! of one sequential campaign per error (which now rides the same
-//! evidence layer, so the comparison is strictly about sharing).
+//! per-error confirmation, and a single corrective ECO — then compare
+//! against the paper's protocol of one sequential campaign per error
+//! (which now rides the same evidence layer, so the comparison is
+//! strictly about sharing).
 //!
 //! Run with: `cargo run --release --example multi_error`
 
@@ -83,14 +83,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 inserted += cells.len();
                 println!("[localize]  tap ECO on {} cells", cells.len());
             }
-            DebugEvent::Attribution {
-                cell,
-                cluster,
-                score,
-            } => println!(
-                "[blame]     ambiguous divergence at cell {} -> cluster {cluster} (score {score:.2})",
-                cell.index()
-            ),
             DebugEvent::Localized { cell: Some(c) } => println!("[localize]  error site: cell {}", c.index()),
             DebugEvent::Confirmed { confirmed, .. } => {
                 println!("[confirm]   control point agrees: {confirmed}");
@@ -115,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Row i reports planted error i.
-    println!("\nper-error attribution:");
+    println!("\nper-error rows:");
     for (row, victim) in conc.iterations.iter().zip(&victims) {
         println!(
             "  error at cell {}: detected {} -> localized {:?}, confirmed {}, repaired {}",

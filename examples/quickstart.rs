@@ -10,6 +10,7 @@
 #![allow(clippy::print_stdout)]
 
 use fpga_debug_tiling::prelude::*;
+use fpga_debug_tiling::tiling::effort::speedup_label;
 use fpga_debug_tiling::{implement_paper_design, sim, tiling};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -108,8 +109,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("one full re-P&R       : {}", full);
     println!("non-tiled iteration   : {}", non_tiled_total);
     println!(
-        "iteration speedup     : {:.1}x",
-        non_tiled_total.speedup_over(&outcome.effort)
+        "iteration speedup     : {}",
+        speedup_label(non_tiled_total.speedup_over(&outcome.effort))
     );
     assert!(outcome.repaired);
     Ok(())

@@ -2,9 +2,10 @@
 //!
 //! Sweeps the tile count and prints, for each granularity: interface
 //! pressure (cut nets), per-tile slack, the Figure-3-style affected
-//! fraction for a 5-CLB insertion, and the ECO speedup for a one-LUT
-//! change — the tension §3.2 describes between small tiles (fast
-//! ECOs, many interfaces) and large tiles (few interfaces, slow ECOs).
+//! fraction for a 5-CLB insertion, and the ECO effort and speedup of
+//! one observation tap (one output pad placed, the tapped net routed to
+//! it) — the tension §3.2 describes between small tiles (fast ECOs,
+//! many interfaces) and large tiles (few interfaces, slow ECOs).
 //!
 //! Run with: `cargo run --release --example tile_explorer`
 
@@ -12,7 +13,8 @@
 #![allow(clippy::print_stdout)]
 
 use fpga_debug_tiling::prelude::*;
-use fpga_debug_tiling::{implement_paper_design, tiling};
+use fpga_debug_tiling::tiling::effort::speedup_label;
+use fpga_debug_tiling::{implement_paper_design, sim};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== tile-size exploration on c880 ==\n");
@@ -30,31 +32,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let slack: f64 = td.total_free_clbs() as f64 / td.plan.len() as f64;
         let affected5 = tiling::testpoints::affected_fraction(&td, 5)?;
 
-        // One-LUT functional change in some tile.
+        // One observation tap on some LUT's output, priced by the full
+        // flow on a clone and committed by the tiled flow.
         let victim = td
             .netlist
             .cells()
             .find(|(_, c)| c.lut_function().is_some())
             .map(|(id, _)| id)
             .expect("luts exist");
-        let tt = td
-            .netlist
-            .cell(victim)?
-            .lut_function()
-            .unwrap()
-            .complement();
-        td.netlist.set_lut_function(victim, tt)?;
-        let full = tiling::flow_effort(&td, &mut FullReplaceFlow, &[victim])?;
-        let eco = TiledFlow.reimplement(&mut td, &[victim], &[])?;
+        let net = td.netlist.cell_output(victim)?;
+        let added =
+            sim::testlogic::insert_observation_tap(&mut td.netlist, net, "tap", false)?.added;
+        let full = FullReplaceFlow
+            .reimplement(&mut td.clone(), &[victim], &added)?
+            .effort;
+        let eco = TiledFlow.reimplement(&mut td, &[victim], &added)?;
 
         println!(
-            "{:>6} {:>9} {:>10.1} {:>11.0}% {:>14} {:>9.1}x",
+            "{:>6} {:>9} {:>10.1} {:>11.0}% {:>14} {:>10}",
             td.plan.len(),
             cut,
             slack,
             100.0 * affected5,
             eco.effort.total(),
-            full.speedup_over(&eco.effort)
+            speedup_label(full.speedup_over(&eco.effort))
         );
         assert!(td.routing.is_feasible());
     }

@@ -78,10 +78,9 @@ pub mod prelude {
     pub use tiling::{
         AffectedSet, BinarySearch, CadEffort, CampaignOutcome, ConePartition, DebugEvent,
         DebugOutcome, DebugReport, DebugSession, EffortLedger, EvidenceBase, FailureCluster,
-        FaultAttribution, FullReplaceFlow, IncrementalFlow, LinearBatches, LocalizationStrategy,
-        MultiErrorScheduler, ObservationWindow, PatternSpec, Phase, QuickEcoFlow, ReimplFlow,
-        ResponseSignature, SuspectCone, TileId, TilePlan, TiledDesign, TiledFlow, TilingError,
-        TilingOptions,
+        FullReplaceFlow, IncrementalFlow, LinearBatches, LocalizationStrategy, MultiErrorScheduler,
+        ObservationWindow, PatternSpec, Phase, QuickEcoFlow, ReimplFlow, ResponseSignature,
+        SuspectCone, TileId, TilePlan, TiledDesign, TiledFlow, TilingError, TilingOptions,
     };
 }
 

@@ -370,11 +370,12 @@ proptest! {
             }
         }
         // …cover exactly the input union…
-        let mut union = SuspectCone::new();
-        for cone in &cones {
+        let (mut union, mut regions) = (SuspectCone::new(), p.shared.clone());
+        for (cone, region) in cones.iter().zip(&p.exclusive) {
             union.union_with(cone);
+            regions.union_with(region);
         }
-        prop_assert_eq!(p.coverage(), union.clone());
+        prop_assert_eq!(regions, union.clone());
         // …and classify each cell by how many cones implicate it.
         for cell in union.iter() {
             let owners = cones.iter().filter(|k| k.contains(cell)).count();
@@ -927,7 +928,7 @@ use fpga_debug_tiling::sim::emulate::{
     forced_outputs_equivalent, net_first_divergences, po_divergence_words,
 };
 use fpga_debug_tiling::sim::testlogic::{insert_control_point, insert_observation_tap};
-use fpga_debug_tiling::tiling::diagnosis::attribution::po_pairs;
+use fpga_debug_tiling::tiling::diagnosis::responses::po_pairs;
 
 /// What the scalar oracle sees sweeping `dut` against `golden` over
 /// `pats` (clocked once per pattern, so sequential designs stream):
@@ -1124,54 +1125,6 @@ proptest! {
     ) {
         instrumented_dut_matches_oracle(&seq_backbone_netlist(bb, branches, blen), &pats, seed, pick)?;
     }
-}
-
-// ---------------------------------------------------------------------
-// Fault attribution vs the scalar oracle
-// ---------------------------------------------------------------------
-
-/// Primes up to `max_luts` LUTs of `design` in one
-/// `FaultAttribution::prime` call on the session's stimulus, and checks
-/// each predicted failing-output mask against a scalar sweep of a
-/// clone with that LUT complemented. Returns how many LUTs it primed.
-fn attribution_matches_complemented_clones(design: PaperDesign, max_luts: usize) -> usize {
-    let golden = design.generate().unwrap();
-    let pats: Vec<Vec<bool>> = PatternSpec::Auto.generate(&golden, 7).collect();
-    let trace = GoldenTrace::record(&golden, pats.clone()).unwrap();
-    let luts: Vec<CellId> = golden
-        .cells()
-        .filter(|(_, c)| c.lut_function().is_some())
-        .map(|(id, _)| id)
-        .take(max_luts)
-        .collect();
-    let mut attribution = FaultAttribution::new(&golden, &trace).unwrap();
-    attribution.prime(&luts).unwrap();
-    let pairs: Vec<(usize, usize)> = (0..golden.primary_outputs().len())
-        .map(|k| (k, k))
-        .collect();
-    for &cell in &luts {
-        let mut faulty = golden.clone();
-        inject::inject(&mut faulty, cell, inject::DesignErrorKind::Complement).unwrap();
-        let (_, words) = oracle_sweep(&golden, &faulty, &pats, &[], &pairs, None);
-        let want: Vec<bool> = words.iter().map(|w| w.iter().any(|&x| x != 0)).collect();
-        assert_eq!(
-            attribution.fault_outputs(cell).unwrap(),
-            want,
-            "{} LUT {cell:?}",
-            design.name()
-        );
-    }
-    luts.len()
-}
-
-#[test]
-fn fault_attribution_matches_scalar_complemented_clones() {
-    // 9sym is combinational: one pattern-parallel sweep per LUT.
-    assert!(attribution_matches_complemented_clones(PaperDesign::NineSym, usize::MAX) > 0);
-    // styr is sequential: 64 candidate machines per stream pass, so
-    // more than 64 LUTs take at least two batches.
-    let primed = attribution_matches_complemented_clones(PaperDesign::Styr, LANES + 8);
-    assert!(primed > LANES, "styr primed only {primed} LUTs");
 }
 
 // ---------------------------------------------------------------------
