@@ -16,7 +16,14 @@
 //! 1. **Incremental.** Nothing is cleared. Surviving placements and
 //!    routes stay installed, the added logic is placed into the
 //!    affected tiles, and only nets whose terminals changed are
-//!    routed. A function-only change re-routes nothing.
+//!    routed. A function-only change re-routes nothing. The router
+//!    gets a short stall budget here: the congestion that stops this
+//!    rung is a few wires blocked beside a new pad, which more
+//!    negotiation rarely frees. When routing fails on a change that
+//!    added pads (observation taps, control-point force inputs), the
+//!    design is restored, only those pads move to the free pad sites
+//!    with the most free channel wires beside them, and the rung runs
+//!    again, at most twice.
 //! 2. **Tile clearing.** The affected tiles are cleared and their
 //!    logic re-placed inside them. Routing takes two passes: a
 //!    *masked* pass confined to the cleared region, whose nets
@@ -24,9 +31,10 @@
 //!    connections that inherently leave the region (new pads, new
 //!    cross-region connections, feedthroughs), which may use only free
 //!    routing resources elsewhere, never locked ones. A region of a
-//!    fifth of the device or more is re-routed whole instead (the
-//!    coarse branch). When routing fails, the neighbouring tile with
-//!    the most free CLBs is drafted and the rung runs again.
+//!    fifth of the device or more, an oversized tile or a region that
+//!    drafting grew, is re-routed whole instead (the coarse branch).
+//!    When routing fails, the neighbouring tile with the most free
+//!    CLBs is drafted and the rung runs again.
 //! 3. **Full re-route.** Once drafting stops being promising, the
 //!    whole design is re-routed from the last attempt's placement, so
 //!    the tiled flow never costs more than the non-tiled one.
@@ -35,12 +43,13 @@
 //! flows in [`crate::flows`]. The ladder snapshots the design once and
 //! restores it if the change fails.
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
-use fpga::{NodeId, Placement, Rect, RouteTree, Routing, RoutingGraph};
+use fpga::{BelLoc, IobSite, NodeId, Placement, Rect, RouteTree, Routing, RoutingGraph};
 use netlist::{CellId, CellKind, NetId, Netlist};
 use place::Constraints;
-use route::{ConnectionRequest, RouteOptions};
+use route::{ConnectionRequest, RouteError, RouteOptions, RouteStats};
 
 use crate::affected::AffectedSet;
 use crate::effort::CadEffort;
@@ -88,7 +97,28 @@ impl Spent {
         self.effort.place_moves += out.moves_evaluated;
         self.cg_iterations += out.cg_iterations;
     }
+
+    /// Charges a routing call's expansions, whether or not it
+    /// converged, and passes its outcome on.
+    pub(crate) fn route(
+        &mut self,
+        routed: Result<RouteStats, RouteError>,
+    ) -> Result<(), RouteError> {
+        self.effort.route_expansions += match &routed {
+            Ok(stats) => stats.expansions,
+            Err(e) => e.expansions(),
+        };
+        routed.map(drop)
+    }
 }
+
+/// Router stall budget of the incremental rung (the design's own,
+/// 6 by default, still governs tile clearing and the full re-route).
+const INCREMENTAL_STALL_LIMIT: usize = 2;
+
+/// Incremental re-runs with the change's new pads moved, before the
+/// ladder demotes to tile clearing.
+const PAD_RETRIES: usize = 2;
 
 /// The placement and routing an ECO started from.
 pub(crate) struct Snapshot {
@@ -213,9 +243,32 @@ fn climb(
     // Rung 1 is best-effort: capacity shortfalls (congestion around
     // the frozen routes, or no free slot for added logic) demote to
     // tile clearing on the same tiles. Anything else is a real error.
-    match incremental_rung(td, &affected, added, &mut spent) {
-        Err(TilingError::Route(_) | TilingError::Place(_)) => snapshot.restore(td),
-        done => return done,
+    // A routing failure on a change that added pads first moves those
+    // pads, away from every site already tried, and runs rung 1 again.
+    let pads: Vec<CellId> = added
+        .iter()
+        .copied()
+        .filter(|&c| td.netlist.cell(c).is_ok_and(|cell| !cell.is_logic()))
+        .collect();
+    let mut tried: Vec<IobSite> = Vec::new();
+    for retry in 0..=PAD_RETRIES {
+        match incremental_rung(td, &affected, added, &mut spent) {
+            Err(TilingError::Route(_)) if retry < PAD_RETRIES && !pads.is_empty() => {
+                tried.extend(pads.iter().filter_map(|&p| match td.placement.loc_of(p)? {
+                    BelLoc::Iob(site) => Some(site),
+                    BelLoc::Clb { .. } => None,
+                }));
+                snapshot.restore(td);
+                if !move_pads(td, &pads, &affected, &tried)? {
+                    break;
+                }
+            }
+            Err(TilingError::Route(_) | TilingError::Place(_)) => {
+                snapshot.restore(td);
+                break;
+            }
+            done => return done,
+        }
     }
     // Rung 2 drafts a neighbour after each routing failure while that
     // is still promising: fewer than half the tiles affected and fewer
@@ -310,8 +363,11 @@ fn incremental_rung(
     // region, and every surviving route is locked, so the request nets
     // negotiate only among themselves on genuinely free resources.
     if !requests.is_empty() {
-        let stats = route::route(&td.rrg, &requests, &mut td.routing, &td.options.router)?;
-        spent.effort.route_expansions += stats.expansions;
+        let router = RouteOptions {
+            stall_limit: INCREMENTAL_STALL_LIMIT,
+            ..td.options.router.clone()
+        };
+        spent.route(route::route(&td.rrg, &requests, &mut td.routing, &router))?;
     }
 
     route::normalize_routes(
@@ -665,13 +721,21 @@ fn clearing_rung(
             allowed: Some(mask),
             ..td.options.router.clone()
         };
-        let stats = route::route(&td.rrg, &masked_requests, &mut td.routing, &opts)?;
-        spent.effort.route_expansions += stats.expansions;
+        spent.route(route::route(
+            &td.rrg,
+            &masked_requests,
+            &mut td.routing,
+            &opts,
+        ))?;
     }
     // ----- Free pass: region-escaping connections --------------------
     if !free_requests.is_empty() {
-        let stats = route::route(&td.rrg, &free_requests, &mut td.routing, &td.options.router)?;
-        spent.effort.route_expansions += stats.expansions;
+        spent.route(route::route(
+            &td.rrg,
+            &free_requests,
+            &mut td.routing,
+            &td.options.router,
+        ))?;
     }
 
     // Normalize the rerouted nets' trees: one contiguous source→sink
@@ -741,6 +805,60 @@ fn full_reroute_rung(
     })
 }
 
+/// Re-places a change's new `pads` on the best-ranked free pad sites
+/// outside `tried` ([`rank_pad_sites`]), in order. False, and nothing
+/// moved, when too few sites remain.
+fn move_pads(
+    td: &mut TiledDesign,
+    pads: &[CellId],
+    affected: &AffectedSet,
+    tried: &[IobSite],
+) -> Result<bool, TilingError> {
+    // Retired instruments' pads and wires count as free.
+    drop_stale_physical_state(td);
+    let sites = rank_pad_sites(td, &affected.rects(&td.plan)?, tried);
+    if sites.len() < pads.len() {
+        return Ok(false);
+    }
+    for (&pad, site) in pads.iter().zip(sites) {
+        td.placement
+            .place(pad, BelLoc::Iob(site))
+            .expect("ranked pad sites are free");
+    }
+    Ok(true)
+}
+
+/// The pad sites a change's new pads can move to, best first: most
+/// unoccupied channel wires beside the pad, then nearest to `rects`,
+/// then device order. A site qualifies when no cell holds it, no route
+/// crosses its pad, and it is not in `tried`.
+fn rank_pad_sites(td: &TiledDesign, rects: &[Rect], tried: &[IobSite]) -> Vec<IobSite> {
+    let (width, height) = (td.device.width(), td.device.height());
+    let mut wires = Vec::new();
+    let mut ranked: Vec<(Reverse<usize>, u32, IobSite)> = td
+        .device
+        .iob_sites()
+        .filter(|site| {
+            !tried.contains(site)
+                && td.placement.is_free(BelLoc::Iob(*site))
+                && td.routing.occupancy(td.rrg.iob(*site)) == 0
+        })
+        .map(|site| {
+            td.rrg.neighbors(td.rrg.iob(site), &mut wires);
+            let free = wires
+                .iter()
+                .filter(|&&w| td.routing.occupancy(w) == 0)
+                .count();
+            let at = BelLoc::Iob(site).proxy_coord(width, height);
+            let distance = rects.iter().map(|r| r.distance(at)).min().unwrap_or(0);
+            (Reverse(free), distance, site)
+        })
+        .collect();
+    // `IobSite`'s order is the device's (side, position, pad).
+    ranked.sort_unstable();
+    ranked.into_iter().map(|(_, _, site)| site).collect()
+}
+
 /// The added cells that need a CLB site (new pads find their own).
 pub(crate) fn added_logic<'a>(
     netlist: &'a Netlist,
@@ -807,8 +925,9 @@ pub(crate) fn full_reroute(
     for n in routed {
         routing.clear_route(n);
     }
-    let stats = route::route_design(netlist, placement, rrg, routing, options)?;
-    spent.effort.route_expansions += stats.expansions;
+    spent.route(route::route_design(
+        netlist, placement, rrg, routing, options,
+    ))?;
     route::normalize_routes(
         netlist,
         placement,
@@ -931,6 +1050,106 @@ mod tests {
             full.rerouted_nets
         );
         assert!(inc.effort.route_expansions < full.effort.route_expansions);
+    }
+
+    /// Takes every free channel wire beside `site` with a tree branch
+    /// of a routed net other than `spare`, as a full pad channel does.
+    /// The branch runs from the net's source to one of its sink pins,
+    /// so the incremental rung keeps it installed.
+    fn block_pad_site(td: &mut TiledDesign, site: IobSite, spare: NetId) {
+        let mut wires = Vec::new();
+        td.rrg.neighbors(td.rrg.iob(site), &mut wires);
+        wires.retain(|&w| td.routing.occupancy(w) == 0);
+        let (net, mut tree) = td
+            .routing
+            .iter()
+            .find(|&(n, _)| n != spare)
+            .map(|(n, t)| (n, t.clone()))
+            .unwrap();
+        let first = tree.paths[0].clone();
+        let mut branch = vec![first[0]];
+        branch.extend(wires);
+        branch.push(*first.last().unwrap());
+        tree.paths.push(branch);
+        td.routing.set_route(net, tree);
+        assert!(td.routing.is_feasible());
+    }
+
+    #[test]
+    fn a_rescued_eco_is_charged_for_its_failed_attempt() {
+        let (base, victim) = tiled_9sym_37();
+        let net = base.netlist.cell_output(victim).unwrap();
+        let tap = |td: &mut TiledDesign| {
+            sim::testlogic::insert_observation_tap(&mut td.netlist, net, "blocked", false)
+                .unwrap()
+                .added
+        };
+        // Where the placer puts the tap's pad.
+        let mut probe = base.clone();
+        let added = tap(&mut probe);
+        replace_and_route(&mut probe, &[victim], &added).unwrap();
+        let Some(BelLoc::Iob(first)) = probe.placement.loc_of(added[0]) else {
+            panic!("the tap's pad sits on an IOB");
+        };
+        // With that site's wires taken, the first attempt fails and the
+        // pad moves.
+        let mut blocked = base.clone();
+        block_pad_site(&mut blocked, first, net);
+        let mut td = blocked.clone();
+        let added = tap(&mut td);
+        let rescued = replace_and_route(&mut td, &[victim], &added).unwrap();
+        assert!(rescued.kept_routes && rescued.confined);
+        let moved_to = td.placement.loc_of(added[0]).unwrap();
+        assert_ne!(moved_to, BelLoc::Iob(first));
+        // The successful attempt alone: the pad starts where it moved.
+        let mut direct = blocked.clone();
+        let added = tap(&mut direct);
+        direct.placement.place(added[0], moved_to).unwrap();
+        let once = replace_and_route(&mut direct, &[victim], &added).unwrap();
+        assert_eq!(direct.routing.route(net), td.routing.route(net));
+        assert!(
+            rescued.effort.route_expansions > once.effort.route_expansions,
+            "rescued ECO charged {} expansions, its successful attempt {}",
+            rescued.effort.route_expansions,
+            once.effort.route_expansions
+        );
+    }
+
+    #[test]
+    fn pad_sites_rank_by_free_wires_then_distance() {
+        let (td, victim) = tiled_9sym_37();
+        let rects = affected_by(&td, &[victim], &[])
+            .unwrap()
+            .rects(&td.plan)
+            .unwrap();
+        let ranked = rank_pad_sites(&td, &rects, &[]);
+        assert_eq!(ranked, rank_pad_sites(&td, &rects, &[]), "deterministic");
+        let key = |site: IobSite| {
+            let mut wires = Vec::new();
+            td.rrg.neighbors(td.rrg.iob(site), &mut wires);
+            let free = wires
+                .iter()
+                .filter(|&&w| td.routing.occupancy(w) == 0)
+                .count();
+            let at = BelLoc::Iob(site).proxy_coord(td.device.width(), td.device.height());
+            let distance = rects.iter().map(|r| r.distance(at)).min().unwrap();
+            (Reverse(free), distance)
+        };
+        assert!(ranked.windows(2).all(|w| key(w[0]) <= key(w[1])));
+        // The ranking has something to order, and leaves out every
+        // site a pad holds.
+        assert_ne!(key(ranked[0]).0, key(*ranked.last().unwrap()).0);
+        let free: Vec<IobSite> = td
+            .device
+            .iob_sites()
+            .filter(|&site| td.placement.is_free(BelLoc::Iob(site)))
+            .collect();
+        assert!(free.len() < td.device.io_capacity());
+        assert!(ranked.iter().all(|site| free.contains(site)));
+        // Tried sites are skipped; the rest keep their order.
+        let tried = &ranked[..3];
+        let rest = rank_pad_sites(&td, &rects, tried);
+        assert_eq!(rest, ranked[3..]);
     }
 
     #[test]

@@ -127,6 +127,13 @@ impl Rect {
     pub fn center(&self) -> Coord {
         Coord::new((self.x0 + self.x1) / 2, (self.y0 + self.y1) / 2)
     }
+
+    /// Manhattan distance from `c` to the nearest covered coordinate
+    /// (0 inside).
+    pub fn distance(&self, c: Coord) -> u32 {
+        let gap = |v: u16, lo: u16, hi: u16| u32::from(lo.saturating_sub(v) + v.saturating_sub(hi));
+        gap(c.x, self.x0, self.x1) + gap(c.y, self.y0, self.y1)
+    }
 }
 
 impl fmt::Display for Rect {
@@ -153,6 +160,8 @@ mod tests {
         assert_eq!(r.area(), 8);
         assert_eq!(r.iter().count(), 8);
         assert_eq!(r.center(), Coord::new(1, 0));
+        assert_eq!(r.distance(Coord::new(2, 1)), 0);
+        assert_eq!(r.distance(Coord::new(5, 4)), 5);
     }
 
     #[test]

@@ -59,19 +59,6 @@ pub enum EcoOp {
     },
 }
 
-impl EcoOp {
-    /// Short tag for reports.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Self::ChangeLutFunction { .. } => "change-lut",
-            Self::RewirePin { .. } => "rewire",
-            Self::AddLut { .. } => "add-lut",
-            Self::AddFf { .. } => "add-ff",
-            Self::RemoveCell { .. } => "remove",
-        }
-    }
-}
-
 /// Result of applying a batch of ECO operations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EcoReport {
@@ -272,16 +259,5 @@ mod tests {
         };
         assert!(apply(&mut nl, &bad).is_err());
         nl.validate().unwrap();
-    }
-
-    #[test]
-    fn op_metadata() {
-        assert_eq!(
-            EcoOp::RemoveCell {
-                cell: CellId::new(0)
-            }
-            .tag(),
-            "remove"
-        );
     }
 }

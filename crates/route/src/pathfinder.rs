@@ -55,7 +55,9 @@ pub struct RouteStats {
     pub nets: usize,
 }
 
-/// Routing failures.
+/// Routing failures. A failed negotiation still did work: its
+/// variants carry the expansions it paid for, so callers can charge
+/// them ([`RouteError::expansions`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RouteError {
@@ -63,6 +65,8 @@ pub enum RouteError {
     Unroutable {
         /// The offending net.
         net: netlist::NetId,
+        /// Wavefront node expansions spent before giving up.
+        expansions: u64,
     },
     /// Congestion negotiation did not converge.
     CongestionUnresolved {
@@ -70,18 +74,34 @@ pub enum RouteError {
         iterations: usize,
         /// Overused nodes remaining.
         overused: usize,
+        /// Wavefront node expansions spent before giving up.
+        expansions: u64,
     },
     /// Request construction failed (netlist inconsistency).
     BadRequest(String),
 }
 
+impl RouteError {
+    /// Wavefront node expansions the failed attempt spent (0 when it
+    /// never searched).
+    pub fn expansions(&self) -> u64 {
+        match self {
+            Self::Unroutable { expansions, .. } | Self::CongestionUnresolved { expansions, .. } => {
+                *expansions
+            }
+            Self::BadRequest(_) => 0,
+        }
+    }
+}
+
 impl fmt::Display for RouteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Unroutable { net } => write!(f, "net {net} has an unreachable sink"),
+            Self::Unroutable { net, .. } => write!(f, "net {net} has an unreachable sink"),
             Self::CongestionUnresolved {
                 iterations,
                 overused,
+                ..
             } => {
                 write!(f, "congestion unresolved after {iterations} iterations ({overused} nodes overused)")
             }
@@ -280,7 +300,10 @@ pub fn route(
                 }
             }
             if fail {
-                return Err(RouteError::Unroutable { net: req.net });
+                return Err(RouteError::Unroutable {
+                    net: req.net,
+                    expansions: stats.expansions,
+                });
             }
             let mut tree = base.clone();
             tree.paths.extend(new_paths);
@@ -304,6 +327,7 @@ pub fn route(
                 return Err(RouteError::CongestionUnresolved {
                     iterations: stats.iterations,
                     overused: overused.len(),
+                    expansions: stats.expansions,
                 });
             }
         }
@@ -316,6 +340,7 @@ pub fn route(
     Err(RouteError::CongestionUnresolved {
         iterations: stats.iterations,
         overused: routing.overused_nodes().len(),
+        expansions: stats.expansions,
     })
 }
 
@@ -784,7 +809,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(matches!(err, Err(RouteError::Unroutable { .. })));
+        // The failed search still paid for its wavefront.
+        assert!(matches!(err, Err(RouteError::Unroutable { expansions, .. }) if expansions > 0));
     }
 
     #[test]
@@ -1102,11 +1128,15 @@ mod tests {
 
     #[test]
     fn error_display() {
-        let e = RouteError::Unroutable { net: NetId::new(3) };
+        let e = RouteError::Unroutable {
+            net: NetId::new(3),
+            expansions: 0,
+        };
         assert!(e.to_string().contains("n3"));
         let e = RouteError::CongestionUnresolved {
             iterations: 5,
             overused: 2,
+            expansions: 0,
         };
         assert!(e.to_string().contains('5'));
     }

@@ -311,3 +311,82 @@ fn incremental_congestion_fallback_converges() {
     assert!(td.routing.is_feasible());
     td.netlist.validate().unwrap();
 }
+
+/// The session and error seeds of request `i` of the campaign
+/// benchmark's stream at workload seed `seed`: splitmix64 over the
+/// seed, the request index and the seed's slot (0 for the session,
+/// `1 + e` for error `e`), as `campaignbench` derives them.
+fn bench_seed(seed: u64, i: u64, slot: u64) -> u64 {
+    fn splitmix64(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    splitmix64(splitmix64(seed) ^ splitmix64(i.wrapping_mul(64).wrapping_add(slot))) >> 32
+}
+
+/// The tiled flow, recording every ECO's outcome.
+struct Recording<'a>(&'a mut Vec<tiling::EcoPhysicalOutcome>);
+
+impl ReimplFlow for Recording<'_> {
+    fn name(&self) -> &'static str {
+        "recording"
+    }
+
+    fn reimplement(
+        &mut self,
+        td: &mut TiledDesign,
+        seeds: &[CellId],
+        added: &[CellId],
+    ) -> Result<tiling::EcoPhysicalOutcome, TilingError> {
+        let out = TiledFlow.reimplement(td, seeds, added)?;
+        self.0.push(out.clone());
+        Ok(out)
+    }
+}
+
+#[test]
+fn c499_control_points_beside_full_pad_channels_stay_incremental() {
+    // Seed-7 comb-tiled benchmark requests 10 (binary search, two
+    // errors) and 13 (linear batches, three errors). Each plants a
+    // control point on c499 whose incremental route stalled on a few
+    // wires beside its new force pads; tile clearing then re-routed
+    // the whole device, because the pads' tile is a quarter of it.
+    // Moving the pads to free channel keeps every ECO incremental.
+    use debugd::{ArtifactStore, CampaignRequest, StrategyKind};
+    let store = ArtifactStore::new();
+    for (i, strategy, errors) in [
+        (10, StrategyKind::BinarySearch, 2),
+        (13, StrategyKind::LinearBatches, 3),
+    ] {
+        let req = CampaignRequest {
+            design: PaperDesign::C499,
+            strategy,
+            seed: bench_seed(7, i, 0),
+            error_seeds: (0..errors).map(|e| bench_seed(7, i, 1 + e)).collect(),
+            ..CampaignRequest::default()
+        };
+        let artifact = store.get_or_build(&req).unwrap();
+        let mut td = artifact.td.clone();
+        let mut outcomes = Vec::new();
+        let campaign = DebugSession::new(&mut td, &artifact.golden)
+            .strategy_boxed(req.strategy.instantiate())
+            .flow(Recording(&mut outcomes))
+            .patterns(req.patterns.to_spec(req.pattern_count))
+            .seed(req.seed)
+            .confirm_with_control(req.confirm_with_control)
+            .run_campaign(&req.error_seeds)
+            .unwrap();
+        assert!(campaign.iterations.iter().all(|row| row.repaired));
+        assert!(!outcomes.is_empty());
+        for (k, out) in outcomes.iter().enumerate() {
+            assert!(
+                out.kept_routes && out.confined,
+                "request {i}, ECO {k} left the incremental rung: {} nets re-routed",
+                out.rerouted_nets
+            );
+        }
+        assert!(td.routing.is_feasible());
+    }
+}
