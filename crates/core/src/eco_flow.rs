@@ -40,8 +40,10 @@
 //!    the tiled flow never costs more than the non-tiled one.
 //!
 //! The rungs share one place step and one full re-route with the rival
-//! flows in [`crate::flows`]. The ladder snapshots the design once and
-//! restores it if the change fails.
+//! flows in [`crate::flows`]. The ladder copies the placement once and
+//! opens an undo log on the routing ([`fpga::Routing::open_log`]), so
+//! restoring the design after a failed rung, or after the whole change
+//! failed, rolls back only the nets that changed.
 
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
@@ -120,17 +122,27 @@ const INCREMENTAL_STALL_LIMIT: usize = 2;
 /// ladder demotes to tile clearing.
 const PAD_RETRIES: usize = 2;
 
-/// The placement and routing an ECO started from.
+/// The design an ECO started from: a copy of its placement, while the
+/// routing's undo log, open for the whole ECO, keeps each changed
+/// net's tree. Debug builds also copy the routing, for the post-ECO
+/// audit and to check every restore against.
 pub(crate) struct Snapshot {
     placement: Placement,
+    #[cfg(debug_assertions)]
     routing: Routing,
 }
 
 impl Snapshot {
-    /// Puts the design's placement and routing back as they were.
+    /// Puts the design's placement and routing back as they were: the
+    /// placement from its copy, the routing by rolling its log back.
     fn restore(&self, td: &mut TiledDesign) {
         td.placement = self.placement.clone();
-        td.routing = self.routing.clone();
+        td.routing.rollback();
+        #[cfg(debug_assertions)]
+        assert!(
+            td.routing == self.routing,
+            "rolling the routing's undo log back did not restore the routing the ECO started from"
+        );
     }
 }
 
@@ -143,9 +155,13 @@ pub(crate) fn or_restore<T>(
 ) -> Result<T, TilingError> {
     let snapshot = Snapshot {
         placement: td.placement.clone(),
+        #[cfg(debug_assertions)]
         routing: td.routing.clone(),
     };
-    eco(td, &snapshot).inspect_err(|_| snapshot.restore(td))
+    td.routing.open_log();
+    let done = eco(td, &snapshot).inspect_err(|_| snapshot.restore(td));
+    td.routing.close_log();
+    done
 }
 
 /// Clears the tiles affected by a change and re-implements them.
@@ -1075,6 +1091,82 @@ mod tests {
         assert!(td.routing.is_feasible());
     }
 
+    /// Every placed cell's site, every routed net's tree and every
+    /// node's occupancy.
+    type PhysicalState = (Vec<(CellId, BelLoc)>, Vec<(NetId, RouteTree)>, Vec<u16>);
+
+    fn physical_state(td: &TiledDesign) -> PhysicalState {
+        let placement = td.placement.iter().collect();
+        let routes = td.routing.iter().map(|(n, t)| (n, t.clone())).collect();
+        let occupancy = (0..td.rrg.num_nodes() as u32)
+            .map(|i| td.routing.occupancy(NodeId::default_for_test(i)))
+            .collect();
+        (placement, routes, occupancy)
+    }
+
+    /// Runs a change that every rung fails and checks that the design
+    /// comes back as it was before the call.
+    fn fails_on_every_rung(mut td: TiledDesign, seeds: &[CellId], added: &[CellId]) -> TilingError {
+        let before = physical_state(&td);
+        let err = replace_and_route(&mut td, seeds, added).unwrap_err();
+        assert_eq!(physical_state(&td), before);
+        err
+    }
+
+    #[test]
+    fn a_change_that_every_rung_fails_leaves_the_design_as_it_was() {
+        let (base, victim) = tiled_9sym_37();
+        let net = base.netlist.cell_output(victim).unwrap();
+        let tap = |td: &mut TiledDesign, name: &str| {
+            sim::testlogic::insert_observation_tap(&mut td.netlist, net, name, false)
+                .unwrap()
+                .added
+        };
+        // More new pads than free pad sites: rungs 1 and 2 both fail
+        // to place them.
+        let mut td = base.clone();
+        let free = td
+            .device
+            .iob_sites()
+            .filter(|&site| td.placement.is_free(BelLoc::Iob(site)))
+            .count();
+        let added: Vec<CellId> = (0..=free)
+            .flat_map(|k| tap(&mut td, &format!("t{k}")))
+            .collect();
+        let err = fails_on_every_rung(td, &[victim], &added);
+        assert!(matches!(err, TilingError::Place(_)), "{err}");
+        // A router allowed no iterations: every rung changes routes
+        // (tile clearing rips the tile's nets, the full re-route rips
+        // every net) and then fails to route.
+        let mut td = base.clone();
+        td.options.router.max_iterations = 0;
+        let added = tap(&mut td, "t");
+        let err = fails_on_every_rung(td, &[victim], &added);
+        assert!(matches!(err, TilingError::Route(_)), "{err}");
+    }
+
+    #[test]
+    fn a_restore_removes_the_routes_a_change_added() {
+        // A registered tap's flip-flop drives a new net, which a
+        // successful climb routes. When the ECO then fails anyway, the
+        // restore must release that route too.
+        let (mut td, victim) = tiled_9sym_37();
+        let net = td.netlist.cell_output(victim).unwrap();
+        let added = sim::testlogic::insert_observation_tap(&mut td.netlist, net, "undone", true)
+            .unwrap()
+            .added;
+        let ff_net = td.netlist.cell_output(added[0]).unwrap();
+        let before = physical_state(&td);
+        let affected = affected_by(&td, &[victim], &added).unwrap();
+        let failed = or_restore(&mut td, |td, snapshot| {
+            climb(td, affected, &added, snapshot)?;
+            assert!(td.routing.route(ff_net).is_some());
+            Err::<(), _>(TilingError::UnknownTile(usize::MAX))
+        });
+        assert!(failed.is_err());
+        assert_eq!(physical_state(&td), before);
+    }
+
     #[test]
     fn a_rescued_eco_is_charged_for_its_failed_attempt() {
         let (base, victim) = tiled_9sym_37();
@@ -1106,7 +1198,10 @@ mod tests {
         let added = tap(&mut direct);
         direct.placement.place(added[0], moved_to).unwrap();
         let once = replace_and_route(&mut direct, &[victim], &added).unwrap();
-        assert_eq!(direct.routing.route(net), td.routing.route(net));
+        // The failed attempt was rolled back whole: the rescue placed
+        // and routed every net as the direct run did, on the same
+        // occupancy.
+        assert_eq!(physical_state(&direct), physical_state(&td));
         assert!(
             rescued.effort.route_expansions > once.effort.route_expansions,
             "rescued ECO charged {} expansions, its successful attempt {}",

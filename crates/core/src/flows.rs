@@ -70,8 +70,10 @@ pub trait ReimplFlow: Send {
     ///
     /// Propagates placement/routing failures. On error the design's
     /// placement and routing are left as they were before the call
-    /// (every flow snapshots or defers its commit), so a session can
-    /// surface the error without corrupting the live design.
+    /// (the full flow commits only once it succeeded; the others copy
+    /// the placement and roll the routing back through its undo log),
+    /// so a session can surface the error without corrupting the live
+    /// design.
     fn reimplement(
         &mut self,
         td: &mut TiledDesign,

@@ -98,9 +98,11 @@ impl EcoRegion for RegionEco<'_> {
 
 /// Audits one *confined* ECO: cells outside the cleared tiles still on
 /// their pre-ECO BELs, routes that never touch the cleared region
-/// byte-identical. `before_*` are the snapshots taken at the top of
-/// [`replace_and_route`](crate::eco_flow::replace_and_route); the
-/// design itself holds the *after* state.
+/// byte-identical. `before_*` are the placement and routing as they
+/// were at the top of
+/// [`replace_and_route`](crate::eco_flow::replace_and_route), which
+/// debug builds copy for this audit; the design itself holds the
+/// *after* state.
 pub fn audit_confined_eco(
     td: &TiledDesign,
     tiles: &[TileId],

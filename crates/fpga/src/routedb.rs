@@ -54,6 +54,10 @@ impl RouteTree {
 
 /// All routes of a design, plus per-node occupancy counts.
 ///
+/// An optional undo log ([`Self::open_log`]) keeps each net's tree
+/// from before its first change, so a failed edit can be rolled back
+/// at the cost of what it changed rather than a copy of every route.
+///
 /// ```
 /// use fpga::{Device, RoutingGraph, Routing};
 /// let dev = Device::new(3, 3, 4, 2)?;
@@ -66,6 +70,45 @@ impl RouteTree {
 pub struct Routing {
     routes: Vec<Option<RouteTree>>,
     occupancy: Vec<u16>,
+    log: Option<UndoLog>,
+}
+
+/// Two routings are equal when they route the same nets on the same
+/// trees and occupy the same nodes; an open undo log is bookkeeping,
+/// not routing, and is not compared.
+impl PartialEq for Routing {
+    fn eq(&self, other: &Self) -> bool {
+        self.occupancy == other.occupancy && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Routing {}
+
+/// The trees an open log restores: every net changed since the log
+/// opened (or last rolled back), with the tree it had then.
+#[derive(Debug, Clone, Default)]
+struct UndoLog {
+    /// `routes.len()` when the log opened.
+    len: usize,
+    /// One entry per changed net, `None` for a net that had no route.
+    saved: Vec<(NetId, Option<RouteTree>)>,
+    /// Bit `i` set: net `i` has its entry in `saved`.
+    logged: Vec<u64>,
+}
+
+impl UndoLog {
+    /// Keeps `old` as `net`'s tree to restore, unless the net already
+    /// has an entry (then `old` is an intermediate tree and is dropped).
+    fn record(&mut self, net: NetId, old: Option<RouteTree>) {
+        let (word, bit) = (net.index() / 64, 1u64 << (net.index() % 64));
+        if word >= self.logged.len() {
+            self.logged.resize(word + 1, 0);
+        }
+        if self.logged[word] & bit == 0 {
+            self.logged[word] |= bit;
+            self.saved.push((net, old));
+        }
+    }
 }
 
 impl Routing {
@@ -74,6 +117,7 @@ impl Routing {
         Self {
             routes: Vec::new(),
             occupancy: vec![0; num_nodes],
+            log: None,
         }
     }
 
@@ -94,8 +138,80 @@ impl Routing {
     }
 
     /// Installs (or replaces) the route of a net, updating occupancy.
+    /// Under an open undo log, the net's first change hands its
+    /// previous tree (or its lack of one) to the log.
     pub fn set_route(&mut self, net: NetId, tree: RouteTree) {
-        self.clear_route(net);
+        let old = self.take(net);
+        self.keep_for_undo(net, old);
+        self.install(net, tree);
+    }
+
+    /// Removes the route of a net, if any, releasing its nodes. Under
+    /// an open undo log, the net's first change hands the removed tree
+    /// to the log; otherwise the tree is dropped.
+    pub fn clear_route(&mut self, net: NetId) {
+        if let Some(old) = self.take(net) {
+            self.keep_for_undo(net, Some(old));
+        }
+    }
+
+    /// Opens an undo log on the routing as it is now: from here on,
+    /// the first change to each net keeps the tree it had, so
+    /// [`Self::rollback`] can restore this state. An open log holds at
+    /// most one tree per net, however often the net changes.
+    ///
+    /// # Panics
+    ///
+    /// If a log is already open: its changes could no longer be rolled
+    /// back.
+    pub fn open_log(&mut self) {
+        assert!(self.log.is_none(), "an undo log is already open");
+        self.log = Some(UndoLog {
+            len: self.routes.len(),
+            ..UndoLog::default()
+        });
+    }
+
+    /// Puts back every net changed since the log opened (or last
+    /// rolled back) with its occupancy, and keeps the log open from
+    /// the restored state. Its cost follows the changed nets, not the
+    /// design.
+    ///
+    /// # Panics
+    ///
+    /// If no undo log is open.
+    pub fn rollback(&mut self) {
+        let log = self.log.as_mut().expect("rollback needs an open undo log");
+        let saved = std::mem::take(&mut log.saved);
+        log.logged.clear();
+        let len = log.len;
+        for (net, old) in saved {
+            self.take(net);
+            if let Some(tree) = old {
+                self.install(net, tree);
+            }
+        }
+        self.routes.truncate(len);
+    }
+
+    /// Closes the undo log, keeping every change made under it and
+    /// dropping the trees it held.
+    pub fn close_log(&mut self) {
+        self.log = None;
+    }
+
+    /// Takes a net's tree out, releasing its nodes; the log is not told.
+    fn take(&mut self, net: NetId) -> Option<RouteTree> {
+        let tree = self.routes.get_mut(net.index())?.take()?;
+        for node in tree.distinct_nodes() {
+            let o = &mut self.occupancy[node.index()];
+            *o = o.saturating_sub(1);
+        }
+        Some(tree)
+    }
+
+    /// Puts `tree` on `net`, which has no route, taking its nodes.
+    fn install(&mut self, net: NetId, tree: RouteTree) {
         if net.index() >= self.routes.len() {
             self.routes.resize(net.index() + 1, None);
         }
@@ -105,16 +221,11 @@ impl Routing {
         self.routes[net.index()] = Some(tree);
     }
 
-    /// Removes the route of a net, releasing its nodes.
-    ///
-    /// Returns the removed tree, if any.
-    pub fn clear_route(&mut self, net: NetId) -> Option<RouteTree> {
-        let tree = self.routes.get_mut(net.index())?.take()?;
-        for node in tree.distinct_nodes() {
-            let o = &mut self.occupancy[node.index()];
-            *o = o.saturating_sub(1);
+    /// Hands `net`'s tree from before a change to the open log, if any.
+    fn keep_for_undo(&mut self, net: NetId, old: Option<RouteTree>) {
+        if let Some(log) = &mut self.log {
+            log.record(net, old);
         }
-        Some(tree)
     }
 
     /// Nodes used by more than one net (routing conflicts).
@@ -330,5 +441,94 @@ mod tests {
         );
         assert_eq!(r.total_wirelength(), 5);
         assert_eq!(r.iter().count(), 2);
+    }
+
+    fn path(raw: &[u32]) -> RouteTree {
+        RouteTree {
+            paths: vec![ids(raw)],
+        }
+    }
+
+    /// Nets 0 and 2 routed, net 1 not, over 12 nodes.
+    fn three_nets() -> Routing {
+        let mut r = Routing::new(12);
+        r.set_route(NetId::new(0), path(&[0, 1, 2]));
+        r.set_route(NetId::new(2), path(&[3, 4]));
+        r
+    }
+
+    /// Compares every routed net, every node's occupancy and the
+    /// routed-net count, then the whole value.
+    fn assert_same(got: &Routing, want: &Routing) {
+        let routes = |r: &Routing| -> Vec<(NetId, RouteTree)> {
+            r.iter().map(|(n, t)| (n, t.clone())).collect()
+        };
+        assert_eq!(routes(got), routes(want));
+        for i in 0..12 {
+            let node = NodeId::default_for_test(i);
+            assert_eq!(got.occupancy(node), want.occupancy(node), "node {i}");
+        }
+        assert_eq!(got.num_routed(), want.num_routed());
+        assert_eq!(got, want);
+    }
+
+    /// Sets, replaces, clears and grows past the routed length.
+    fn edit(r: &mut Routing) {
+        r.set_route(NetId::new(1), path(&[5, 6]));
+        r.set_route(NetId::new(0), path(&[0, 7, 2]));
+        r.clear_route(NetId::new(2));
+        r.set_route(NetId::new(5), path(&[3, 8, 9]));
+    }
+
+    #[test]
+    fn rollback_restores_every_route_and_its_occupancy() {
+        let before = three_nets();
+        let mut r = before.clone();
+        r.open_log();
+        edit(&mut r);
+        assert_ne!(r, before);
+        r.rollback();
+        assert_same(&r, &before);
+        // The log stays open from the restored state: more changes
+        // roll back to it again.
+        r.set_route(NetId::new(2), path(&[10, 11]));
+        r.clear_route(NetId::new(0));
+        r.set_route(NetId::new(7), path(&[1]));
+        r.rollback();
+        assert_same(&r, &before);
+        r.rollback();
+        assert_same(&r, &before);
+    }
+
+    #[test]
+    fn closing_the_log_keeps_its_changes() {
+        let mut want = three_nets();
+        edit(&mut want);
+        let mut r = three_nets();
+        r.open_log();
+        edit(&mut r);
+        r.close_log();
+        assert_same(&r, &want);
+        // A log opened afterwards rolls back to the edited state.
+        r.open_log();
+        r.clear_route(NetId::new(5));
+        r.rollback();
+        assert_same(&r, &want);
+    }
+
+    #[test]
+    fn a_net_changed_many_times_is_logged_once() {
+        let before = three_nets();
+        let mut r = before.clone();
+        r.open_log();
+        for k in 0..10 {
+            r.set_route(NetId::new(0), path(&[k, k + 1]));
+            r.clear_route(NetId::new(0));
+        }
+        r.set_route(NetId::new(0), path(&[9, 10, 11]));
+        r.clear_route(NetId::new(1)); // no route: nothing changes
+        assert_eq!(r.log.as_ref().unwrap().saved.len(), 1);
+        r.rollback();
+        assert_same(&r, &before);
     }
 }
